@@ -1,0 +1,453 @@
+"""Buchberger engine for ideals and submodules of free modules.
+
+Ideals are treated as rank-one free modules, so one reduction loop and one
+pair loop serve polynomials, submodules of P^r, and computations over a
+quotient P/I.  Quotient-ring work runs on preimages: the (already reduced)
+Groebner basis of the defining ideal is adjoined in every coordinate, with
+mutual pairs among those adjoined generators skipped since they reduce to
+zero by assumption.
+
+Free modules carry the position-over-term order with position 0 largest;
+elements whose leading term sits in a trailing block of "witness"
+coordinates therefore surface syzygies, which is how ``syzygies`` works.
+
+Bases are interreduced to the unique reduced form (monic leading
+coefficients, no leading term dividing another, tails fully reduced), so
+identical input always yields an identical basis regardless of internal
+scheduling.
+"""
+from __future__ import annotations
+
+import heapq
+
+from .errors import Budget, Meter, StructuralError
+from .poly import Monomial, Polynomial, PolynomialRing
+
+
+class ModuleElement:
+    """Immutable element of a finite free module P^rank."""
+
+    __slots__ = ("ring", "coords")
+
+    def __init__(self, ring: PolynomialRing, coords):
+        coords = tuple(coords)
+        for c in coords:
+            if not isinstance(c, Polynomial) or c.ring != ring:
+                raise StructuralError("module coordinates must share one ring")
+        self.ring = ring
+        self.coords = coords
+
+    @property
+    def rank(self) -> int:
+        return len(self.coords)
+
+    @classmethod
+    def wrap(cls, p: Polynomial) -> "ModuleElement":
+        return cls(p.ring, (p,))
+
+    @classmethod
+    def unit(cls, ring: PolynomialRing, rank: int, pos: int, p: Polynomial | None = None):
+        coords = [ring.zero()] * rank
+        coords[pos] = p if p is not None else ring.one()
+        return cls(ring, coords)
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.coords)
+
+    def lead(self):
+        """(position, monomial, coeff) of the largest term, None if zero."""
+        order = self.ring.order
+        best = None
+        best_key = None
+        for pos, c in enumerate(self.coords):
+            if c.is_zero():
+                continue
+            m, k = c.terms[0]
+            key = (-pos, order.key(m))
+            if best_key is None or key > best_key:
+                best_key = key
+                best = (pos, m, k)
+        return best
+
+    def __eq__(self, other):
+        return isinstance(other, ModuleElement) and self.coords == other.coords
+
+    def __hash__(self):
+        return hash(self.coords)
+
+    def __add__(self, other):
+        if self.ring != other.ring or self.rank != other.rank:
+            raise StructuralError("module elements from different ambients")
+        return ModuleElement(self.ring, [a + b for a, b in zip(self.coords, other.coords)])
+
+    def __neg__(self):
+        return ModuleElement(self.ring, [-c for c in self.coords])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c) -> "ModuleElement":
+        return ModuleElement(self.ring, [p.scale(c) for p in self.coords])
+
+    def mul_term(self, mono: Monomial, coeff) -> "ModuleElement":
+        return ModuleElement(self.ring, [p.mul_term(mono, coeff) for p in self.coords])
+
+    def mul_poly(self, q: Polynomial) -> "ModuleElement":
+        return ModuleElement(self.ring, [p * q for p in self.coords])
+
+    def monic(self) -> "ModuleElement":
+        lead = self.lead()
+        if lead is None:
+            return self
+        return self.scale(self.ring.field.invert(lead[2]))
+
+    def total_degree(self) -> int:
+        return max((c.total_degree() for c in self.coords), default=-1)
+
+    def pad(self, rank: int, offset: int = 0) -> "ModuleElement":
+        coords = [self.ring.zero()] * rank
+        for i, c in enumerate(self.coords):
+            coords[offset + i] = c
+        return ModuleElement(self.ring, coords)
+
+    def __repr__(self):
+        return "(" + ", ".join(repr(c) for c in self.coords) + ")"
+
+
+def _lead_key(el: ModuleElement):
+    pos, m, _ = el.lead()
+    return (-pos, el.ring.order.key(m))
+
+
+def _reduce(el: ModuleElement, basis, meter: Meter) -> ModuleElement:
+    """Full normal form of el against the monic elements of basis.
+
+    Every term of the result is divisible by no basis leading term.  The
+    divisor chosen at each step is the first match in basis order; the end
+    result is independent of that choice once basis is a Groebner basis.
+    """
+    ring = el.ring
+    order = ring.order
+    field = ring.field
+    leads = [g.lead() for g in basis]
+    work = {}
+    for pos, c in enumerate(el.coords):
+        for m, k in c.terms:
+            work[(pos, m)] = k
+    remainder = {}
+    while work:
+        pos, mono = max(work, key=lambda t: (-t[0], order.key(t[1])))
+        coeff = work[(pos, mono)]
+        meter.step()
+        meter.check_degree(mono.degree)
+        hit = None
+        for g, (gp, gm, _) in zip(basis, leads):
+            if gp == pos and gm.divides(mono):
+                hit = (g, gm)
+                break
+        if hit is None:
+            del work[(pos, mono)]
+            remainder[(pos, mono)] = coeff
+            continue
+        g, gm = hit
+        shift = mono.divide(gm)
+        # basis elements are monic, so subtract coeff * shift * g;
+        # the leading term cancels exactly
+        for gpos, gc in enumerate(g.coords):
+            for m2, k2 in gc.terms:
+                m = m2.mul(shift)
+                key = (gpos, m)
+                s = field.add(work.get(key, field.zero), field.neg(field.mul(k2, coeff)))
+                if s == field.zero:
+                    work.pop(key, None)
+                else:
+                    work[key] = s
+    coords = [dict() for _ in range(el.rank)]
+    for (pos, m), c in remainder.items():
+        coords[pos][m] = c
+    return ModuleElement(ring, [Polynomial(ring, d) for d in coords])
+
+
+def _spair(f: ModuleElement, g: ModuleElement) -> ModuleElement:
+    fp, fm, _ = f.lead()
+    gp, gm, _ = g.lead()
+    if fp != gp:
+        raise StructuralError("s-pair needs equal leading positions")
+    lcm = fm.lcm(gm)
+    one = f.ring.field.one
+    return f.mul_term(lcm.divide(fm), one) - g.mul_term(lcm.divide(gm), one)
+
+
+class GroebnerBasis:
+    """A reduced Groebner basis plus the context it was computed in.
+
+    For quotient-ring semantics the basis generates the preimage in P^rank,
+    i.e. the input module together with defining * e_i for every coordinate;
+    ``defining`` remembers the defining basis used.
+    """
+
+    __slots__ = ("ring", "rank", "elements", "defining", "scalar")
+
+    def __init__(self, ring, rank, elements, defining, scalar):
+        self.ring = ring
+        self.rank = rank
+        self.elements = tuple(elements)
+        self.defining = tuple(defining) if defining else ()
+        self.scalar = scalar
+
+    def polynomials(self):
+        if self.rank != 1:
+            raise StructuralError("not an ideal basis")
+        return tuple(el.coords[0] for el in self.elements)
+
+    def is_unit_ideal(self) -> bool:
+        return (
+            self.rank == 1
+            and len(self.elements) == 1
+            and self.elements[0].coords[0].is_one()
+        )
+
+    def is_zero(self) -> bool:
+        return not self.elements
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, GroebnerBasis)
+            and self.ring == other.ring
+            and self.rank == other.rank
+            and self.elements == other.elements
+        )
+
+    def __hash__(self):
+        return hash((self.ring, self.rank, self.elements))
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def __len__(self):
+        return len(self.elements)
+
+
+def _as_elements(gens):
+    """Uniform ModuleElement view; returns (elements, ring, rank, scalar)."""
+    gens = list(gens)
+    if not gens:
+        raise StructuralError("cannot infer the ambient from an empty list")
+    scalar = isinstance(gens[0], Polynomial)
+    if scalar:
+        ring = gens[0].ring
+        els = []
+        for g in gens:
+            if not isinstance(g, Polynomial) or g.ring != ring:
+                raise StructuralError("generators from different rings")
+            els.append(ModuleElement.wrap(g))
+        return els, ring, 1, True
+    ring = gens[0].ring
+    rank = gens[0].rank
+    for g in gens:
+        if not isinstance(g, ModuleElement) or g.ring != ring or g.rank != rank:
+            raise StructuralError("generators from different ambients")
+    return list(gens), ring, rank, False
+
+
+def _core(elements, ipart, ring, rank, meter):
+    """The pair loop.  ``elements`` are seeds; indices in ``ipart`` are the
+    adjoined defining generators, whose mutual pairs are skipped (sound
+    because the defining list is itself a Groebner basis).  Pair selection is
+    minimal lcm degree first; the coprime criterion applies in rank one and
+    the chain criterion is checked against pairs already off the queue."""
+    order = ring.order
+    basis = []
+    iflags = []
+
+    heap = []
+    pending = set()
+
+    def add_pairs(j):
+        pj, mj, _ = basis[j].lead()
+        for i in range(j):
+            if iflags[i] and iflags[j]:
+                continue
+            pi, mi, _ = basis[i].lead()
+            if pi != pj:
+                continue
+            lcm = mi.lcm(mj)
+            heapq.heappush(heap, (lcm.degree, order.key(lcm), i, j))
+            pending.add((i, j))
+
+    for el, flag in zip(elements, ipart):
+        red = _reduce(el, basis, meter)
+        if red.is_zero():
+            continue
+        basis.append(red.monic())
+        iflags.append(flag)
+        add_pairs(len(basis) - 1)
+
+    while heap:
+        _, _, i, j = heapq.heappop(heap)
+        if (i, j) not in pending:
+            continue
+        pending.discard((i, j))
+        pi, mi, _ = basis[i].lead()
+        pj, mj, _ = basis[j].lead()
+        if pi != pj:
+            continue
+        if rank == 1 and mi.is_coprime(mj):
+            continue
+        lcm = mi.lcm(mj)
+        skip = False
+        for k in range(len(basis)):
+            if k in (i, j):
+                continue
+            pk, mk, _ = basis[k].lead()
+            if pk != pi or not mk.divides(lcm):
+                continue
+            a = (min(i, k), max(i, k))
+            b = (min(j, k), max(j, k))
+            if a not in pending and b not in pending:
+                skip = True
+                break
+        if skip:
+            continue
+        s = _spair(basis[i], basis[j])
+        red = _reduce(s, basis, meter)
+        if red.is_zero():
+            continue
+        basis.append(red.monic())
+        iflags.append(False)
+        add_pairs(len(basis) - 1)
+
+    return _interreduce(basis, meter)
+
+
+def _interreduce(basis, meter):
+    """Reduce to the unique reduced basis: minimal leads, reduced tails."""
+    if not basis:
+        return []
+    kept = []
+    for idx, g in enumerate(sorted(basis, key=_lead_key)):
+        gp, gm, _ = g.lead()
+        redundant = False
+        for h in kept:
+            hp, hm, _ = h.lead()
+            if hp == gp and hm.divides(gm):
+                redundant = True
+                break
+        if not redundant:
+            kept.append(g)
+    final = []
+    for i, g in enumerate(kept):
+        others = kept[:i] + kept[i + 1 :]
+        final.append(_reduce(g, others, meter).monic())
+    final.sort(key=_lead_key, reverse=True)
+    return final
+
+
+def buchberger(
+    gens,
+    *,
+    defining=None,
+    budget: Budget | None = None,
+    ring: PolynomialRing | None = None,
+    rank: int = 1,
+) -> GroebnerBasis:
+    """Reduced Groebner basis of the module generated by ``gens``.
+
+    ``gens`` is a list of Polynomials (ideal case) or ModuleElements of one
+    rank.  ``defining`` is a reduced Groebner basis of a defining ideal I;
+    when given, the result is the basis of the preimage of <gens> in P^rank,
+    which realises computation over P/I.  Empty input yields the zero-module
+    basis (``ring`` is then required to fix the ambient).
+    """
+    gens = list(gens)
+    if isinstance(defining, GroebnerBasis):
+        defining = list(defining.polynomials())
+    else:
+        defining = list(defining) if defining else []
+    if not gens:
+        if defining:
+            ring = defining[0].ring
+        if ring is None:
+            raise StructuralError("cannot infer the ambient from an empty list")
+        els, scalar = [], rank == 1
+    else:
+        els, ring, rank, scalar = _as_elements(gens)
+    meter = Meter(budget)
+    seeds = []
+    ipart = []
+    for el in els:
+        if el.is_zero():
+            continue
+        seeds.append(el)
+        ipart.append(False)
+    for g in defining:
+        if g.is_zero():
+            continue
+        if g.ring != ring:
+            raise StructuralError("defining ideal from another ring")
+        for pos in range(rank):
+            seeds.append(ModuleElement.unit(ring, rank, pos, g))
+            ipart.append(True)
+    final = _core(seeds, ipart, ring, rank, meter)
+    return GroebnerBasis(ring, rank, final, defining, scalar)
+
+
+def normal_form(f, gb: GroebnerBasis, *, budget: Budget | None = None):
+    """Canonical remainder of f modulo the basis (same type in, same out)."""
+    meter = Meter(budget)
+    if isinstance(f, Polynomial):
+        if gb.rank != 1:
+            raise StructuralError("polynomial against a module basis")
+        if f.ring != gb.ring:
+            raise StructuralError("polynomial from another ring")
+        return _reduce(ModuleElement.wrap(f), gb.elements, meter).coords[0]
+    if not isinstance(f, ModuleElement):
+        raise StructuralError(f"cannot reduce {type(f).__name__}")
+    if f.ring != gb.ring or f.rank != gb.rank:
+        raise StructuralError("element from another ambient")
+    return _reduce(f, gb.elements, meter)
+
+
+def member(f, gb: GroebnerBasis, *, budget: Budget | None = None) -> bool:
+    nf = normal_form(f, gb, budget=budget)
+    return nf.is_zero()
+
+
+def syzygies(gens, *, defining=None, budget: Budget | None = None):
+    """Generators of the first syzygy module of ``gens``.
+
+    Works over P, or over P/I when ``defining`` (a reduced basis of I) is
+    given; in the quotient case a syzygy is a coefficient vector a with
+    sum a_j gens_j lying in I * P^rank, which is exactly relations over the
+    quotient.  Implementation: append one witness coordinate per generator,
+    run Buchberger with the original coordinates dominating, and read off
+    basis elements whose original part vanished.  Zero generators yield
+    their unit witness directly through the same mechanism.
+    """
+    els, ring, rank, _ = _as_elements(gens)
+    if isinstance(defining, GroebnerBasis):
+        defining = list(defining.polynomials())
+    else:
+        defining = list(defining) if defining else []
+    m = len(els)
+    ext_rank = rank + m
+    meter = Meter(budget)
+    seeds = []
+    ipart = []
+    for j, el in enumerate(els):
+        coords = list(el.coords) + [ring.zero()] * m
+        coords[rank + j] = ring.one()
+        seeds.append(ModuleElement(ring, coords))
+        ipart.append(False)
+    for g in defining:
+        if g.is_zero():
+            continue
+        for pos in range(rank):
+            seeds.append(ModuleElement.unit(ring, ext_rank, pos, g))
+            ipart.append(True)
+    basis = _core(seeds, ipart, ring, ext_rank, meter)
+    out = []
+    for el in basis:
+        if all(c.is_zero() for c in el.coords[:rank]):
+            out.append(ModuleElement(ring, el.coords[rank:]))
+    return out

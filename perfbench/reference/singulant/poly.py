@@ -1,0 +1,581 @@
+"""Exact multivariate polynomial arithmetic over Q and prime fields.
+
+The kernel is context-free: variables are identified by index only, and the
+presentation layer owns the name table.  Every value here (field, monomial,
+order, ring, polynomial) is immutable after construction, so instances can
+be shared and cached freely.
+
+Coefficients are Fraction over Q (always in lowest terms with positive
+denominator) and plain ints in [0, p) over a prime field.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .errors import StructuralError
+
+
+# ---------------------------------------------------------------------------
+# coefficient fields
+
+
+def _is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    if p < 4:
+        return True
+    if p % 2 == 0:
+        return False
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
+
+
+@dataclass(frozen=True)
+class RationalField:
+    """The field Q with Fraction arithmetic."""
+
+    characteristic = 0
+
+    def normalize(self, value) -> Fraction:
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, int):
+            return Fraction(value)
+        raise StructuralError(f"cannot coerce {value!r} into Q")
+
+    @property
+    def zero(self):
+        return Fraction(0)
+
+    @property
+    def one(self):
+        return Fraction(1)
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def invert(self, a):
+        if a == 0:
+            raise StructuralError("division by zero in Q")
+        return 1 / Fraction(a)
+
+    def __repr__(self):
+        return "QQ"
+
+
+QQ = RationalField()
+
+
+@dataclass(frozen=True)
+class PrimeField:
+    """The field F_p; residues are ints in [0, p)."""
+
+    p: int
+
+    def __post_init__(self):
+        if not _is_prime(self.p):
+            raise StructuralError(f"{self.p} is not prime")
+
+    @property
+    def characteristic(self):
+        return self.p
+
+    def normalize(self, value) -> int:
+        if isinstance(value, int):
+            return value % self.p
+        if isinstance(value, Fraction):
+            den = value.denominator % self.p
+            if den == 0:
+                raise StructuralError(
+                    f"denominator of {value} vanishes modulo {self.p}"
+                )
+            return value.numerator * pow(den, -1, self.p) % self.p
+        raise StructuralError(f"cannot coerce {value!r} into F_{self.p}")
+
+    @property
+    def zero(self):
+        return 0
+
+    @property
+    def one(self):
+        return 1
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def neg(self, a):
+        return (-a) % self.p
+
+    def invert(self, a):
+        if a % self.p == 0:
+            raise StructuralError(f"division by zero in F_{self.p}")
+        return pow(a, -1, self.p)
+
+    def __repr__(self):
+        return f"GF({self.p})"
+
+
+# ---------------------------------------------------------------------------
+# monomials
+
+
+class Monomial:
+    """An exponent vector with its total degree cached."""
+
+    __slots__ = ("exps", "degree")
+
+    def __init__(self, exps):
+        exps = tuple(exps)
+        for e in exps:
+            if not isinstance(e, int) or e < 0:
+                raise StructuralError(f"bad exponent vector {exps}")
+        self.exps = exps
+        self.degree = sum(exps)
+
+    def __eq__(self, other):
+        return isinstance(other, Monomial) and self.exps == other.exps
+
+    def __hash__(self):
+        return hash(self.exps)
+
+    def __repr__(self):
+        return f"Monomial{self.exps}"
+
+    def __len__(self):
+        return len(self.exps)
+
+    def is_constant(self) -> bool:
+        return self.degree == 0
+
+    def mul(self, other: "Monomial") -> "Monomial":
+        return Monomial(a + b for a, b in zip(self.exps, other.exps))
+
+    __mul__ = mul
+
+    def divides(self, other: "Monomial") -> bool:
+        return all(a <= b for a, b in zip(self.exps, other.exps))
+
+    def divide(self, other: "Monomial") -> "Monomial":
+        # self / other, defined only when other divides self
+        if not other.divides(self):
+            raise StructuralError(f"{other} does not divide {self}")
+        return Monomial(a - b for a, b in zip(self.exps, other.exps))
+
+    def lcm(self, other: "Monomial") -> "Monomial":
+        return Monomial(max(a, b) for a, b in zip(self.exps, other.exps))
+
+    def is_coprime(self, other: "Monomial") -> bool:
+        return all(a == 0 or b == 0 for a, b in zip(self.exps, other.exps))
+
+    def support(self) -> frozenset:
+        return frozenset(i for i, e in enumerate(self.exps) if e > 0)
+
+
+# ---------------------------------------------------------------------------
+# monomial orders
+
+
+@dataclass(frozen=True)
+class MonomialOrder:
+    """A global monomial order: grevlex, lex, or a block elimination order.
+
+    Block orders compare the projections to each block in turn, each block
+    with grevlex, so monomials touching an earlier block dominate all
+    monomials supported in later blocks only.
+    """
+
+    kind: str
+    blocks: tuple = ()
+
+    def __post_init__(self):
+        if self.kind not in ("grevlex", "lex", "block"):
+            raise StructuralError(f"unknown order kind {self.kind!r}")
+        if self.kind == "block" and not self.blocks:
+            raise StructuralError("block order needs at least one block")
+
+    def key(self, m: Monomial):
+        """Sort key: key(a) < key(b) iff a < b in this order."""
+        if self.kind == "grevlex":
+            return (m.degree, tuple(-e for e in reversed(m.exps)))
+        if self.kind == "lex":
+            return m.exps
+        pieces = []
+        for block in self.blocks:
+            bexps = tuple(m.exps[i] for i in block)
+            pieces.append((sum(bexps), tuple(-e for e in reversed(bexps))))
+        return tuple(pieces)
+
+    def name(self) -> str:
+        if self.kind == "block":
+            return "block" + "".join(f"[{','.join(map(str, b))}]" for b in self.blocks)
+        return self.kind
+
+
+GREVLEX = MonomialOrder("grevlex")
+LEX = MonomialOrder("lex")
+
+
+def elimination_order(front: tuple, rest: tuple) -> MonomialOrder:
+    """Block order making the ``front`` variables dominate the ``rest``."""
+    return MonomialOrder("block", (tuple(front), tuple(rest)))
+
+
+def compare_monomials(a: Monomial, b: Monomial, order: MonomialOrder) -> int:
+    """-1, 0 or 1 as a <, =, > b under ``order``."""
+    if len(a) != len(b):
+        raise StructuralError("monomials from different rings")
+    ka, kb = order.key(a), order.key(b)
+    if ka < kb:
+        return -1
+    if ka > kb:
+        return 1
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# polynomial rings and polynomials
+
+
+@dataclass(frozen=True)
+class PolynomialRing:
+    """field, number of variables, and monomial order.  No variable names."""
+
+    field: object
+    nvars: int
+    order: MonomialOrder = GREVLEX
+
+    def __post_init__(self):
+        if self.nvars < 0:
+            raise StructuralError("negative variable count")
+        if self.order.kind == "block":
+            flat = sorted(i for b in self.order.blocks for i in b)
+            if flat != list(range(self.nvars)):
+                raise StructuralError("block order must partition the variables")
+
+    # -- constructors -------------------------------------------------------
+
+    def polynomial(self, terms) -> "Polynomial":
+        return Polynomial(self, terms)
+
+    def zero(self) -> "Polynomial":
+        return Polynomial(self, {})
+
+    def one(self) -> "Polynomial":
+        return self.constant(self.field.one)
+
+    def constant(self, c) -> "Polynomial":
+        return Polynomial(self, {Monomial((0,) * self.nvars): c})
+
+    def variable(self, i: int) -> "Polynomial":
+        if not 0 <= i < self.nvars:
+            raise StructuralError(f"variable index {i} out of range")
+        exps = [0] * self.nvars
+        exps[i] = 1
+        return Polynomial(self, {Monomial(exps): self.field.one})
+
+    def monomial(self, exps, coeff=None) -> "Polynomial":
+        c = self.field.one if coeff is None else coeff
+        return Polynomial(self, {Monomial(exps): c})
+
+    def variables(self):
+        return [self.variable(i) for i in range(self.nvars)]
+
+
+class Polynomial:
+    """Immutable sparse polynomial; terms stored in decreasing order."""
+
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring: PolynomialRing, terms):
+        items = terms.items() if isinstance(terms, dict) else terms
+        field = ring.field
+        clean = {}
+        for mono, coeff in items:
+            if not isinstance(mono, Monomial):
+                mono = Monomial(mono)
+            if len(mono) != ring.nvars:
+                raise StructuralError(
+                    f"monomial with {len(mono)} exponents in a {ring.nvars}-variable ring"
+                )
+            c = field.normalize(coeff)
+            if c == field.zero:
+                continue
+            if mono in clean:
+                c = field.add(clean[mono], c)
+                if c == field.zero:
+                    del clean[mono]
+                    continue
+            clean[mono] = c
+        key = ring.order.key
+        self.ring = ring
+        self.terms = tuple(
+            sorted(clean.items(), key=lambda it: key(it[0]), reverse=True)
+        )
+
+    # -- basic views ---------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def lead_monomial(self) -> Monomial:
+        if not self.terms:
+            raise StructuralError("zero polynomial has no leading term")
+        return self.terms[0][0]
+
+    def lead_coeff(self):
+        if not self.terms:
+            raise StructuralError("zero polynomial has no leading term")
+        return self.terms[0][1]
+
+    def total_degree(self) -> int:
+        # -1 for the zero polynomial
+        return max((m.degree for m, _ in self.terms), default=-1)
+
+    def is_constant(self) -> bool:
+        return all(m.is_constant() for m, _ in self.terms)
+
+    def constant_term(self):
+        for m, c in self.terms:
+            if m.is_constant():
+                return c
+        return self.ring.field.zero
+
+    def is_term(self) -> bool:
+        return len(self.terms) == 1
+
+    def is_one(self) -> bool:
+        return (
+            len(self.terms) == 1
+            and self.terms[0][0].is_constant()
+            and self.terms[0][1] == self.ring.field.one
+        )
+
+    def is_homogeneous(self) -> bool:
+        return len({m.degree for m, _ in self.terms}) <= 1
+
+    def support(self) -> frozenset:
+        out = set()
+        for m, _ in self.terms:
+            out |= m.support()
+        return frozenset(out)
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def _check(self, other: "Polynomial"):
+        if self.ring != other.ring:
+            raise StructuralError("polynomials from different rings")
+
+    def __add__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        self._check(other)
+        field = self.ring.field
+        acc = dict(self.terms)
+        for m, c in other.terms:
+            s = field.add(acc.get(m, field.zero), c)
+            if s == field.zero:
+                acc.pop(m, None)
+            else:
+                acc[m] = s
+        return Polynomial(self.ring, acc)
+
+    def __neg__(self):
+        field = self.ring.field
+        return Polynomial(self.ring, [(m, field.neg(c)) for m, c in self.terms])
+
+    def __sub__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, Polynomial):
+            return self.scale(other)
+        self._check(other)
+        field = self.ring.field
+        acc = {}
+        for m1, c1 in self.terms:
+            for m2, c2 in other.terms:
+                m = m1.mul(m2)
+                s = field.add(acc.get(m, field.zero), field.mul(c1, c2))
+                if s == field.zero:
+                    acc.pop(m, None)
+                else:
+                    acc[m] = s
+        return Polynomial(self.ring, acc)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def scale(self, c) -> "Polynomial":
+        field = self.ring.field
+        c = field.normalize(c)
+        if c == field.zero:
+            return self.ring.zero()
+        return Polynomial(self.ring, [(m, field.mul(k, c)) for m, k in self.terms])
+
+    def mul_term(self, mono: Monomial, coeff) -> "Polynomial":
+        field = self.ring.field
+        c = field.normalize(coeff)
+        if c == field.zero:
+            return self.ring.zero()
+        return Polynomial(
+            self.ring, [(m.mul(mono), field.mul(k, c)) for m, k in self.terms]
+        )
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise StructuralError("polynomial powers take non-negative ints")
+        result = self.ring.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+    def monic(self) -> "Polynomial":
+        if self.is_zero():
+            return self
+        inv = self.ring.field.invert(self.lead_coeff())
+        return self.scale(inv)
+
+    # -- calculus ------------------------------------------------------------
+
+    def partial_derivative(self, i: int) -> "Polynomial":
+        if not 0 <= i < self.ring.nvars:
+            raise StructuralError(f"variable index {i} out of range")
+        field = self.ring.field
+        acc = {}
+        for m, c in self.terms:
+            e = m.exps[i]
+            if e == 0:
+                continue
+            exps = list(m.exps)
+            exps[i] = e - 1
+            coeff = field.mul(c, field.normalize(e))
+            if coeff == field.zero:
+                continue
+            mono = Monomial(exps)
+            s = field.add(acc.get(mono, field.zero), coeff)
+            if s == field.zero:
+                acc.pop(mono, None)
+            else:
+                acc[mono] = s
+        return Polynomial(self.ring, acc)
+
+    # -- misc ----------------------------------------------------------------
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Polynomial)
+            and self.ring == other.ring
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.ring, self.terms))
+
+    def __repr__(self):
+        return format_polynomial(self)
+
+
+def add(p: Polynomial, q: Polynomial) -> Polynomial:
+    return p + q
+
+
+def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
+    return p * q
+
+
+def scale(p: Polynomial, c) -> Polynomial:
+    return p.scale(c)
+
+
+def partial_derivative(p: Polynomial, i: int) -> Polynomial:
+    return p.partial_derivative(i)
+
+
+def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Quotient f/g when g divides f exactly; StructuralError otherwise."""
+    f._check(g)
+    if g.is_zero():
+        raise StructuralError("division by the zero polynomial")
+    ring = f.ring
+    field = ring.field
+    quotient = {}
+    rest = f
+    while not rest.is_zero():
+        lm, lc = rest.terms[0]
+        gm, gc = g.terms[0]
+        if not gm.divides(lm):
+            raise StructuralError("not exactly divisible")
+        mono = lm.divide(gm)
+        coeff = field.mul(lc, field.invert(gc))
+        quotient[mono] = coeff
+        rest = rest - g.mul_term(mono, coeff)
+    return Polynomial(ring, quotient)
+
+
+# ---------------------------------------------------------------------------
+# printing
+
+
+def default_names(n: int):
+    return [f"x{i}" for i in range(n)]
+
+
+def _format_coeff(c) -> str:
+    return str(c)
+
+
+def _format_monomial(m: Monomial, names) -> str:
+    parts = []
+    for i, e in enumerate(m.exps):
+        if e == 0:
+            continue
+        parts.append(names[i] if e == 1 else f"{names[i]}^{e}")
+    return "*".join(parts)
+
+
+def format_polynomial(p: Polynomial, names=None) -> str:
+    """Render in the input grammar so printed output can be re-parsed."""
+    if p.is_zero():
+        return "0"
+    if names is None:
+        names = default_names(p.ring.nvars)
+    field = p.ring.field
+    out = []
+    for i, (m, c) in enumerate(p.terms):
+        neg = False
+        if isinstance(c, Fraction) and c < 0:
+            neg = True
+            c = -c
+        body = _format_monomial(m, names)
+        cs = _format_coeff(c)
+        if not body:
+            piece = cs
+        elif c == field.one:
+            piece = body
+        else:
+            piece = f"{cs}*{body}"
+        if i == 0:
+            out.append(f"-{piece}" if neg else piece)
+        else:
+            out.append(f"- {piece}" if neg else f"+ {piece}")
+    return " ".join(out)
