@@ -27,7 +27,7 @@ from .poly import Monomial, Polynomial, PolynomialRing
 class ModuleElement:
     """Immutable element of a finite free module P^rank."""
 
-    __slots__ = ("ring", "coords")
+    __slots__ = ("ring", "coords", "_lead")
 
     def __init__(self, ring: PolynomialRing, coords):
         coords = tuple(coords)
@@ -36,6 +36,8 @@ class ModuleElement:
                 raise StructuralError("module coordinates must share one ring")
         self.ring = ring
         self.coords = coords
+        # False until lead() runs; None is the cached lead of zero
+        self._lead = False
 
     @property
     def rank(self) -> int:
@@ -52,22 +54,24 @@ class ModuleElement:
         return cls(ring, coords)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return self.lead() is None
 
     def lead(self):
-        """(position, monomial, coeff) of the largest term, None if zero."""
-        order = self.ring.order
-        best = None
-        best_key = None
-        for pos, c in enumerate(self.coords):
-            if c.is_zero():
-                continue
-            m, k = c.terms[0]
-            key = (-pos, order.key(m))
-            if best_key is None or key > best_key:
-                best_key = key
-                best = (pos, m, k)
-        return best
+        """(position, monomial, coeff) of the largest term, None if zero.
+
+        Position over term with position 0 largest makes this the leading
+        term of the first nonzero coordinate; it is computed once.
+        """
+        lead = self._lead
+        if lead is False:
+            lead = None
+            for pos, c in enumerate(self.coords):
+                if c.terms:
+                    m, k = c.terms[0]
+                    lead = (pos, m, k)
+                    break
+            self._lead = lead
+        return lead
 
     def __eq__(self, other):
         return isinstance(other, ModuleElement) and self.coords == other.coords
@@ -250,74 +254,88 @@ def _as_elements(gens):
     return list(gens), ring, rank, False
 
 
-def _core(elements, ipart, ring, rank, meter):
-    """The pair loop.  ``elements`` are seeds; indices in ``ipart`` are the
+class PairLoop:
+    """Buchberger's pair loop as a state that can keep growing.
+
+    ``basis`` holds the monic elements added so far and ``flags`` marks the
     adjoined defining generators, whose mutual pairs are skipped (sound
-    because the defining list is itself a Groebner basis).  Pair selection is
-    minimal lcm degree first; the coprime criterion applies in rank one and
-    the chain criterion is checked against pairs already off the queue."""
-    order = ring.order
-    basis = []
-    iflags = []
+    because the defining list is itself a Groebner basis).  Pair selection
+    is minimal lcm degree first; the coprime criterion applies in rank one
+    and the chain criterion is checked against pairs already off the queue.
+    After ``complete`` the basis is a Groebner basis of everything added,
+    not interreduced, so a normal form against it is zero exactly for the
+    members; later ``add`` calls queue the new pairs for the next run.
+    """
 
-    heap = []
-    pending = set()
+    __slots__ = ("ring", "rank", "meter", "basis", "flags", "heap", "pending")
 
-    def add_pairs(j):
+    def __init__(self, ring, rank, meter):
+        self.ring = ring
+        self.rank = rank
+        self.meter = meter
+        self.basis = []
+        self.flags = []
+        self.heap = []
+        self.pending = set()
+
+    def reduce(self, el: ModuleElement) -> ModuleElement:
+        return _reduce(el, self.basis, self.meter)
+
+    def add(self, el: ModuleElement, flag: bool):
+        """Append ``el``, already reduced against the basis, unless zero."""
+        if el.is_zero():
+            return
+        basis = self.basis
+        basis.append(el.monic())
+        self.flags.append(flag)
+        j = len(basis) - 1
         pj, mj, _ = basis[j].lead()
+        key = self.ring.order.key
         for i in range(j):
-            if iflags[i] and iflags[j]:
+            if flag and self.flags[i]:
                 continue
             pi, mi, _ = basis[i].lead()
             if pi != pj:
                 continue
             lcm = mi.lcm(mj)
-            heapq.heappush(heap, (lcm.degree, order.key(lcm), i, j))
-            pending.add((i, j))
+            heapq.heappush(self.heap, (lcm.degree, key(lcm), i, j))
+            self.pending.add((i, j))
 
+    def complete(self):
+        """Run the queued pairs until the basis is a Groebner basis."""
+        basis, heap, pending = self.basis, self.heap, self.pending
+        while heap:
+            _, _, i, j = heapq.heappop(heap)
+            if (i, j) not in pending:
+                continue
+            pending.discard((i, j))
+            pi, mi, _ = basis[i].lead()
+            pj, mj, _ = basis[j].lead()
+            if pi != pj:
+                continue
+            if self.rank == 1 and mi.is_coprime(mj):
+                continue
+            lcm = mi.lcm(mj)
+            for k in range(len(basis)):
+                if k in (i, j):
+                    continue
+                pk, mk, _ = basis[k].lead()
+                if (pk == pi and mk.divides(lcm)
+                        and (min(i, k), max(i, k)) not in pending
+                        and (min(j, k), max(j, k)) not in pending):
+                    break
+            else:
+                self.add(self.reduce(_spair(basis[i], basis[j])), False)
+
+
+def _core(elements, ipart, ring, rank, meter):
+    """Reduced basis of the seeds ``elements``; ``ipart`` flags the adjoined
+    defining generators (see ``PairLoop``)."""
+    loop = PairLoop(ring, rank, meter)
     for el, flag in zip(elements, ipart):
-        red = _reduce(el, basis, meter)
-        if red.is_zero():
-            continue
-        basis.append(red.monic())
-        iflags.append(flag)
-        add_pairs(len(basis) - 1)
-
-    while heap:
-        _, _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        pi, mi, _ = basis[i].lead()
-        pj, mj, _ = basis[j].lead()
-        if pi != pj:
-            continue
-        if rank == 1 and mi.is_coprime(mj):
-            continue
-        lcm = mi.lcm(mj)
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            pk, mk, _ = basis[k].lead()
-            if pk != pi or not mk.divides(lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pending and b not in pending:
-                skip = True
-                break
-        if skip:
-            continue
-        s = _spair(basis[i], basis[j])
-        red = _reduce(s, basis, meter)
-        if red.is_zero():
-            continue
-        basis.append(red.monic())
-        iflags.append(False)
-        add_pairs(len(basis) - 1)
-
-    return _interreduce(basis, meter)
+        loop.add(loop.reduce(el), flag)
+    loop.complete()
+    return _interreduce(loop.basis, meter)
 
 
 def _interreduce(basis, meter):

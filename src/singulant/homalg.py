@@ -26,7 +26,6 @@ from .resolve import (
     FinitelyPresentedModule,
     _module_gb,
     _nf_element,
-    _nf_poly,
     _sort_columns,
     free_resolution,
     minimal_presentation,
@@ -179,7 +178,7 @@ def module_annihilator(module: FinitelyPresentedModule) -> IdealHandle:
         rels = syzygies([unit] + cols, defining=ring.defining_gb(),
                         budget=ring.budget)
         gens = [
-            _nf_poly(ring, rel.coords[0]) for rel in rels
+            ring.normal_form(rel.coords[0]) for rel in rels
         ]
         handle = IdealHandle(ring, [g for g in gens if not g.is_zero()])
         result = handle if result is None else intersection(result, handle)

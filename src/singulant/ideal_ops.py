@@ -59,6 +59,7 @@ class RingPresentation:
             if g.is_zero():
                 raise StructuralError("zero defining generator rejected")
         self.defining = defining
+        self._defining_basis = None
         self._defining_gb = None
         self._ambient = None
 
@@ -74,15 +75,25 @@ class RingPresentation:
     def is_graded(self) -> bool:
         return all(g.is_homogeneous() for g in self.defining)
 
+    def defining_basis(self) -> GroebnerBasis:
+        """Reduced Groebner basis of the defining ideal, computed once."""
+        if self._defining_basis is None:
+            self._defining_basis = buchberger(
+                list(self.defining), budget=self.budget, ring=self.poly_ring
+            )
+        return self._defining_basis
+
     def defining_gb(self):
         """Reduced Groebner basis of the defining ideal (tuple of polys)."""
         if self._defining_gb is None:
-            if not self.defining:
-                self._defining_gb = ()
-            else:
-                gb = buchberger(list(self.defining), budget=self.budget)
-                self._defining_gb = tuple(gb.polynomials())
+            self._defining_gb = self.defining_basis().polynomials()
         return self._defining_gb
+
+    def normal_form(self, p: Polynomial) -> Polynomial:
+        """Canonical representative of p modulo the defining ideal."""
+        if not self.defining or p.is_zero():
+            return p
+        return normal_form(p, self.defining_basis(), budget=self.budget)
 
     def ambient(self) -> "RingPresentation":
         """The polynomial ring P underneath, as a trivial presentation."""
@@ -186,10 +197,9 @@ class IdealHandle:
             if not self.ring.defining:
                 self._display = tuple(self.basis_polynomials())
             else:
-                dgb = buchberger(list(self.ring.defining_gb()), budget=self.ring.budget)
                 out = []
                 for p in self.basis_polynomials():
-                    nf = normal_form(p, dgb, budget=self.ring.budget)
+                    nf = self.ring.normal_form(p)
                     if not nf.is_zero():
                         out.append(nf)
                 self._display = tuple(out)

@@ -495,22 +495,6 @@ class Polynomial:
         return format_polynomial(self)
 
 
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def scale(p: Polynomial, c) -> Polynomial:
-    return p.scale(c)
-
-
-def partial_derivative(p: Polynomial, i: int) -> Polynomial:
-    return p.partial_derivative(i)
-
-
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     """Quotient f/g when g divides f exactly; StructuralError otherwise."""
     f._check(g)
@@ -540,10 +524,6 @@ def default_names(n: int):
     return [f"x{i}" for i in range(n)]
 
 
-def _format_coeff(c) -> str:
-    return str(c)
-
-
 def _format_monomial(m: Monomial, names) -> str:
     parts = []
     for i, e in enumerate(m.exps):
@@ -567,7 +547,7 @@ def format_polynomial(p: Polynomial, names=None) -> str:
             neg = True
             c = -c
         body = _format_monomial(m, names)
-        cs = _format_coeff(c)
+        cs = str(c)
         if not body:
             piece = cs
         elif c == field.one:

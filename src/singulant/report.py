@@ -55,7 +55,6 @@ from .jacobian import (
 from .poly import QQ, Polynomial, PrimeField
 from .resolve import (
     FinitelyPresentedModule,
-    _nf_poly,
     check_complex,
     check_exactness,
     free_resolution,
@@ -351,7 +350,7 @@ def annihilator_bounds(ring: RingPresentation, extra_elements=(), *,
     for g in extra_elements:
         if not isinstance(g, Polynomial) or g.ring != ring.poly_ring:
             raise StructuralError("candidate from another ring")
-        nf = _nf_poly(ring, g)
+        nf = ring.normal_form(g)
         if nf.is_zero() or nf in seen:
             continue
         seen.add(nf)

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, PreconditionError, StructuralError
-from .groebner import ModuleElement, buchberger, normal_form, syzygies
+from .errors import BudgetExceededError, Meter, PreconditionError, StructuralError
+from .groebner import ModuleElement, PairLoop, buchberger, normal_form, syzygies
 from .ideal_ops import RingPresentation
 from .poly import Polynomial
 
@@ -43,18 +43,10 @@ def columns_to_rows(rank: int, cols):
     return tuple(tuple(col.coords[i] for col in cols) for i in range(rank))
 
 
-def _nf_poly(ring: RingPresentation, p: Polynomial) -> Polynomial:
-    if not ring.defining or p.is_zero():
-        return p
-    gb = buchberger(list(ring.defining_gb()), budget=ring.budget,
-                    ring=ring.poly_ring)
-    return normal_form(p, gb, budget=ring.budget)
-
-
 def _nf_element(ring: RingPresentation, el: ModuleElement) -> ModuleElement:
     if not ring.defining:
         return el
-    return ModuleElement(ring.poly_ring, [_nf_poly(ring, c) for c in el.coords])
+    return ModuleElement(ring.poly_ring, [ring.normal_form(c) for c in el.coords])
 
 
 class FinitelyPresentedModule:
@@ -75,7 +67,7 @@ class FinitelyPresentedModule:
         self.ring = ring
         self.rank = rank
         if ring.defining and rows:
-            rows = tuple(tuple(_nf_poly(ring, e) for e in row) for row in rows)
+            rows = tuple(tuple(ring.normal_form(e) for e in row) for row in rows)
         # drop relation columns that are identically zero
         if rows:
             keep = [
@@ -175,20 +167,31 @@ def trim_generators(ring: RingPresentation, cols, rank: int, shifts=None):
     element lay in the span of the other kept elements, the span witnesses
     would only involve elements of no larger degree, so the element would
     already have been rejected when it was tested.  For non-graded input
-    the result still generates, but minimality is heuristic.
+    the result still generates, but minimality is heuristic.  The first
+    column is always kept.
+
+    Each candidate is tested against one Groebner basis of the kept columns
+    plus defining * R^rank, which grows as columns are kept, and one Meter
+    under ``ring.budget`` counts the steps of the whole call.
     """
     if shifts is None:
         shifts = (0,) * rank
     cols = [c for c in cols if not c.is_zero()]
     order = sorted(range(len(cols)),
                    key=lambda j: (_column_degree(cols[j], shifts), j))
+    pring = ring.poly_ring
+    loop = PairLoop(pring, rank, Meter(ring.budget))
+    for g in ring.defining_gb():
+        for pos in range(rank):
+            loop.add(ModuleElement.unit(pring, rank, pos, g), True)
     kept = []
     for j in order:
-        if kept:
-            gb = _module_gb(ring, kept, rank)
-            if normal_form(cols[j], gb, budget=ring.budget).is_zero():
-                continue
+        nf = loop.reduce(cols[j])
+        if kept and nf.is_zero():
+            continue
         kept.append(cols[j])
+        loop.add(nf, False)
+        loop.complete()
     return kept
 
 
@@ -207,7 +210,7 @@ def minimal_presentation(module: FinitelyPresentedModule) -> FinitelyPresentedMo
     field = ring.poly_ring.field
 
     while rows and rows[0]:
-        rows = [[_nf_poly(ring, e) for e in r] for r in rows]
+        rows = [[ring.normal_form(e) for e in r] for r in rows]
         pivot = None
         for a in range(rank):
             for b in range(len(rows[a])):
@@ -350,12 +353,9 @@ def free_resolution(module: FinitelyPresentedModule, length: int, *,
         cols = syz
     if periodic is None and not complete and not cols:
         complete = True
-    minimal = all(
-        e.is_zero() or e.constant_term() == ring.poly_ring.field.zero
-        for m in diffs for row in m for e in row
-    )
-    return FreeResolution(ring, ranks, diffs, shifts, minimal, complete,
-                          periodic)
+    res = FreeResolution(ring, ranks, diffs, shifts, False, complete, periodic)
+    res.minimal = res.is_minimal_certified()
+    return res
 
 
 def check_complex(res: FreeResolution) -> bool:
@@ -371,7 +371,7 @@ def check_complex(res: FreeResolution) -> bool:
                 acc = ring.poly_ring.zero()
                 for k in range(len(b)):
                     acc = acc + a[r][k] * b[k][c]
-                if not _nf_poly(ring, acc).is_zero():
+                if not ring.normal_form(acc).is_zero():
                     return False
     return True
 
@@ -432,7 +432,7 @@ def minimalize(res: FreeResolution) -> FreeResolution:
 
     def find_pivot():
         for idx in range(len(mats)):
-            mats[idx] = [[_nf_poly(ring, e) for e in row] for row in mats[idx]]
+            mats[idx] = [[ring.normal_form(e) for e in row] for row in mats[idx]]
             for a in range(len(mats[idx])):
                 for b in range(len(mats[idx][a])):
                     e = mats[idx][a][b]
@@ -483,7 +483,7 @@ def minimalize(res: FreeResolution) -> FreeResolution:
         ranks[idx + 1] -= 1
 
     cleaned = [
-        tuple(tuple(_nf_poly(ring, e) for e in row) for row in m)
+        tuple(tuple(ring.normal_form(e) for e in row) for row in m)
         for m in mats
     ]
     while len(ranks) > 1 and ranks[-1] == 0:

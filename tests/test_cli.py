@@ -336,3 +336,12 @@ class TestJsonOutput:
         )
         assert out.returncode == 0
         assert out.stdout.strip() == "(x, y)"
+
+    def test_package_entrypoint_runs_without_warning(self):
+        out = subprocess.run(
+            [sys.executable, "-m", "singulant", "--help"],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 0
+        assert "report" in out.stdout
+        assert "RuntimeWarning" not in out.stderr

@@ -13,7 +13,15 @@ from singulant.groebner import (
     normal_form,
     syzygies,
 )
-from singulant.poly import Monomial, Polynomial, QQ, PolynomialRing
+from singulant.poly import (
+    GREVLEX,
+    LEX,
+    Monomial,
+    Polynomial,
+    PolynomialRing,
+    QQ,
+    elimination_order,
+)
 
 import oracles
 from util import fring, qring, rand_poly
@@ -159,6 +167,43 @@ def test_module_basis_position_over_term():
     y_e0 = ModuleElement.unit(P, 2, 0, y)
     y2_e1 = ModuleElement.unit(P, 2, 1, y * y)
     assert list(gb.elements) == [x_e0_y_e1, y_e0, y2_e1]
+
+
+def _lead_by_scan(el):
+    """The lead as the largest (-pos, order key) over every term."""
+    order = el.ring.order
+    best = None
+    for pos, c in enumerate(el.coords):
+        for m, k in c.terms:
+            key = (-pos, order.key(m))
+            if best is None or key > best[0]:
+                best = (key, (pos, m, k))
+    return None if best is None else best[1]
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, elimination_order((2,), (0, 1))],
+                         ids=["grevlex", "lex", "block"])
+def test_cached_lead_matches_scan_over_all_terms(order):
+    rng = random.Random(11)
+    P = PolynomialRing(QQ, 3, order)
+    zero = ModuleElement(P, [P.zero()] * 3)
+    assert zero.lead() is None and zero.lead() is None and zero.is_zero()
+    for _ in range(40):
+        coords = [
+            P.zero() if rng.random() < 0.4 else rand_poly(rng, P, 3, 3)
+            for _ in range(3)
+        ]
+        a = ModuleElement(P, coords)
+        b = ModuleElement(P, [rand_poly(rng, P, 2, 2), P.zero(), P.zero()])
+        mono = Monomial([rng.randint(0, 2) for _ in range(3)])
+        short = ModuleElement(P, coords[1:])
+        for el in (a, a + b, a - a, a.scale(Fraction(-3, 2)),
+                   a.mul_term(mono, 5), short.pad(3, 1), short.pad(4, 0),
+                   ModuleElement.unit(P, 3, 2, coords[0]), a.monic()):
+            first = el.lead()
+            assert first == _lead_by_scan(el)
+            assert el.lead() is first
+            assert el.is_zero() == (first is None)
 
 
 # -- syzygies --------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Resolutions, syzygies, minimal presentations, and depth."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from singulant.errors import (
@@ -12,6 +14,7 @@ from singulant.errors import (
 from singulant.groebner import buchberger, normal_form, ModuleElement
 from singulant.ideal_ops import RingPresentation
 from singulant.poly import QQ, PrimeField
+from singulant import resolve as resolve_module
 from singulant.resolve import (
     INFINITE,
     FinitelyPresentedModule,
@@ -27,6 +30,7 @@ from singulant.resolve import (
     restrict_to_ambient,
     ring_depth,
     syzygy_module,
+    trim_generators,
 )
 
 from oracles import _row_reduce, monomials_of_degree
@@ -196,6 +200,102 @@ class TestMinimalPresentation:
         M = FinitelyPresentedModule.cyclic(R, [y * y, y * y * y, x])
         N = minimal_presentation(M)
         assert sorted(rows_str(N.rows)[0]) == ["x0", "x1^2"]
+
+
+# ---------------------------------------------------------------------------
+# trimming against one growing basis keeps what a fresh basis per candidate
+# keeps
+
+
+def _trim_from_scratch(ring, cols, rank, shifts):
+    """Keep a column unless a fresh basis of the kept ones reduces it to 0."""
+    def degree(col):
+        return max((c.total_degree() + shifts[i]
+                    for i, c in enumerate(col.coords) if not c.is_zero()),
+                   default=-1)
+
+    cols = [c for c in cols if not c.is_zero()]
+    kept = []
+    for j in sorted(range(len(cols)), key=lambda j: (degree(cols[j]), j)):
+        if kept:
+            gb = buchberger(kept, defining=ring.defining_gb(),
+                            ring=ring.poly_ring, rank=rank)
+            if normal_form(cols[j], gb).is_zero():
+                continue
+        kept.append(cols[j])
+    return kept
+
+
+def _trim_inputs(monkeypatch, run):
+    """(ring, cols, rank, shifts) of every trim_generators call made by run()."""
+    calls = []
+
+    def record(ring, cols, rank, shifts=None):
+        shifts = (0,) * rank if shifts is None else tuple(shifts)
+        calls.append((ring, list(cols), rank, shifts))
+        return trim_generators(ring, cols, rank, shifts)
+
+    monkeypatch.setattr(resolve_module, "trim_generators", record)
+    run()
+    return calls
+
+
+class TestIncrementalTrim:
+    def assert_same_kept(self, calls):
+        for ring, cols, rank, shifts in calls:
+            assert (trim_generators(ring, cols, rank, shifts)
+                    == _trim_from_scratch(ring, cols, rank, shifts))
+
+    def test_syzygies_of_k_over_ring_a(self, monkeypatch):
+        R = embedded_point_ring()
+        k = FinitelyPresentedModule.residue_field(R)
+        calls = _trim_inputs(monkeypatch, lambda: free_resolution(k, 4))
+        assert [len(c[1]) for c in calls] == [2, 3, 5, 8, 13]
+        self.assert_same_kept(calls)
+
+    def test_seeded_cokernel_over_coordinate_axes(self, monkeypatch):
+        R = presentation(QQ, ("x", "y", "z"),
+                         lambda x, y, z: [x * y, y * z, x * z])
+        P = R.poly_ring
+        rng = random.Random(3)
+
+        def linear_form():
+            return sum((R.variable(i).scale(rng.randint(-2, 2))
+                        for i in range(3)), P.zero())
+
+        rows = tuple(tuple(linear_form() for _ in range(3)) for _ in range(2))
+        M = FinitelyPresentedModule(R, 2, rows)
+        calls = _trim_inputs(monkeypatch, lambda: free_resolution(M, 3))
+        assert len(calls) == 4
+        self.assert_same_kept(calls)
+        # the columns followed by R-combinations of them: the combinations
+        # are members only through S-pairs of the kept columns
+        cols = M.relation_columns()
+        combos = []
+        for _ in range(3):
+            acc = ModuleElement(P, [P.zero(), P.zero()])
+            for c in cols:
+                acc = acc + c.mul_poly(linear_form())
+            combos.append(acc)
+        kept = trim_generators(R, cols + combos, 2)
+        assert kept == cols
+        assert kept == _trim_from_scratch(R, cols + combos, 2, (0, 0))
+
+    def test_first_column_inside_the_defining_ideal_is_kept(self):
+        R = embedded_point_ring()
+        x, y = R.variable(0), R.variable(1)
+        zero = R.poly_ring.zero()
+        cols = [
+            ModuleElement(R.poly_ring, [x * x, zero]),  # in I * R^2
+            ModuleElement(R.poly_ring, [y, x]),
+            ModuleElement(R.poly_ring, [x, y]),
+            # x*col1 - y*col2 = (0, x^2 - y^2), so this is a member
+            ModuleElement(R.poly_ring, [zero, y * y]),
+        ]
+        shifts = (0, 1)
+        kept = trim_generators(R, cols, 2, shifts)
+        assert kept == cols[:3]
+        assert kept == _trim_from_scratch(R, cols, 2, shifts)
 
 
 # ---------------------------------------------------------------------------
