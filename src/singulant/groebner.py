@@ -19,6 +19,7 @@ scheduling.
 from __future__ import annotations
 
 import heapq
+from operator import add, le, sub
 
 from .errors import Budget, Meter, StructuralError
 from .poly import Monomial, Polynomial, PolynomialRing
@@ -27,17 +28,18 @@ from .poly import Monomial, Polynomial, PolynomialRing
 class ModuleElement:
     """Immutable element of a finite free module P^rank."""
 
-    __slots__ = ("ring", "coords", "_lead")
+    __slots__ = ("ring", "coords", "_lead", "_tail")
 
     def __init__(self, ring: PolynomialRing, coords):
         coords = tuple(coords)
         for c in coords:
-            if not isinstance(c, Polynomial) or c.ring != ring:
+            if not isinstance(c, Polynomial) or (c.ring is not ring and c.ring != ring):
                 raise StructuralError("module coordinates must share one ring")
         self.ring = ring
         self.coords = coords
         # False until lead() runs; None is the cached lead of zero
         self._lead = False
+        self._tail = None
 
     @property
     def rank(self) -> int:
@@ -73,6 +75,16 @@ class ModuleElement:
             self._lead = lead
         return lead
 
+    def tail(self):
+        """(position, exps, degree, coeff) of every term but the lead, in
+        decreasing order, on raw exponent tuples; computed once."""
+        tail = self._tail
+        if tail is None:
+            tail = [(pos, m.exps, m.degree, k)
+                    for pos, c in enumerate(self.coords) for m, k in c.terms]
+            self._tail = tail = tail[1:]
+        return tail
+
     def __eq__(self, other):
         return isinstance(other, ModuleElement) and self.coords == other.coords
 
@@ -101,9 +113,10 @@ class ModuleElement:
 
     def monic(self) -> "ModuleElement":
         lead = self.lead()
-        if lead is None:
+        field = self.ring.field
+        if lead is None or lead[2] == field.one:
             return self
-        return self.scale(self.ring.field.invert(lead[2]))
+        return self.scale(field.invert(lead[2]))
 
     def total_degree(self) -> int:
         return max((c.total_degree() for c in self.coords), default=-1)
@@ -118,7 +131,8 @@ class ModuleElement:
         return "(" + ", ".join(repr(c) for c in self.coords) + ")"
 
 
-def _lead_key(el: ModuleElement):
+def lead_key(el: ModuleElement):
+    """Sort key of a nonzero element's lead under position over term."""
     pos, m, _ = el.lead()
     return (-pos, el.ring.order.key(m))
 
@@ -129,47 +143,63 @@ def _reduce(el: ModuleElement, basis, meter: Meter) -> ModuleElement:
     Every term of the result is divisible by no basis leading term.  The
     divisor chosen at each step is the first match in basis order; the end
     result is independent of that choice once basis is a Groebner basis.
+
+    Heap division (Monagan-Pearce): pending terms live in a dict keyed by
+    (position, exps) and a min-heap of order keys pops the largest first.
+    A cancelled term keeps its heap entry, which is skipped when popped;
+    no term equal to a popped one can appear later, as every term added
+    by a division step is smaller than the term it divides.
     """
     ring = el.ring
-    order = ring.order
     field = ring.field
-    leads = [g.lead() for g in basis]
+    zero, fadd, fmul, fneg = field.zero, field.add, field.mul, field.neg
+    hkey = ring.order.heap_key()
+    heappush, heappop = heapq.heappush, heapq.heappop
+    divisors = {}  # position -> [(lead exps, lead degree, element)] in basis order
+    for g in basis:
+        gp, gm, _ = g.lead()
+        divisors.setdefault(gp, []).append((gm.exps, gm.degree, g))
     work = {}
+    heap = []
     for pos, c in enumerate(el.coords):
         for m, k in c.terms:
-            work[(pos, m)] = k
-    remainder = {}
-    while work:
-        pos, mono = max(work, key=lambda t: (-t[0], order.key(t[1])))
-        coeff = work[(pos, mono)]
-        meter.step()
-        meter.check_degree(mono.degree)
-        hit = None
-        for g, (gp, gm, _) in zip(basis, leads):
-            if gp == pos and gm.divides(mono):
-                hit = (g, gm)
-                break
-        if hit is None:
-            del work[(pos, mono)]
-            remainder[(pos, mono)] = coeff
+            work[(pos, m.exps)] = k
+            heap.append((pos, hkey(m.exps, m.degree), m.exps, m.degree))
+    heapq.heapify(heap)
+    remainder = [[] for _ in el.coords]
+    while heap:
+        pos, _, exps, deg = heappop(heap)
+        coeff = work.pop((pos, exps), None)
+        if coeff is None:
             continue
-        g, gm = hit
-        shift = mono.divide(gm)
-        # basis elements are monic, so subtract coeff * shift * g;
-        # the leading term cancels exactly
-        for gpos, gc in enumerate(g.coords):
-            for m2, k2 in gc.terms:
-                m = m2.mul(shift)
-                key = (gpos, m)
-                s = field.add(work.get(key, field.zero), field.neg(field.mul(k2, coeff)))
-                if s == field.zero:
-                    work.pop(key, None)
+        meter.step()
+        meter.check_degree(deg)
+        for gexps, gdeg, g in divisors.get(pos, ()):
+            if gdeg <= deg and all(map(le, gexps, exps)):
+                break
+        else:
+            remainder[pos].append((Monomial._trusted(exps, deg), coeff))
+            continue
+        # basis elements are monic, so subtract coeff * shift * g; its
+        # leading term cancels the popped term and is not re-added
+        shift = tuple(map(sub, exps, gexps))
+        sdeg = deg - gdeg
+        ncoeff = fneg(coeff)
+        for tpos, texps, tdeg, tk in g.tail():
+            m = tuple(map(add, texps, shift))
+            key = (tpos, m)
+            prod = fmul(tk, ncoeff)
+            old = work.get(key)
+            if old is None:
+                work[key] = prod
+                heappush(heap, (tpos, hkey(m, tdeg + sdeg), m, tdeg + sdeg))
+            else:
+                s = fadd(old, prod)
+                if s == zero:
+                    del work[key]
                 else:
                     work[key] = s
-    coords = [dict() for _ in range(el.rank)]
-    for (pos, m), c in remainder.items():
-        coords[pos][m] = c
-    return ModuleElement(ring, [Polynomial(ring, d) for d in coords])
+    return ModuleElement(ring, [Polynomial._trusted(ring, tuple(r)) for r in remainder])
 
 
 def _spair(f: ModuleElement, g: ModuleElement) -> ModuleElement:
@@ -343,7 +373,7 @@ def _interreduce(basis, meter):
     if not basis:
         return []
     kept = []
-    for idx, g in enumerate(sorted(basis, key=_lead_key)):
+    for idx, g in enumerate(sorted(basis, key=lead_key)):
         gp, gm, _ = g.lead()
         redundant = False
         for h in kept:
@@ -357,7 +387,7 @@ def _interreduce(basis, meter):
     for i, g in enumerate(kept):
         others = kept[:i] + kept[i + 1 :]
         final.append(_reduce(g, others, meter).monic())
-    final.sort(key=_lead_key, reverse=True)
+    final.sort(key=lead_key, reverse=True)
     return final
 
 

@@ -24,9 +24,6 @@ from .ideal_ops import (
 from .poly import Polynomial
 from .resolve import (
     FinitelyPresentedModule,
-    _module_gb,
-    _nf_element,
-    _sort_columns,
     free_resolution,
     minimal_presentation,
     syzygy_module,
@@ -45,22 +42,22 @@ class Subquotient:
         self.ring = ring
         self.rank = rank
         self.cycles = [
-            el for el in (_nf_element(ring, c) for c in cycles)
+            el for el in (ring.normal_form_element(c) for c in cycles)
             if not el.is_zero()
         ]
         self.boundaries = [
-            el for el in (_nf_element(ring, b) for b in boundaries)
+            el for el in (ring.normal_form_element(b) for b in boundaries)
             if not el.is_zero()
         ]
         self._boundary_gb = None
 
     def boundary_gb(self):
         if self._boundary_gb is None and self.boundaries:
-            self._boundary_gb = _module_gb(self.ring, self.boundaries, self.rank)
+            self._boundary_gb = self.ring.module_basis(self.boundaries, self.rank)
         return self._boundary_gb
 
     def is_boundary(self, el: ModuleElement) -> bool:
-        el = _nf_element(self.ring, el)
+        el = self.ring.normal_form_element(el)
         if el.is_zero():
             return True
         gb = self.boundary_gb()
@@ -105,11 +102,11 @@ class Subquotient:
         cols = []
         for rel in rels:
             head = ModuleElement(ring.poly_ring, rel.coords[:t])
-            head = _nf_element(ring, head)
+            head = ring.normal_form_element(head)
             if not head.is_zero():
                 cols.append(head)
         cols = trim_generators(ring, cols, t)
-        cols = _sort_columns(ring, cols)
+        cols = ring.sort_columns(cols)
         raw = FinitelyPresentedModule.from_columns(ring, t, cols)
         return minimal_presentation(raw)
 
@@ -136,7 +133,7 @@ def module_k_dimension(module: FinitelyPresentedModule, *,
              for s in range(mod.rank)}
     cols = mod.relation_columns()
     if cols:
-        gb = _module_gb(ring, cols, mod.rank)
+        gb = ring.module_basis(cols, mod.rank)
         for el in gb.elements:
             pos, mono, _ = el.lead()
             leads[pos].append(mono)
@@ -255,7 +252,7 @@ def _kernel_into(ring, domain_rank, images, allowed):
     out = []
     for rel in rels:
         head = ModuleElement(ring.poly_ring, rel.coords[:domain_rank])
-        head = _nf_element(ring, head)
+        head = ring.normal_form_element(head)
         if not head.is_zero():
             out.append(head)
     return out
@@ -308,7 +305,7 @@ def ext_module(M: FinitelyPresentedModule, N: FinitelyPresentedModule,
                     [(j, d_cur[jp][j]) for j in range(beta)]))
 
     cycles = trim_generators(ring, cycles, dom)
-    cycles = _sort_columns(ring, cycles)
+    cycles = ring.sort_columns(cycles)
     sub = Subquotient(ring, dom, cycles, boundaries)
     return ExtModule(ring, i, M, N, sub, beta, n0)
 
@@ -514,7 +511,7 @@ class KoszulComplex:
         if i >= 1:
             boundaries.extend(matrix_columns(ring, self.differential(i - 1)))
         cycles = trim_generators(ring, cycles, rank)
-        cycles = _sort_columns(ring, cycles)
+        cycles = ring.sort_columns(cycles)
         return Subquotient(ring, rank, cycles, boundaries)
 
 

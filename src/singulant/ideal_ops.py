@@ -21,7 +21,7 @@ from .errors import (
     StructuralError,
     UnsupportedInputError,
 )
-from .groebner import GroebnerBasis, buchberger, normal_form
+from .groebner import GroebnerBasis, ModuleElement, buchberger, lead_key, normal_form
 from .poly import (
     GREVLEX,
     Monomial,
@@ -94,6 +94,27 @@ class RingPresentation:
         if not self.defining or p.is_zero():
             return p
         return normal_form(p, self.defining_basis(), budget=self.budget)
+
+    def normal_form_element(self, el: ModuleElement) -> ModuleElement:
+        """el with every coordinate in normal form modulo the defining ideal."""
+        if not self.defining:
+            return el
+        return ModuleElement(self.poly_ring, [self.normal_form(c) for c in el.coords])
+
+    def module_basis(self, cols, rank: int) -> GroebnerBasis:
+        """Reduced basis of the preimage in P^rank of the span of ``cols``."""
+        return buchberger(
+            cols,
+            defining=self.defining_gb(),
+            budget=self.budget,
+            ring=self.poly_ring,
+            rank=rank,
+        )
+
+    @staticmethod
+    def sort_columns(cols):
+        """Deterministic column order: decreasing leading-term keys."""
+        return sorted(cols, key=lead_key, reverse=True)
 
     def ambient(self) -> "RingPresentation":
         """The polynomial ring P underneath, as a trivial presentation."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, neg
 
 from .errors import StructuralError
 
@@ -40,6 +41,8 @@ class RationalField:
     """The field Q with Fraction arithmetic."""
 
     characteristic = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def normalize(self, value) -> Fraction:
         if isinstance(value, Fraction):
@@ -47,14 +50,6 @@ class RationalField:
         if isinstance(value, int):
             return Fraction(value)
         raise StructuralError(f"cannot coerce {value!r} into Q")
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -82,6 +77,8 @@ class PrimeField:
     """The field F_p; residues are ints in [0, p)."""
 
     p: int
+    zero = 0
+    one = 1
 
     def __post_init__(self):
         if not _is_prime(self.p):
@@ -102,14 +99,6 @@ class PrimeField:
                 )
             return value.numerator * pow(den, -1, self.p) % self.p
         raise StructuralError(f"cannot coerce {value!r} into F_{self.p}")
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -146,6 +135,14 @@ class Monomial:
         self.exps = exps
         self.degree = sum(exps)
 
+    @classmethod
+    def _trusted(cls, exps: tuple, degree: int) -> "Monomial":
+        """Unchecked construction from non-negative ints and their sum."""
+        m = object.__new__(cls)
+        m.exps = exps
+        m.degree = degree
+        return m
+
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps
 
@@ -162,7 +159,11 @@ class Monomial:
         return self.degree == 0
 
     def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(a + b for a, b in zip(self.exps, other.exps))
+        if len(self.exps) != len(other.exps):
+            raise StructuralError("monomials from different rings")
+        return Monomial._trusted(
+            tuple(map(add, self.exps, other.exps)), self.degree + other.degree
+        )
 
     __mul__ = mul
 
@@ -218,6 +219,27 @@ class MonomialOrder:
             bexps = tuple(m.exps[i] for i in block)
             pieces.append((sum(bexps), tuple(-e for e in reversed(bexps))))
         return tuple(pieces)
+
+    def heap_key(self):
+        """``f(exps, degree)`` with f(a) < f(b) iff a > b in this order.
+
+        Works on raw exponent tuples, so a min-heap of these keys pops the
+        largest monomial first without building a Monomial.
+        """
+        if self.kind == "grevlex":
+            return lambda exps, degree: (-degree, exps[::-1])
+        if self.kind == "lex":
+            return lambda exps, degree: tuple(map(neg, exps))
+        blocks = self.blocks
+
+        def block_key(exps, degree):
+            pieces = []
+            for block in blocks:
+                bexps = [exps[i] for i in block]
+                pieces.append((-sum(bexps), bexps[::-1]))
+            return pieces
+
+        return block_key
 
     def name(self) -> str:
         if self.kind == "block":
@@ -326,6 +348,15 @@ class Polynomial:
             sorted(clean.items(), key=lambda it: key(it[0]), reverse=True)
         )
 
+    @classmethod
+    def _trusted(cls, ring: PolynomialRing, terms: tuple) -> "Polynomial":
+        """Unchecked construction from terms already normalized, nonzero,
+        distinct and in decreasing order."""
+        p = object.__new__(cls)
+        p.ring = ring
+        p.terms = terms
+        return p
+
     # -- basic views ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -394,8 +425,8 @@ class Polynomial:
         return Polynomial(self.ring, acc)
 
     def __neg__(self):
-        field = self.ring.field
-        return Polynomial(self.ring, [(m, field.neg(c)) for m, c in self.terms])
+        fneg = self.ring.field.neg
+        return Polynomial._trusted(self.ring, tuple((m, fneg(c)) for m, c in self.terms))
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -421,21 +452,35 @@ class Polynomial:
     def __rmul__(self, other):
         return self.scale(other)
 
+    # a field has no zero divisors and a monomial order is multiplicative, so
+    # scaling by a nonzero constant or multiplying by a term keeps the terms
+    # nonzero, distinct and sorted
+
     def scale(self, c) -> "Polynomial":
         field = self.ring.field
         c = field.normalize(c)
+        if not self.terms:
+            return self
         if c == field.zero:
             return self.ring.zero()
-        return Polynomial(self.ring, [(m, field.mul(k, c)) for m, k in self.terms])
+        mul = field.mul
+        return Polynomial._trusted(self.ring, tuple((m, mul(k, c)) for m, k in self.terms))
 
     def mul_term(self, mono: Monomial, coeff) -> "Polynomial":
-        field = self.ring.field
+        ring = self.ring
+        if not isinstance(mono, Monomial) or len(mono.exps) != ring.nvars:
+            raise StructuralError(f"{mono!r} is not a monomial of a {ring.nvars}-variable ring")
+        field = ring.field
         c = field.normalize(coeff)
+        if not self.terms:
+            return self
         if c == field.zero:
-            return self.ring.zero()
-        return Polynomial(
-            self.ring, [(m.mul(mono), field.mul(k, c)) for m, k in self.terms]
-        )
+            return ring.zero()
+        mul, exps, degree, trusted = field.mul, mono.exps, mono.degree, Monomial._trusted
+        return Polynomial._trusted(ring, tuple(
+            (trusted(tuple(map(add, m.exps, exps)), m.degree + degree), mul(k, c))
+            for m, k in self.terms
+        ))
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, Meter, PreconditionError, StructuralError
-from .groebner import ModuleElement, PairLoop, buchberger, normal_form, syzygies
+# buchberger is unused here but stays importable from this module, where
+# perfbench's tracer rebinds and checks every alias of it
+from .groebner import ModuleElement, PairLoop, buchberger, normal_form, syzygies  # noqa: F401
 from .ideal_ops import RingPresentation
 from .poly import Polynomial
 
@@ -41,12 +43,6 @@ def matrix_columns(ring: RingPresentation, rows):
 def columns_to_rows(rank: int, cols):
     """Row-major matrix of the given rank whose columns are ``cols``."""
     return tuple(tuple(col.coords[i] for col in cols) for i in range(rank))
-
-
-def _nf_element(ring: RingPresentation, el: ModuleElement) -> ModuleElement:
-    if not ring.defining:
-        return el
-    return ModuleElement(ring.poly_ring, [ring.normal_form(c) for c in el.coords])
 
 
 class FinitelyPresentedModule:
@@ -141,25 +137,6 @@ def _column_degree(col: ModuleElement, shifts) -> int:
     return max(degs, default=-1)
 
 
-def _module_gb(ring: RingPresentation, cols, rank: int):
-    return buchberger(
-        cols,
-        defining=ring.defining_gb(),
-        budget=ring.budget,
-        ring=ring.poly_ring,
-        rank=rank,
-    )
-
-
-def _sort_columns(ring: RingPresentation, cols):
-    """Deterministic column order: decreasing leading-term keys."""
-    def lead_key(col: ModuleElement):
-        pos, mono, _ = col.lead()
-        return (-pos, ring.poly_ring.order.key(mono))
-
-    return sorted(cols, key=lead_key, reverse=True)
-
-
 def trim_generators(ring: RingPresentation, cols, rank: int, shifts=None):
     """Greedy minimal generating subset, processed by ascending degree.
 
@@ -248,7 +225,7 @@ def minimal_presentation(module: FinitelyPresentedModule) -> FinitelyPresentedMo
     interim = FinitelyPresentedModule(ring, rank,
                                       tuple(tuple(r) for r in rows), shifts)
     cols = trim_generators(ring, interim.relation_columns(), rank, interim.shifts)
-    cols = _sort_columns(ring, cols)
+    cols = ring.sort_columns(cols)
     return FinitelyPresentedModule.from_columns(ring, rank, cols, shifts)
 
 
@@ -325,7 +302,7 @@ def free_resolution(module: FinitelyPresentedModule, length: int, *,
     diffs = []
     periodic = None
     complete = False
-    cols = _sort_columns(ring, mod.relation_columns())
+    cols = ring.sort_columns(mod.relation_columns())
     rank = mod.rank
     cur_shifts = list(mod.shifts)
     step = 0
@@ -345,9 +322,9 @@ def free_resolution(module: FinitelyPresentedModule, length: int, *,
             periodic = (step, 2)
             break
         syz = syzygies(cols, defining=ring.defining_gb(), budget=ring.budget)
-        syz = [_nf_element(ring, el) for el in syz]
+        syz = [ring.normal_form_element(el) for el in syz]
         syz = trim_generators(ring, syz, len(cols), col_shifts)
-        syz = _sort_columns(ring, syz)
+        syz = ring.sort_columns(syz)
         rank = len(cols)
         cur_shifts = col_shifts
         cols = syz
@@ -395,7 +372,7 @@ def check_exactness(res: FreeResolution) -> bool:
         if not cols:
             continue
         kernel = syzygies(cols, defining=ring.defining_gb(), budget=ring.budget)
-        kernel = [_nf_element(ring, el) for el in kernel]
+        kernel = [ring.normal_form_element(el) for el in kernel]
         kernel = [el for el in kernel if not el.is_zero()]
         if not kernel:
             continue
@@ -404,7 +381,7 @@ def check_exactness(res: FreeResolution) -> bool:
         nxt = matrix_columns(ring, res.differential(i + 1))
         if not nxt:
             return False
-        gb = _module_gb(ring, nxt, len(cols))
+        gb = ring.module_basis(nxt, len(cols))
         for el in kernel:
             if not normal_form(el, gb, budget=ring.budget).is_zero():
                 return False

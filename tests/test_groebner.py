@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from singulant.errors import Budget, BudgetExceededError, StructuralError
+from singulant.errors import Budget, BudgetExceededError, Meter, StructuralError
 from singulant.groebner import (
     GroebnerBasis,
     ModuleElement,
+    _reduce,
     buchberger,
     member,
     normal_form,
@@ -19,12 +20,13 @@ from singulant.poly import (
     Monomial,
     Polynomial,
     PolynomialRing,
+    PrimeField,
     QQ,
     elimination_order,
 )
 
 import oracles
-from util import fring, qring, rand_poly
+from util import fring, qring, rand_coeff, rand_monomial, rand_poly
 
 
 # -- classic worked example (hand-checked reduced basis) ------------------------
@@ -204,6 +206,234 @@ def test_cached_lead_matches_scan_over_all_terms(order):
             assert first == _lead_by_scan(el)
             assert el.lead() is first
             assert el.is_zero() == (first is None)
+
+
+# -- heap division against the max-scan rule ------------------------------------
+
+
+def _reduce_by_max_scan(el, basis, meter):
+    """Division as it was before the heap: every step rescans all pending
+    terms for the largest and subtracts the whole divisor, lead included."""
+    ring = el.ring
+    order = ring.order
+    field = ring.field
+    leads = [g.lead() for g in basis]
+    work = {}
+    for pos, c in enumerate(el.coords):
+        for m, k in c.terms:
+            work[(pos, m)] = k
+    remainder = {}
+    while work:
+        pos, mono = max(work, key=lambda t: (-t[0], order.key(t[1])))
+        coeff = work[(pos, mono)]
+        meter.step()
+        meter.check_degree(mono.degree)
+        hit = None
+        for g, (gp, gm, _) in zip(basis, leads):
+            if gp == pos and gm.divides(mono):
+                hit = (g, gm)
+                break
+        if hit is None:
+            del work[(pos, mono)]
+            remainder[(pos, mono)] = coeff
+            continue
+        g, gm = hit
+        shift = mono.divide(gm)
+        for gpos, gc in enumerate(g.coords):
+            for m2, k2 in gc.terms:
+                key = (gpos, m2.mul(shift))
+                s = field.add(work.get(key, field.zero), field.neg(field.mul(k2, coeff)))
+                if s == field.zero:
+                    work.pop(key, None)
+                else:
+                    work[key] = s
+    coords = [dict() for _ in range(el.rank)]
+    for (pos, m), c in remainder.items():
+        coords[pos][m] = c
+    return ModuleElement(ring, [Polynomial(ring, d) for d in coords])
+
+
+DIVISION_ORDERS = [GREVLEX, LEX, elimination_order((2,), (0, 1))]
+DIVISION_ORDER_IDS = ["grevlex", "lex", "block"]
+
+
+def _division_inputs(rng, P, rank):
+    """Divisor lists, elements to divide, and the members among them.
+
+    The divisors are random monic elements, which form no Groebner basis,
+    the same list reversed, and the reduced basis they generate.  In rank 3
+    the first coordinate is the original one and the last two are witness
+    coordinates, one unit per generator, as ``syzygies`` sets them up.
+    """
+    if rank == 1:
+        gens = [ModuleElement.wrap(rand_poly(rng, P, 3, 3)) for _ in range(4)]
+    else:
+        gens = [ModuleElement(P, [rand_poly(rng, P, 3, 3)]
+                              + [P.one() if i == j else P.zero() for i in range(2)])
+                for j in range(2)]
+        gens.append(ModuleElement(P, [P.zero(), rand_poly(rng, P, 2, 2),
+                                      rand_poly(rng, P, 2, 2)]))
+    gens = [g.monic() for g in gens if not g.is_zero()]
+    divisor_lists = [gens, gens[::-1], list(buchberger(gens).elements)]
+    elements, members = [], []
+    for _ in range(8):
+        elements.append(ModuleElement(P, [rand_poly(rng, P, 5, 6) for _ in range(rank)]))
+        combo = ModuleElement(P, [P.zero()] * rank)
+        for g in gens:
+            combo = combo + g.mul_poly(rand_poly(rng, P, 2, 2))
+        members.append(combo)
+    return divisor_lists, elements + members, members
+
+
+def _both_ways(el, divisors, budget=None):
+    """(remainder, steps) of heap division and of the max-scan rule."""
+    heap_meter, scan_meter = Meter(budget), Meter(budget)
+    heap = _reduce(el, divisors, heap_meter)
+    scan = _reduce_by_max_scan(el, divisors, scan_meter)
+    return (heap, heap_meter.steps), (scan, scan_meter.steps)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize("order", DIVISION_ORDERS, ids=DIVISION_ORDER_IDS)
+def test_heap_division_matches_max_scan_rule(order, rank, field):
+    rng = random.Random(17 * rank + field.characteristic)
+    P = PolynomialRing(field, 3, order)
+    divisor_lists, elements, members = _division_inputs(rng, P, rank)
+    first_match_mattered = False
+    for el in elements:
+        results = []
+        for divisors in divisor_lists:
+            heap, scan = _both_ways(el, divisors)
+            assert heap == scan
+            for c in heap[0].coords:
+                assert c.terms == Polynomial(P, dict(c.terms)).terms
+                assert all(m.degree == sum(m.exps) for m, _ in c.terms)
+            results.append(heap[0])
+        # against the reduced basis the remainder is reduced, and zero on members
+        assert _reduce(results[2], divisor_lists[2], Meter()) == results[2]
+        if el in members:
+            assert results[2].is_zero()
+        first_match_mattered |= results[0] != results[1]
+    assert first_match_mattered
+
+
+def test_heap_division_hits_budgets_where_max_scan_does():
+    # under lex, x -> y^4 raises the degree at every step: x^3, x^2*y^4,
+    # x*y^8, y^12
+    P = PolynomialRing(QQ, 2, LEX)
+    x, y = P.variables()
+    divisors = [ModuleElement.wrap(x - y ** 4)]
+    el = ModuleElement.wrap(x ** 3)
+    cases = [(el, divisors, Budget(max_degree=8)), (el, divisors, Budget(max_steps=2))]
+    rng = random.Random(29)
+    for order in DIVISION_ORDERS:
+        P = PolynomialRing(QQ, 3, order)
+        divisor_lists, elements, _ = _division_inputs(rng, P, 1)
+        for el in elements[:4]:
+            meter = Meter()
+            _reduce_by_max_scan(el, divisor_lists[0], meter)
+            top = max(c.total_degree() for c in el.coords)
+            cases.append((el, divisor_lists[0], Budget(max_steps=meter.steps // 2)))
+            cases.append((el, divisor_lists[0], Budget(max_degree=top - 1)))
+    steps = []
+    for el, divisors, budget in cases:
+        heap_meter, scan_meter = Meter(budget), Meter(budget)
+        with pytest.raises(BudgetExceededError) as heap_error:
+            _reduce(el, divisors, heap_meter)
+        with pytest.raises(BudgetExceededError) as scan_error:
+            _reduce_by_max_scan(el, divisors, scan_meter)
+        assert str(heap_error.value) == str(scan_error.value)
+        assert heap_meter.steps == scan_meter.steps
+        steps.append(heap_meter.steps)
+    # both budgets stop the third step: x*y^8 has degree 9
+    assert steps[:2] == [3, 3]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("order", DIVISION_ORDERS, ids=DIVISION_ORDER_IDS)
+def test_trusted_arithmetic_keeps_terms_canonical(order, field):
+    rng = random.Random(5)
+    P = PolynomialRing(field, 3, order)
+    for _ in range(40):
+        p = rand_poly(rng, P, 4, 6)
+        mono = rand_monomial(rng, 3, 3)
+        c = rand_coeff(rng, field)
+        for q in (p.scale(c), p.mul_term(mono, c), -p):
+            assert q.terms == Polynomial(P, dict(q.terms)).terms
+            assert all(m.degree == sum(m.exps) for m, _ in q.terms)
+        assert p.mul_term(mono, c) == Polynomial(
+            P, [([a + b for a, b in zip(m.exps, mono.exps)], field.mul(k, c))
+                for m, k in p.terms])
+        assert p + (-p) == P.zero()
+        other = rand_monomial(rng, 3, 3)
+        prod = mono.mul(other)
+        assert prod == Monomial([a + b for a, b in zip(mono.exps, other.exps)])
+        assert prod.degree == mono.degree + other.degree
+    zero = P.zero()
+    assert zero.scale(3) is zero
+    assert p.scale(field.characteristic).is_zero()
+    assert p.mul_term(mono, field.characteristic).is_zero()
+
+
+def test_term_products_reject_a_monomial_of_another_ring():
+    P = qring(3)
+    p = P.variable(0) + P.one()
+    for wrong in (Monomial((1, 0)), Monomial((1, 0, 0, 0))):
+        with pytest.raises(StructuralError):
+            p.mul_term(wrong, 1)
+        with pytest.raises(StructuralError):
+            wrong.mul(Monomial((0, 1, 0)))
+    with pytest.raises(StructuralError):
+        p.mul_term((1, 0, 0), 1)
+
+
+def test_monic_keeps_an_element_whose_lead_is_already_one():
+    P = qring(2)
+    x, y = P.variables()
+    el = ModuleElement(P, [P.zero(), x + P.constant(2)])
+    assert el.monic() is el
+    scaled = ModuleElement(P, [P.zero(), x.scale(3) + y])
+    assert scaled.monic() == ModuleElement(P, [P.zero(), x + y.scale(Fraction(1, 3))])
+
+
+# -- differential test against sympy ----------------------------------------------
+
+
+def _to_sympy(sympy, p, symbols):
+    return sympy.Poly.from_dict(
+        {m.exps: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms},
+        *symbols,
+    )
+
+
+def _from_sympy(P, poly):
+    if P.field.characteristic:
+        terms = [(exps, int(c)) for exps, c in poly.terms()]
+    else:
+        terms = [(exps, Fraction(int(c.p), int(c.q))) for exps, c in poly.terms()]
+    return Polynomial(P, terms).monic()
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+@pytest.mark.parametrize("modulus", [0, 7, 101, 32003])
+def test_buchberger_matches_sympy_on_random_ideals(modulus, order):
+    sympy = pytest.importorskip("sympy")
+    field = QQ if modulus == 0 else PrimeField(modulus)
+    P = PolynomialRing(field, 3, order)
+    symbols = sympy.symbols("x0:3")
+    options = {"modulus": modulus} if modulus else {"domain": "QQ"}
+    rng = random.Random(modulus + (1 if order is LEX else 0))
+    # lex bases of five-term generators outgrow the default degree budget
+    nterms = 5 if order is GREVLEX else 3
+    for _ in range(10):
+        gens = [rand_poly(rng, P, 3, nterms) for _ in range(3)]
+        ours = buchberger(gens).polynomials()
+        theirs = sympy.groebner([_to_sympy(sympy, g, symbols) for g in gens],
+                                *symbols, order=order.name(), **options)
+        want = sorted((_from_sympy(P, g) for g in theirs.polys),
+                      key=lambda g: order.key(g.lead_monomial()), reverse=True)
+        assert list(ours) == want
 
 
 # -- syzygies --------------------------------------------------------------------
