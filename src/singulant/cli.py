@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .errors import (
     Budget,
@@ -186,7 +187,6 @@ class _Parser:
                 if den == 0:
                     raise ParseError("zero denominator", tok[2], tok[3])
                 try:
-                    from fractions import Fraction
                     return ring.poly_ring.constant(Fraction(value, den))
                 except StructuralError as exc:
                     raise ParseError(str(exc), tok[2], tok[3])
@@ -616,7 +616,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     common.add_argument("--max-degree", type=int, default=None,
                         help="total-degree budget (env SINGULANT_MAX_DEGREE)")
     common.add_argument("--max-steps", type=int, default=None,
-                        help="reduction-step budget (env SINGULANT_MAX_STEPS)")
+                        help="reduction-step budget of each Groebner computation, "
+                             "not of the whole command (env SINGULANT_MAX_STEPS)")
     common.add_argument("--seed", type=int, default=None,
                         help="corpus seed (env SINGULANT_SEED)")
     common.add_argument("--order", choices=sorted(_ORDERS), default="grevlex",

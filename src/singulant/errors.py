@@ -49,10 +49,13 @@ class BudgetExceededError(SingulantError, RuntimeError):
 
 @dataclass(frozen=True)
 class Budget:
-    """Limits for a single top-level computation.
+    """Limits applied to each Groebner computation separately.
 
     max_degree bounds the total degree of any term produced during
-    reduction; max_steps bounds the number of reduction steps.
+    reduction; max_steps bounds the number of reduction steps.  Each
+    buchberger, syzygies or normal_form call, and each trim_generators
+    call, counts its own steps, so a command that runs many of them may
+    take many times max_steps steps in all.
     """
 
     max_degree: int = 24

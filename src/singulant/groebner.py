@@ -118,15 +118,6 @@ class ModuleElement:
             return self
         return self.scale(field.invert(lead[2]))
 
-    def total_degree(self) -> int:
-        return max((c.total_degree() for c in self.coords), default=-1)
-
-    def pad(self, rank: int, offset: int = 0) -> "ModuleElement":
-        coords = [self.ring.zero()] * rank
-        for i, c in enumerate(self.coords):
-            coords[offset + i] = c
-        return ModuleElement(self.ring, coords)
-
     def __repr__(self):
         return "(" + ", ".join(repr(c) for c in self.coords) + ")"
 
@@ -220,14 +211,13 @@ class GroebnerBasis:
     ``defining`` remembers the defining basis used.
     """
 
-    __slots__ = ("ring", "rank", "elements", "defining", "scalar")
+    __slots__ = ("ring", "rank", "elements", "defining")
 
-    def __init__(self, ring, rank, elements, defining, scalar):
+    def __init__(self, ring, rank, elements, defining):
         self.ring = ring
         self.rank = rank
         self.elements = tuple(elements)
         self.defining = tuple(defining) if defining else ()
-        self.scalar = scalar
 
     def polynomials(self):
         if self.rank != 1:
@@ -263,25 +253,24 @@ class GroebnerBasis:
 
 
 def _as_elements(gens):
-    """Uniform ModuleElement view; returns (elements, ring, rank, scalar)."""
+    """Uniform ModuleElement view; returns (elements, ring, rank)."""
     gens = list(gens)
     if not gens:
         raise StructuralError("cannot infer the ambient from an empty list")
-    scalar = isinstance(gens[0], Polynomial)
-    if scalar:
+    if isinstance(gens[0], Polynomial):
         ring = gens[0].ring
         els = []
         for g in gens:
             if not isinstance(g, Polynomial) or g.ring != ring:
                 raise StructuralError("generators from different rings")
             els.append(ModuleElement.wrap(g))
-        return els, ring, 1, True
+        return els, ring, 1
     ring = gens[0].ring
     rank = gens[0].rank
     for g in gens:
         if not isinstance(g, ModuleElement) or g.ring != ring or g.rank != rank:
             raise StructuralError("generators from different ambients")
-    return list(gens), ring, rank, False
+    return list(gens), ring, rank
 
 
 class PairLoop:
@@ -417,9 +406,9 @@ def buchberger(
             ring = defining[0].ring
         if ring is None:
             raise StructuralError("cannot infer the ambient from an empty list")
-        els, scalar = [], rank == 1
+        els = []
     else:
-        els, ring, rank, scalar = _as_elements(gens)
+        els, ring, rank = _as_elements(gens)
     meter = Meter(budget)
     seeds = []
     ipart = []
@@ -437,7 +426,7 @@ def buchberger(
             seeds.append(ModuleElement.unit(ring, rank, pos, g))
             ipart.append(True)
     final = _core(seeds, ipart, ring, rank, meter)
-    return GroebnerBasis(ring, rank, final, defining, scalar)
+    return GroebnerBasis(ring, rank, final, defining)
 
 
 def normal_form(f, gb: GroebnerBasis, *, budget: Budget | None = None):
@@ -456,11 +445,6 @@ def normal_form(f, gb: GroebnerBasis, *, budget: Budget | None = None):
     return _reduce(f, gb.elements, meter)
 
 
-def member(f, gb: GroebnerBasis, *, budget: Budget | None = None) -> bool:
-    nf = normal_form(f, gb, budget=budget)
-    return nf.is_zero()
-
-
 def syzygies(gens, *, defining=None, budget: Budget | None = None):
     """Generators of the first syzygy module of ``gens``.
 
@@ -472,7 +456,7 @@ def syzygies(gens, *, defining=None, budget: Budget | None = None):
     basis elements whose original part vanished.  Zero generators yield
     their unit witness directly through the same mechanism.
     """
-    els, ring, rank, _ = _as_elements(gens)
+    els, ring, rank = _as_elements(gens)
     if isinstance(defining, GroebnerBasis):
         defining = list(defining.polynomials())
     else:

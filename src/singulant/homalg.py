@@ -21,10 +21,11 @@ from .ideal_ops import (
     intersection,
     radical_membership,
 )
-from .poly import Polynomial
+from .poly import Monomial, Polynomial
 from .resolve import (
     FinitelyPresentedModule,
     free_resolution,
+    matrix_columns,
     minimal_presentation,
     syzygy_module,
     trim_generators,
@@ -96,17 +97,7 @@ class Subquotient:
         if not self.cycles:
             return FinitelyPresentedModule(ring, 0)
         t = len(self.cycles)
-        combined = list(self.cycles) + list(self.boundaries)
-        rels = syzygies(combined, defining=ring.defining_gb(),
-                        budget=ring.budget)
-        cols = []
-        for rel in rels:
-            head = ModuleElement(ring.poly_ring, rel.coords[:t])
-            head = ring.normal_form_element(head)
-            if not head.is_zero():
-                cols.append(head)
-        cols = trim_generators(ring, cols, t)
-        cols = ring.sort_columns(cols)
+        cols = _minimal_kernel(ring, t, self.cycles, self.boundaries)
         raw = FinitelyPresentedModule.from_columns(ring, t, cols)
         return minimal_presentation(raw)
 
@@ -137,8 +128,6 @@ def module_k_dimension(module: FinitelyPresentedModule, *,
         for el in gb.elements:
             pos, mono, _ = el.lead()
             leads[pos].append(mono)
-    from .poly import Monomial
-
     nvars = ring.nvars
     total = 0
     for s in range(mod.rank):
@@ -172,12 +161,8 @@ def module_annihilator(module: FinitelyPresentedModule) -> IdealHandle:
     result = None
     for s in range(mod.rank):
         unit = ModuleElement.unit(ring.poly_ring, mod.rank, s)
-        rels = syzygies([unit] + cols, defining=ring.defining_gb(),
-                        budget=ring.budget)
-        gens = [
-            ring.normal_form(rel.coords[0]) for rel in rels
-        ]
-        handle = IdealHandle(ring, [g for g in gens if not g.is_zero()])
+        heads = _kernel_into(ring, 1, [unit], cols)
+        handle = IdealHandle(ring, [h.coords[0] for h in heads])
         result = handle if result is None else intersection(result, handle)
     return result
 
@@ -258,6 +243,12 @@ def _kernel_into(ring, domain_rank, images, allowed):
     return out
 
 
+def _minimal_kernel(ring, domain_rank, images, allowed):
+    """``_kernel_into`` trimmed to a minimal generating set, in column order."""
+    cols = _kernel_into(ring, domain_rank, images, allowed)
+    return ring.sort_columns(trim_generators(ring, cols, domain_rank))
+
+
 def ext_module(M: FinitelyPresentedModule, N: FinitelyPresentedModule,
                i: int) -> ExtModule:
     """Ext^i_R(M, N) from the dualized minimal resolution of M."""
@@ -276,22 +267,18 @@ def ext_module(M: FinitelyPresentedModule, N: FinitelyPresentedModule,
     dom = beta * n0
     b_cols = Nmin.relation_columns()
 
-    # cycles: kernel of the dual of d_(i+1), into the zero-hom span
+    # cycles: kernel of the dual of d_(i+1), into the zero-hom span; past
+    # the end of the resolution there are no images, so every vector is a cycle
+    images, allowed = [], []
     if res.length >= i + 1:
         d_next = res.differential(i + 1)
         beta_next = res.ranks[i + 1]
-        images = []
         for j in range(beta):
             for s in range(n0):
                 images.append(_hom_basis_vector(
                     ring, beta_next, n0, j, s,
                     [(c, d_next[j][c]) for c in range(beta_next)]))
         allowed = _zero_hom_shifts(ring, beta_next, n0, b_cols)
-        cycles = _kernel_into(ring, dom, images, allowed)
-    else:
-        cycles = [
-            ModuleElement.unit(ring.poly_ring, dom, t) for t in range(dom)
-        ]
 
     # boundaries: the image of the dual of d_i, plus the zero homs
     boundaries = _zero_hom_shifts(ring, beta, n0, b_cols)
@@ -304,8 +291,7 @@ def ext_module(M: FinitelyPresentedModule, N: FinitelyPresentedModule,
                     ring, beta, n0, jp, s,
                     [(j, d_cur[jp][j]) for j in range(beta)]))
 
-    cycles = trim_generators(ring, cycles, dom)
-    cycles = ring.sort_columns(cycles)
+    cycles = _minimal_kernel(ring, dom, images, allowed)
     sub = Subquotient(ring, dom, cycles, boundaries)
     return ExtModule(ring, i, M, N, sub, beta, n0)
 
@@ -496,22 +482,13 @@ class KoszulComplex:
         rank = self.module_rank(i)
         if rank == 0:
             return Subquotient(ring, 0, [], [])
-        from .resolve import matrix_columns
-
-        if i < self.length:
-            images = matrix_columns(ring, self.differential(i))
-            allowed = self.zero_hom_shifts(i + 1)
-            cycles = _kernel_into(ring, rank, images, allowed)
-        else:
-            cycles = [
-                ModuleElement.unit(ring.poly_ring, rank, t)
-                for t in range(rank)
-            ]
+        # at the top degree the differential is empty, so every vector is a cycle
+        cycles = _minimal_kernel(ring, rank,
+                                 matrix_columns(ring, self.differential(i)),
+                                 self.zero_hom_shifts(i + 1))
         boundaries = self.zero_hom_shifts(i)
         if i >= 1:
             boundaries.extend(matrix_columns(ring, self.differential(i - 1)))
-        cycles = trim_generators(ring, cycles, rank)
-        cycles = ring.sort_columns(cycles)
         return Subquotient(ring, rank, cycles, boundaries)
 
 

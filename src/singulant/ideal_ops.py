@@ -263,10 +263,6 @@ class IdealHandle:
 # membership and radicals
 
 
-def membership(f: Polynomial, ideal: IdealHandle) -> bool:
-    return ideal.contains(f)
-
-
 def _extension(pring: PolynomialRing):
     """P[t] with t appended last and a block order eliminating t."""
     n = pring.nvars

@@ -9,6 +9,7 @@ the Jacobian ideal are reported as explicit witnesses.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError
@@ -20,9 +21,7 @@ from .ideal_ops import (
     is_m_primary,
     minimal_primes_monomial,
 )
-from .poly import Polynomial
-
-import itertools
+from .poly import Polynomial, exact_divide
 
 JACOBIAN_CRITERION = "jacobian-criterion"
 UNKNOWN = "unknown"
@@ -40,30 +39,8 @@ def _submatrix(matrix, rows, cols):
     return [[matrix[a][b] for b in cols] for a in rows]
 
 
-def _det_cofactor(matrix) -> Polynomial:
-    size = len(matrix)
-    if size == 1:
-        return matrix[0][0]
-    ring = matrix[0][0].ring
-    acc = ring.zero()
-    sign = 1
-    for j in range(size):
-        entry = matrix[0][j]
-        if not entry.is_zero():
-            minor = [
-                [matrix[a][b] for b in range(size) if b != j]
-                for a in range(1, size)
-            ]
-            term = entry * _det_cofactor(minor)
-            acc = acc + (term if sign > 0 else -term)
-        sign = -sign
-    return acc
-
-
 def _det_bareiss(matrix) -> Polynomial:
     """Fraction-free elimination; every division is exact by construction."""
-    from .poly import exact_divide
-
     size = len(matrix)
     ring = matrix[0][0].ring
     m = [row[:] for row in matrix]
@@ -89,14 +66,12 @@ def _det_bareiss(matrix) -> Polynomial:
 
 
 def determinant(matrix) -> Polynomial:
-    """Exact determinant of a square polynomial matrix (size 0 gives 1)."""
+    """Exact determinant of a nonempty square polynomial matrix."""
     size = len(matrix)
     if size == 0:
         raise PreconditionError("determinant of an empty matrix has no ring")
     if any(len(row) != size for row in matrix):
         raise PreconditionError("determinant requires a square matrix")
-    if size <= 3:
-        return _det_cofactor(matrix)
     return _det_bareiss(matrix)
 
 

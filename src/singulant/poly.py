@@ -256,18 +256,6 @@ def elimination_order(front: tuple, rest: tuple) -> MonomialOrder:
     return MonomialOrder("block", (tuple(front), tuple(rest)))
 
 
-def compare_monomials(a: Monomial, b: Monomial, order: MonomialOrder) -> int:
-    """-1, 0 or 1 as a <, =, > b under ``order``."""
-    if len(a) != len(b):
-        raise StructuralError("monomials from different rings")
-    ka, kb = order.key(a), order.key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # polynomial rings and polynomials
 

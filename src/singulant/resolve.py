@@ -281,7 +281,6 @@ class FreeResolution:
 
 
 def free_resolution(module: FinitelyPresentedModule, length: int, *,
-                    minimalize_input: bool = True,
                     detect_periodicity: bool = True) -> FreeResolution:
     """Resolution of coker(presentation) out to homological degree ``length``.
 
@@ -294,7 +293,7 @@ def free_resolution(module: FinitelyPresentedModule, length: int, *,
     if length < 0:
         raise PreconditionError("resolution length must be nonnegative")
     ring = module.ring
-    mod = minimal_presentation(module) if minimalize_input else module
+    mod = minimal_presentation(module)
     if mod.rank == 0:
         return FreeResolution(ring, [0], [], [[]], True, True)
     ranks = [mod.rank]
@@ -386,93 +385,6 @@ def check_exactness(res: FreeResolution) -> bool:
             if not normal_form(el, gb, budget=ring.budget).is_zero():
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# pruning an arbitrary resolution to a minimal one
-
-
-def minimalize(res: FreeResolution) -> FreeResolution:
-    """Remove unit entries from the differentials by change of basis.
-
-    A constant pivot in d_i splits off a trivial summand R --1--> R of the
-    complex: column operations clear its row (mirrored as row operations
-    on d_(i+1)) and row operations clear its column (mirrored as column
-    operations on d_(i-1)); d d = 0 then forces the pivot's column in
-    d_(i-1) and row in d_(i+1) to vanish, so deleting the pivot row and
-    column is an isomorphism of complexes.
-    """
-    ring = res.ring
-    field = ring.poly_ring.field
-    mats = [[list(row) for row in m] for m in res.differentials]
-    ranks = list(res.ranks)
-
-    def find_pivot():
-        for idx in range(len(mats)):
-            mats[idx] = [[ring.normal_form(e) for e in row] for row in mats[idx]]
-            for a in range(len(mats[idx])):
-                for b in range(len(mats[idx][a])):
-                    e = mats[idx][a][b]
-                    if not e.is_zero() and e.is_constant():
-                        return idx, a, b
-        return None
-
-    while True:
-        hit = find_pivot()
-        if hit is None:
-            break
-        idx, a, b = hit
-        m = mats[idx]
-        inv = field.invert(m[a][b].constant_term())
-        nrows, ncols = len(m), len(m[0])
-        for j in range(ncols):
-            if j != b and not m[a][j].is_zero():
-                factor = m[a][j].scale(inv)
-                for r in range(nrows):
-                    m[r][j] = m[r][j] - m[r][b] * factor
-                if idx + 1 < len(mats) and mats[idx + 1]:
-                    nxt = mats[idx + 1]
-                    for c in range(len(nxt[0])):
-                        nxt[b][c] = nxt[b][c] + factor * nxt[j][c]
-        for r in range(nrows):
-            if r != a and not m[r][b].is_zero():
-                factor = m[r][b].scale(inv)
-                for j in range(ncols):
-                    m[r][j] = m[r][j] - m[a][j] * factor
-                if idx - 1 >= 0 and mats[idx - 1]:
-                    prev = mats[idx - 1]
-                    for rr in range(len(prev)):
-                        prev[rr][a] = prev[rr][a] + prev[rr][r] * factor
-        mats[idx] = [
-            [e for j, e in enumerate(row) if j != b]
-            for i2, row in enumerate(m) if i2 != a
-        ]
-        if idx - 1 >= 0 and mats[idx - 1]:
-            mats[idx - 1] = [
-                [e for j, e in enumerate(row) if j != a]
-                for row in mats[idx - 1]
-            ]
-        if idx + 1 < len(mats) and mats[idx + 1]:
-            mats[idx + 1] = [
-                row for i2, row in enumerate(mats[idx + 1]) if i2 != b
-            ]
-        ranks[idx] -= 1
-        ranks[idx + 1] -= 1
-
-    cleaned = [
-        tuple(tuple(ring.normal_form(e) for e in row) for row in m)
-        for m in mats
-    ]
-    while len(ranks) > 1 and ranks[-1] == 0:
-        ranks.pop()
-        cleaned.pop()
-    minimal = all(
-        e.is_zero() or not e.is_constant()
-        for m in cleaned for row in m for e in row
-    )
-    return FreeResolution(ring, ranks, cleaned,
-                          [[0] * r for r in ranks], minimal,
-                          res.complete, res.periodic)
 
 
 # ---------------------------------------------------------------------------

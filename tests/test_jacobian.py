@@ -96,6 +96,11 @@ def test_determinant_bareiss_pivot_swap():
         [zero, zero, z, w],
     ]
     assert determinant(matrix) == -(x * w - y * z)
+    assert determinant([[zero, x], [y, zero]]) == -(x * y)
+    # zero (1,1) entry: the 3x3 case swaps rows too
+    assert determinant([[zero, x, y], [one, zero, z], [w, one, zero]]) == x * z * w + y
+    # no nonzero entry below a zero pivot: the determinant is 0
+    assert determinant([[zero, x], [zero, y]]).is_zero()
 
 
 def test_minor_enumeration_order():

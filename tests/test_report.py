@@ -1,9 +1,11 @@
 """Certificate assembly: annihilator bounds, radical comparison, bound, ledger."""
 import json
+from pathlib import Path
 
 import pytest
 
 from singulant import report as rpt
+from singulant.cli import parse_ring
 from singulant.errors import PreconditionError, StructuralError
 from singulant.homalg import default_corpus, stable_annihilation_test
 from singulant.ideal_ops import IdealHandle, RingPresentation, socle
@@ -260,6 +262,31 @@ class TestBuildReport:
         assert doc["isolated"] is False
         assert doc["radical_comparison"]["verdict"] == "equal"
         assert doc["ann_bounds"]["lower_gens"] == ["1"]
+
+
+# -- byte-identical report snapshots ------------------------------------------------
+
+# Each file in tests/data is report_json(build_report(parse_ring(text))) for
+# the ring below, written by the code it guards: a change meant to keep
+# behaviour must keep these bytes.  The cusp and cubic files are expected to
+# change when ROADMAP item 4 adds its equidimensionality certificates (their
+# reports now lack the bound block).  A change that regenerates any file
+# explains the diff in CHANGES.md.
+SNAPSHOT_RINGS = {
+    "A": "Q[x,y]/(x^2, x*y)",
+    "B": "Q[x,y,z,w]/(x^2, y*z, y*w)",
+    "x2y2": "Q[x,y]/(x^2, y^2)",
+    "cubic": "Q[x,y,z]/(x^3 + y^3 + z^3)",
+    "xy_yz_xz": "Q[x,y,z]/(x*y, y*z, x*z)",
+    "cusp": "Q[x,y]/(x^3 - y^2)",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SNAPSHOT_RINGS))
+def test_report_matches_snapshot(key):
+    path = Path(__file__).parent / "data" / f"report_{key}.json"
+    got = report_json(build_report(parse_ring(SNAPSHOT_RINGS[key])))
+    assert got.encode("utf-8") == path.read_bytes()
 
 
 # -- golden-example ledger ------------------------------------------------------

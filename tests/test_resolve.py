@@ -25,7 +25,6 @@ from singulant.resolve import (
     free_resolution,
     matrix_columns,
     minimal_presentation,
-    minimalize,
     projective_dimension_over_ambient,
     restrict_to_ambient,
     ring_depth,
@@ -178,6 +177,18 @@ class TestMinimalPresentation:
         N = minimal_presentation(M)
         assert N.rank == 1
         assert rows_str(N.rows) == [["x1"]]
+
+    def test_unit_pivot_resolves_to_the_minimal_resolution(self):
+        # relation 2 gives e1 = -x*e2, so relation 1 becomes (y - x^2)*e2
+        # and coker [[x, 1], [y, x]] is P/(y - x^2)
+        P = RingPresentation(QQ, ("x", "y"))
+        x, y = P.variable(0), P.variable(1)
+        one = P.poly_ring.one()
+        M = FinitelyPresentedModule(P, 2, ((x, one), (y, x)))
+        res = free_resolution(M, 3)
+        assert res.ranks == [1, 1]
+        assert res.complete and res.minimal
+        assert res.differential(1) in (((y - x * x,),), ((x * x - y,),))
 
     def test_unit_appears_only_after_reduction(self):
         # over Q[x]/(x^2 - 1) the relation x^2 reduces to the constant 1
@@ -533,69 +544,6 @@ class TestPeriodicity:
         assert res.periodic is not None
         assert res.periodic[1] == 2
         assert res.projective_dimension() == INFINITE
-
-
-# ---------------------------------------------------------------------------
-# minimalize on padded resolutions
-
-
-def _pad_with_trivial_summand(res: FreeResolution, at: int):
-    """Insert a summand R --1--> R between F_at and F_(at+1)."""
-    ring = res.ring
-    one, zero = ring.poly_ring.one(), ring.poly_ring.zero()
-    mats = [[list(row) for row in m] for m in res.differentials]
-    ranks = list(res.ranks)
-    # the new F_at generator maps to zero, keeping d_at d_(at+1) = 0
-    if at >= 1:
-        for row in mats[at - 1]:
-            row.append(zero)
-    # the padded d_(at+1) gets a unit at the new (row, column) corner
-    dn = mats[at]
-    for row in dn:
-        row.append(zero)
-    dn.append([zero] * (len(dn[0]) - 1) + [one])
-    ranks[at] += 1
-    ranks[at + 1] += 1
-    if at + 1 < len(mats):
-        mats[at + 1].append([zero] * len(mats[at + 1][0]))
-    return FreeResolution(ring, ranks, [tuple(tuple(r) for r in m) for m in mats],
-                          [[0] * r for r in ranks], False, res.complete,
-                          res.periodic)
-
-
-class TestMinimalize:
-    def test_padded_resolution_recovers_minimal_ranks(self):
-        R = embedded_point_ring()
-        k = FinitelyPresentedModule.residue_field(R)
-        res = free_resolution(k, 3)
-        padded = _pad_with_trivial_summand(res, 1)
-        assert padded.ranks == [1, 3, 4, 5]
-        assert check_complex(padded)
-        slim = minimalize(padded)
-        assert slim.ranks == [1, 2, 3, 5]
-        assert slim.minimal
-        assert check_complex(slim)
-        assert check_exactness(slim)
-
-    def test_minimal_input_passes_through(self):
-        R = embedded_point_ring()
-        k = FinitelyPresentedModule.residue_field(R)
-        res = free_resolution(k, 2)
-        slim = minimalize(res)
-        assert slim.ranks == res.ranks
-        assert slim.differentials == list(res.differentials)
-
-    def test_non_minimal_presentation_path(self):
-        # resolving without minimalizing the input leaves a unit to clean up
-        P = RingPresentation(QQ, ("x", "y"))
-        x, y = P.variable(0), P.variable(1)
-        one = P.poly_ring.one()
-        M = FinitelyPresentedModule(P, 2, ((x, one), (y, x)))
-        res = free_resolution(M, 3, minimalize_input=False)
-        slim = minimalize(res)
-        assert slim.is_minimal_certified()
-        direct = free_resolution(M, 3)
-        assert slim.ranks == direct.ranks
 
 
 # ---------------------------------------------------------------------------
