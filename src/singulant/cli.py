@@ -10,10 +10,10 @@ the shorthands ``R`` and ``k``, or a bracketed relation matrix
 ``[[x,y],[0,x]]`` (rows = module generators, columns = relations).
 
 Exit codes: 0 success, 1 mathematical precondition failure, 2 parse
-error, 3 budget exhaustion.  Budgets and the corpus seed come from
-``--max-degree`` / ``--max-steps`` / ``--seed``, falling back to the
-environment variables SINGULANT_MAX_DEGREE, SINGULANT_MAX_STEPS,
-SINGULANT_SEED.
+error, 3 budget exhaustion.  Each command runs in one budget scope, so
+``--max-degree`` / ``--max-steps`` bound the command as a whole; they and
+the corpus seed ``--seed`` fall back to the environment variables
+SINGULANT_MAX_DEGREE, SINGULANT_MAX_STEPS, SINGULANT_SEED.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ from .errors import (
     PreconditionError,
     StructuralError,
     UnsupportedInputError,
+    budget_scope,
 )
 from .homalg import (
     annihilates_ext,
@@ -217,8 +218,7 @@ class _Parser:
         return polys
 
 
-def parse_ring(text: str, *, order=GREVLEX, budget: Budget | None = None
-               ) -> RingPresentation:
+def parse_ring(text: str, *, order=GREVLEX) -> RingPresentation:
     """`ring <FIELD>[vars] / (gens)` — keyword and quotient part optional."""
     parser = _Parser(text)
     tok = parser.peek()
@@ -238,7 +238,7 @@ def parse_ring(text: str, *, order=GREVLEX, budget: Budget | None = None
         positions[tok[1]] = (tok[2], tok[3])
         names.append(tok[1])
     parser.expect("]", "']'")
-    ambient = RingPresentation(fld, names, (), order, budget)
+    ambient = RingPresentation(fld, names, (), order)
     gens = []
     if parser.peek()[0] == "/":
         parser.advance()
@@ -249,7 +249,7 @@ def parse_ring(text: str, *, order=GREVLEX, budget: Budget | None = None
                                  start[2], start[3])
             gens.append(g)
     parser.expect("EOF", "end of input")
-    return RingPresentation(fld, names, gens, order, budget)
+    return RingPresentation(fld, names, gens, order)
 
 
 def _field_from_token(tok):
@@ -369,52 +369,38 @@ def _format_matrix(ring, rows) -> str:
 
 def _session(args):
     """Resolve budget/seed/order from flags, then environment, then defaults."""
-
-    def _env_int(name):
-        raw = os.environ.get(name)
-        if raw is None:
-            return None
-        try:
-            return int(raw)
-        except ValueError:
-            raise ParseError(f"bad integer {raw!r} for {name}")
-
-    max_degree = args.max_degree
-    if max_degree is None:
-        max_degree = _env_int("SINGULANT_MAX_DEGREE")
-    max_steps = args.max_steps
-    if max_steps is None:
-        max_steps = _env_int("SINGULANT_MAX_STEPS")
-    seed = args.seed
-    if seed is None:
-        seed = _env_int("SINGULANT_SEED")
-    default = Budget()
-    budget = Budget(
-        max_degree=max_degree if max_degree is not None else default.max_degree,
-        max_steps=max_steps if max_steps is not None else default.max_steps,
-    )
+    values = {}
+    for key in ("max_degree", "max_steps", "seed"):
+        value, env = getattr(args, key), f"SINGULANT_{key.upper()}"
+        if value is None and env in os.environ:
+            try:
+                value = int(os.environ[env])
+            except ValueError:
+                raise ParseError(f"bad integer {os.environ[env]!r} for {env}")
+        if value is not None:
+            values[key] = value
+    seed = values.pop("seed", 0)
+    budget = Budget(**values)
     if budget.max_degree <= 0 or budget.max_steps <= 0:
         raise ParseError("budgets must be positive")
-    return budget, (seed if seed is not None else 0), _ORDERS[args.order]
+    return budget, seed, _ORDERS[args.order]
 
 
 def _execute(args):
-    """Run one command; returns (exit_code, text_output, json_document)."""
+    """Run one command in one budget scope: (exit_code, text, json_document)."""
     budget, seed, order = _session(args)
+    with budget_scope(budget):
+        if args.command == "verify-paper":
+            fld = _field_from_token(("IDENT", args.field, 1, 1))
+            entries = verify_paper_examples(fld)
+            code = 0 if ledger_passed(entries) else 1
+            doc = {"command": "verify-paper",
+                   "result": [{"name": e.name, "status": e.status,
+                               "detail": e.detail} for e in entries]}
+            return code, format_ledger(entries), doc
 
-    if args.command == "verify-paper":
-        fld = _field_from_token(("IDENT", args.field, 1, 1))
-        entries = verify_paper_examples(fld)
-        code = 0 if ledger_passed(entries) else 1
-        doc = {"command": "verify-paper",
-               "result": [{"name": e.name, "status": e.status,
-                           "detail": e.detail} for e in entries]}
-        return code, format_ledger(entries), doc
-
-    ring = parse_ring(args.ring, order=order, budget=budget)
-    fmt = ring.format_element
-    handler = _HANDLERS[args.command]
-    text, result = handler(args, ring, fmt, seed)
+        ring = parse_ring(args.ring, order=order)
+        text, result = _HANDLERS[args.command](args, ring, ring.format_element, seed)
     if args.command == "report":
         return 0, text, result
     return 0, text, {"command": args.command, "result": result}
@@ -616,8 +602,9 @@ def _build_argparser() -> argparse.ArgumentParser:
     common.add_argument("--max-degree", type=int, default=None,
                         help="total-degree budget (env SINGULANT_MAX_DEGREE)")
     common.add_argument("--max-steps", type=int, default=None,
-                        help="reduction-step budget of each Groebner computation, "
-                             "not of the whole command (env SINGULANT_MAX_STEPS)")
+                        help="reduction-step budget of the whole command; the "
+                             "report's certification sweep also caps each "
+                             "guarded step at 20,000 (env SINGULANT_MAX_STEPS)")
     common.add_argument("--seed", type=int, default=None,
                         help="corpus seed (env SINGULANT_SEED)")
     common.add_argument("--order", choices=sorted(_ORDERS), default="grevlex",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from operator import add, le, sub
 
-from .errors import Budget, Meter, StructuralError
+from .errors import Meter, StructuralError, active_meter
 from .poly import Monomial, Polynomial, PolynomialRing
 
 
@@ -384,7 +384,6 @@ def buchberger(
     gens,
     *,
     defining=None,
-    budget: Budget | None = None,
     ring: PolynomialRing | None = None,
     rank: int = 1,
 ) -> GroebnerBasis:
@@ -409,7 +408,7 @@ def buchberger(
         els = []
     else:
         els, ring, rank = _as_elements(gens)
-    meter = Meter(budget)
+    meter = active_meter()
     seeds = []
     ipart = []
     for el in els:
@@ -429,9 +428,9 @@ def buchberger(
     return GroebnerBasis(ring, rank, final, defining)
 
 
-def normal_form(f, gb: GroebnerBasis, *, budget: Budget | None = None):
+def normal_form(f, gb: GroebnerBasis):
     """Canonical remainder of f modulo the basis (same type in, same out)."""
-    meter = Meter(budget)
+    meter = active_meter()
     if isinstance(f, Polynomial):
         if gb.rank != 1:
             raise StructuralError("polynomial against a module basis")
@@ -445,7 +444,7 @@ def normal_form(f, gb: GroebnerBasis, *, budget: Budget | None = None):
     return _reduce(f, gb.elements, meter)
 
 
-def syzygies(gens, *, defining=None, budget: Budget | None = None):
+def syzygies(gens, *, defining=None):
     """Generators of the first syzygy module of ``gens``.
 
     Works over P, or over P/I when ``defining`` (a reduced basis of I) is
@@ -463,7 +462,7 @@ def syzygies(gens, *, defining=None, budget: Budget | None = None):
         defining = list(defining) if defining else []
     m = len(els)
     ext_rank = rank + m
-    meter = Meter(budget)
+    meter = active_meter()
     seeds = []
     ipart = []
     for j, el in enumerate(els):

@@ -10,11 +10,15 @@ B * e_(j) are part of every boundary module.
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
-from .errors import BudgetExceededError, PreconditionError, StructuralError
-from .groebner import ModuleElement, buchberger, normal_form, syzygies
+from .errors import (Budget, BudgetExceededError, PreconditionError, StructuralError,
+                     active_meter, budget_scope)
+# buchberger is unused here but stays importable from this module, where
+# perfbench's tracer rebinds and checks every alias of it
+from .groebner import ModuleElement, buchberger, normal_form, syzygies  # noqa: F401
 from .ideal_ops import (
     IdealHandle,
     RingPresentation,
@@ -37,15 +41,16 @@ from .resolve import (
 
 
 class Subquotient:
-    """Z/B for submodules B <= Z <= R^rank, kept as generator lists."""
+    """Z/B for submodules B <= Z <= R^rank, kept as generator lists.
+
+    Cycles are kept as given: nonzero and in normal form, as _minimal_kernel
+    returns them.  Boundaries are normalized here and zero ones dropped.
+    """
 
     def __init__(self, ring: RingPresentation, rank: int, cycles, boundaries):
         self.ring = ring
         self.rank = rank
-        self.cycles = [
-            el for el in (ring.normal_form_element(c) for c in cycles)
-            if not el.is_zero()
-        ]
+        self.cycles = list(cycles)
         self.boundaries = [
             el for el in (ring.normal_form_element(b) for b in boundaries)
             if not el.is_zero()
@@ -64,7 +69,7 @@ class Subquotient:
         gb = self.boundary_gb()
         if gb is None:
             return False
-        return normal_form(el, gb, budget=self.ring.budget).is_zero()
+        return normal_form(el, gb).is_zero()
 
     def is_zero(self) -> bool:
         return all(self.is_boundary(z) for z in self.cycles)
@@ -72,24 +77,6 @@ class Subquotient:
     def annihilated_by(self, r: Polynomial) -> bool:
         """Does r send every cycle generator into the boundary span?"""
         return all(self.is_boundary(z.mul_poly(r)) for z in self.cycles)
-
-    def boundaries_inside_cycles(self) -> bool:
-        """Certify the subquotient is well formed by direct membership."""
-        if not self.boundaries:
-            return True
-        span = self.cycles + [
-            ModuleElement.unit(self.ring.poly_ring, self.rank, pos, g)
-            for g in self.ring.defining_gb()
-            for pos in range(self.rank)
-        ]
-        if not span:
-            return all(b.is_zero() for b in self.boundaries)
-        gb = buchberger(span, budget=self.ring.budget,
-                        ring=self.ring.poly_ring, rank=self.rank)
-        return all(
-            normal_form(b, gb, budget=self.ring.budget).is_zero()
-            for b in self.boundaries
-        )
 
     def to_module(self) -> FinitelyPresentedModule:
         """Present Z/B as a cokernel on the cycle generators."""
@@ -111,16 +98,17 @@ def module_k_dimension(module: FinitelyPresentedModule, *,
 
     Counts standard module monomials against the combined leading-term
     module of the relations and the defining ideal, slot by slot; a slot
-    whose count never reaches zero before the degree cap makes the result
-    None rather than a guess.
+    whose count never reaches zero before the degree cap (by default the
+    active budget scope's max_degree) makes the result None rather than a
+    guess.
     """
     mod = minimal_presentation(module)
     ring = mod.ring
     if mod.rank == 0:
         return 0
     if max_degree is None:
-        max_degree = 24 if ring.budget is None else ring.budget.max_degree
-    leads = {s: [g.lead_monomial() for g in ring.defining_gb()]
+        max_degree = active_meter().max_degree
+    leads = {s: [g.lead_monomial() for g in ring.defining_basis().polynomials()]
              for s in range(mod.rank)}
     cols = mod.relation_columns()
     if cols:
@@ -171,37 +159,23 @@ def module_annihilator(module: FinitelyPresentedModule) -> IdealHandle:
 # Ext via the dual of the minimal free resolution
 
 
-@dataclass
-class ExtModule:
-    """Ext^i(M, N) as a certified subquotient of Hom(F_i, N)."""
+class ExtModule(Subquotient):
+    """Ext^i(M, N) as a certified subquotient of Hom(F_i, N) in R^rank,
+    rank = beta * target_rank: beta is the rank of F_i and target_rank
+    that of the minimal presentation of N."""
 
-    ring: RingPresentation
-    degree: int
-    source: FinitelyPresentedModule
-    target: FinitelyPresentedModule
-    subquotient: Subquotient
-    beta: int          # rank of F_i
-    target_rank: int   # rank of the minimal presentation of N
-
-    @property
-    def cycles(self):
-        return self.subquotient.cycles
-
-    @property
-    def boundaries(self):
-        return self.subquotient.boundaries
-
-    def is_zero(self) -> bool:
-        return self.subquotient.is_zero()
-
-    def annihilated_by(self, r: Polynomial) -> bool:
-        return self.subquotient.annihilated_by(r)
+    def __init__(self, ring: RingPresentation, cycles, boundaries, *, degree: int,
+                 source: FinitelyPresentedModule, target: FinitelyPresentedModule,
+                 beta: int, target_rank: int):
+        super().__init__(ring, beta * target_rank, cycles, boundaries)
+        self.degree = degree
+        self.source = source
+        self.target = target
+        self.beta = beta
+        self.target_rank = target_rank
 
     def presentation(self) -> FinitelyPresentedModule:
-        return self.subquotient.to_module()
-
-    def k_dimension(self, *, max_degree: int | None = None):
-        return self.subquotient.k_dimension(max_degree=max_degree)
+        return self.to_module()
 
 
 def _hom_basis_vector(ring, beta, n0, j, s, entries):
@@ -233,7 +207,7 @@ def _kernel_into(ring, domain_rank, images, allowed):
             for t in range(domain_rank)
         ]
     combined = list(images) + list(allowed)
-    rels = syzygies(combined, defining=ring.defining_gb(), budget=ring.budget)
+    rels = syzygies(combined, defining=ring.defining_basis())
     out = []
     for rel in rels:
         head = ModuleElement(ring.poly_ring, rel.coords[:domain_rank])
@@ -261,8 +235,8 @@ def ext_module(M: FinitelyPresentedModule, N: FinitelyPresentedModule,
     n0 = Nmin.rank
     res = free_resolution(M, i + 1, detect_periodicity=False)
     if res.length < i or n0 == 0:
-        empty = Subquotient(ring, 0, [], [])
-        return ExtModule(ring, i, M, N, empty, 0, n0)
+        return ExtModule(ring, [], [], degree=i, source=M, target=N,
+                         beta=0, target_rank=n0)
     beta = res.ranks[i]
     dom = beta * n0
     b_cols = Nmin.relation_columns()
@@ -292,8 +266,8 @@ def ext_module(M: FinitelyPresentedModule, N: FinitelyPresentedModule,
                     [(j, d_cur[jp][j]) for j in range(beta)]))
 
     cycles = _minimal_kernel(ring, dom, images, allowed)
-    sub = Subquotient(ring, dom, cycles, boundaries)
-    return ExtModule(ring, i, M, N, sub, beta, n0)
+    return ExtModule(ring, cycles, boundaries, degree=i, source=M, target=N,
+                     beta=beta, target_rank=n0)
 
 
 def annihilates_ext(r: Polynomial, M: FinitelyPresentedModule,
@@ -350,23 +324,30 @@ class CaWitnessReport:
         return [e for e in self.entries if e.outcome == "fail"]
 
 
-def ca_witness(r: Polynomial, n: int, corpus) -> CaWitnessReport:
+def ca_witness(r: Polynomial, n: int, corpus, *,
+               pair_budget: Budget | None = None) -> CaWitnessReport:
     """Annihilation evidence for r at Ext-degree n over all corpus pairs.
 
     A single failing pair proves r is not an annihilator at this degree;
     a clean sweep is evidence only, since the quantifier runs over all
-    finitely generated modules.  Budget blowups are recorded per pair and
-    never abort the sweep.
+    finitely generated modules.  With ``pair_budget`` each pair runs in a
+    budget scope of its own.  A pair that runs out of that scope, or of a
+    limit that names no scope, is recorded as budget-exhausted and the
+    sweep goes on; running out of an enclosing scope's steps propagates.
     """
     corpus = list(corpus)
     entries = []
     for a, M in enumerate(corpus):
         for b, N in enumerate(corpus):
-            try:
-                ok = annihilates_ext(r, M, N, n)
-                entries.append(PairOutcome(a, b, "pass" if ok else "fail"))
-            except BudgetExceededError:
-                entries.append(PairOutcome(a, b, "budget-exhausted"))
+            scope = nullcontext() if pair_budget is None else budget_scope(pair_budget)
+            with scope as meter:
+                try:
+                    ok = annihilates_ext(r, M, N, n)
+                    entries.append(PairOutcome(a, b, "pass" if ok else "fail"))
+                except BudgetExceededError as exc:
+                    if exc.escapes(meter):
+                        raise
+                    entries.append(PairOutcome(a, b, "budget-exhausted"))
     if any(e.outcome == "fail" for e in entries):
         verdict = "proved-not-in"
     elif any(e.outcome == "budget-exhausted" for e in entries):

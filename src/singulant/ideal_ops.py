@@ -15,11 +15,11 @@ from __future__ import annotations
 import itertools
 
 from .errors import (
-    Budget,
     BudgetExceededError,
     PreconditionError,
     StructuralError,
     UnsupportedInputError,
+    active_meter,
 )
 from .groebner import GroebnerBasis, ModuleElement, buchberger, lead_key, normal_form
 from .poly import (
@@ -39,8 +39,7 @@ _IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_
 class RingPresentation:
     """R = field[names] / (defining), with caches for derived data."""
 
-    def __init__(self, field, names, defining=(), order: MonomialOrder = GREVLEX,
-                 budget: Budget | None = None):
+    def __init__(self, field, names, defining=(), order: MonomialOrder = GREVLEX):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise StructuralError("duplicate variable names")
@@ -50,7 +49,6 @@ class RingPresentation:
         self.field = field
         self.names = names
         self.order = order
-        self.budget = budget or Budget()
         self.poly_ring = PolynomialRing(field, len(names), order)
         defining = tuple(defining)
         for g in defining:
@@ -60,7 +58,6 @@ class RingPresentation:
                 raise StructuralError("zero defining generator rejected")
         self.defining = defining
         self._defining_basis = None
-        self._defining_gb = None
         self._ambient = None
 
     # -- basic views ---------------------------------------------------------
@@ -78,22 +75,14 @@ class RingPresentation:
     def defining_basis(self) -> GroebnerBasis:
         """Reduced Groebner basis of the defining ideal, computed once."""
         if self._defining_basis is None:
-            self._defining_basis = buchberger(
-                list(self.defining), budget=self.budget, ring=self.poly_ring
-            )
+            self._defining_basis = buchberger(list(self.defining), ring=self.poly_ring)
         return self._defining_basis
-
-    def defining_gb(self):
-        """Reduced Groebner basis of the defining ideal (tuple of polys)."""
-        if self._defining_gb is None:
-            self._defining_gb = self.defining_basis().polynomials()
-        return self._defining_gb
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Canonical representative of p modulo the defining ideal."""
         if not self.defining or p.is_zero():
             return p
-        return normal_form(p, self.defining_basis(), budget=self.budget)
+        return normal_form(p, self.defining_basis())
 
     def normal_form_element(self, el: ModuleElement) -> ModuleElement:
         """el with every coordinate in normal form modulo the defining ideal."""
@@ -103,13 +92,8 @@ class RingPresentation:
 
     def module_basis(self, cols, rank: int) -> GroebnerBasis:
         """Reduced basis of the preimage in P^rank of the span of ``cols``."""
-        return buchberger(
-            cols,
-            defining=self.defining_gb(),
-            budget=self.budget,
-            ring=self.poly_ring,
-            rank=rank,
-        )
+        return buchberger(cols, defining=self.defining_basis(),
+                          ring=self.poly_ring, rank=rank)
 
     @staticmethod
     def sort_columns(cols):
@@ -121,9 +105,7 @@ class RingPresentation:
         if not self.defining:
             return self
         if self._ambient is None:
-            self._ambient = RingPresentation(
-                self.field, self.names, (), self.order, self.budget
-            )
+            self._ambient = RingPresentation(self.field, self.names, (), self.order)
         return self._ambient
 
     def same_ambient(self, other: "RingPresentation") -> bool:
@@ -198,8 +180,7 @@ class IdealHandle:
         """Reduced basis of the preimage (generators + defining) in P."""
         if self._gb is None:
             self._gb = buchberger(
-                list(self.generators) + list(self.ring.defining_gb()),
-                budget=self.ring.budget,
+                list(self.generators) + list(self.ring.defining_basis().polynomials()),
                 ring=self.ring.poly_ring,
             )
         return self._gb
@@ -212,24 +193,26 @@ class IdealHandle:
 
         This is the display form of the ideal as an ideal of R: normal
         forms of the preimage basis, with members of the defining ideal
-        dropped.
+        dropped; then, in basis order, each one lying in the ideal of the
+        others still listed is dropped too, so none is redundant.
         """
         if self._display is None:
             if not self.ring.defining:
                 self._display = tuple(self.basis_polynomials())
             else:
-                out = []
-                for p in self.basis_polynomials():
-                    nf = self.ring.normal_form(p)
-                    if not nf.is_zero():
-                        out.append(nf)
+                out = [nf for nf in map(self.ring.normal_form, self.basis_polynomials())
+                       if not nf.is_zero()]
+                for nf in list(out):
+                    others = [g for g in out if g is not nf]
+                    if others and IdealHandle(self.ring, others).contains(nf):
+                        out.remove(nf)
                 self._display = tuple(out)
         return self._display
 
     def contains(self, f: Polynomial) -> bool:
         if f.ring != self.ring.poly_ring:
             raise StructuralError("element from another ring")
-        return normal_form(f, self.groebner(), budget=self.ring.budget).is_zero()
+        return normal_form(f, self.groebner()).is_zero()
 
     def is_unit(self) -> bool:
         return self.groebner().is_unit_ideal()
@@ -292,9 +275,9 @@ def radical_membership(f: Polynomial, ideal: IdealHandle) -> bool:
     ext, lift, _ = _extension(ring.poly_ring)
     t = ext.variable(ring.nvars)
     gens = [lift(g) for g in ideal.generators]
-    gens += [lift(g) for g in ring.defining_gb()]
+    gens += [lift(g) for g in ring.defining_basis().polynomials()]
     gens.append(ext.one() - t * lift(f))
-    gb = buchberger(gens, budget=ring.budget, ring=ext)
+    gb = buchberger(gens, ring=ext)
     return gb.is_unit_ideal()
 
 
@@ -318,14 +301,12 @@ def intersection(i: IdealHandle, j: IdealHandle) -> IdealHandle:
     ext, lift, restrict = _extension(ring.poly_ring)
     t = ext.variable(ring.nvars)
     one = ext.one()
-    gens = []
-    for g in list(i.generators) + list(ring.defining_gb()):
-        gens.append(t * lift(g))
-    for g in list(j.generators) + list(ring.defining_gb()):
-        gens.append((one - t) * lift(g))
+    defining = list(ring.defining_basis().polynomials())
+    gens = [t * lift(g) for g in list(i.generators) + defining]
+    gens += [(one - t) * lift(g) for g in list(j.generators) + defining]
     if not gens:
         return IdealHandle(ring, [])
-    gb = buchberger(gens, budget=ring.budget, ring=ext)
+    gb = buchberger(gens, ring=ext)
     out = []
     for p in gb.polynomials():
         if all(m.exps[-1] == 0 for m, _ in p.terms):
@@ -483,7 +464,7 @@ def loewy_length(ring: RingPresentation, ideal: IdealHandle) -> int:
         raise PreconditionError(
             f"ideal is not m-primary: variable(s) {', '.join(missing)} escape the radical"
         )
-    limit = ring.budget.max_degree + 1
+    limit = active_meter().max_degree + 1
     for n in range(limit + 1):
         if all(
             ideal.contains(_monomial_power(ring, combo))
@@ -512,10 +493,8 @@ def minimal_generators(ideal: IdealHandle) -> int:
     if not gens:
         return 0
     mI = [ring.variable(i) * g for i in range(ring.nvars) for g in gens]
-    gb = buchberger(
-        mI + list(ring.defining_gb()), budget=ring.budget, ring=ring.poly_ring
-    )
-    forms = [normal_form(g, gb, budget=ring.budget) for g in gens]
+    gb = buchberger(mI + list(ring.defining_basis().polynomials()), ring=ring.poly_ring)
+    forms = [normal_form(g, gb) for g in gens]
     return _kspan_rank([f for f in forms if not f.is_zero()])
 
 

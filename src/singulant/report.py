@@ -22,6 +22,8 @@ from .errors import (
     PreconditionError,
     StructuralError,
     UnsupportedInputError,
+    active_meter,
+    budget_scope,
 )
 from .homalg import (
     annihilates_ext,
@@ -63,9 +65,10 @@ from .resolve import (
     syzygy_module,
 )
 
-# certification sweeps run under a capped budget and structural size caps so
-# that a single oversized Hom system or syzygy chain cannot stall the whole
-# report; blown caps surface as "inconclusive", never as wrong answers
+# each guarded step of a certification sweep runs in a budget scope of its own
+# capped at _CERT_MAX_STEPS steps, and structural size caps apply, so that a
+# single oversized Hom system or syzygy chain cannot stall the whole report;
+# blown caps surface as "inconclusive", never as wrong answers
 _CERT_MAX_STEPS = 20_000
 _HOM_COLUMNS_CAP = 32
 _ANN_SIZE_CAP = 24
@@ -120,45 +123,53 @@ class _CorpusContext:
     For each corpus member the context maintains the chain of syzygy
     modules M, Omega^1 M, Omega^2 M, ...; for each link it can produce the
     annihilator (cheap certificate) and the Ext group of the stable test
-    (decisive but potentially large).  All heavy steps run under the
-    capped budget and degrade to "inconclusive" when the cap is hit.
+    (decisive but potentially large).  Each heavy step runs in its own
+    ``cap`` scope and degrades to "inconclusive" when that cap is hit.
     """
 
     def __init__(self, ring: RingPresentation, seed: int, max_shift: int):
-        self.base_ring = ring
-        self.ring = _certification_ring(ring)
-        self.seed = seed
+        self.ring = ring
+        self.cap = Budget(max_degree=active_meter().max_degree,
+                          max_steps=_CERT_MAX_STEPS)
         self.max_shift = max_shift
         self.labels = corpus_labels(ring)
-        self.members = default_corpus(self.ring, seed)
+        self.members = default_corpus(ring, seed)
         self._levels = [[] for _ in self.members]
+
+    def _guarded(self, thunk):
+        """thunk() in a fresh ``cap`` scope; None when that scope runs out."""
+        with budget_scope(self.cap) as meter:
+            try:
+                return thunk()
+            except BudgetExceededError as exc:
+                if exc.escapes(meter):
+                    raise
+                return None
 
     # -- chain construction ---------------------------------------------------
 
-    def _level(self, idx: int, s: int) -> dict:
+    def _level(self, idx: int, s: int):
+        """Link s of member idx's syzygy chain; None once the chain breaks."""
         levels = self._levels[idx]
         while len(levels) <= s:
-            if not levels:
-                base = minimal_presentation(self.members[idx])
+            if levels:
+                base = levels[-1]["omega"]
             else:
-                prev = levels[-1]
-                if prev.get("omega") is None:
-                    raise BudgetExceededError("syzygy chain unavailable")
-                base = prev["omega"]
+                base = self._guarded(lambda: minimal_presentation(self.members[idx]))
+            if base is None:
+                return None
             lv = {"module": base}
             if base.is_zero_presentation() or base.is_free_presentation():
                 lv.update(ann=None, omega=None, omega_ann=None)
             else:
-                if levels and levels[-1].get("omega_ann") is not None:
+                if levels and levels[-1]["omega_ann"] is not None:
                     lv["ann"] = levels[-1]["omega_ann"]
                 else:
                     lv["ann"] = self._annihilator(base)
                 om = None
                 if _presentation_size(base) <= _SYZ_SIZE_CAP:
-                    try:
-                        om = minimal_presentation(syzygy_module(base, 1))
-                    except BudgetExceededError:
-                        om = None
+                    om = self._guarded(
+                        lambda: minimal_presentation(syzygy_module(base, 1)))
                 lv["omega"] = om
                 if om is None or om.is_zero_presentation():
                     lv["omega_ann"] = None
@@ -172,24 +183,18 @@ class _CorpusContext:
             return IdealHandle(self.ring, list(module.rows[0]) if module.rows else [])
         if _presentation_size(module) > _ANN_SIZE_CAP:
             return None
-        try:
-            return module_annihilator(module)
-        except BudgetExceededError:
-            return None
+        return self._guarded(lambda: module_annihilator(module))
 
-    def _ext(self, idx: int, s: int):
-        lv = self._level(idx, s)
+    def _ext(self, lv: dict):
         if "ext" not in lv:
-            mod, om = lv["module"], lv.get("omega")
+            mod, om = lv["module"], lv["omega"]
             if om is None:
                 lv["ext"] = "budget"
             elif mod.n_relations * om.rank > _HOM_COLUMNS_CAP:
                 lv["ext"] = "too-large"
             else:
-                try:
-                    lv["ext"] = ext_module(mod, om, 1)
-                except BudgetExceededError:
-                    lv["ext"] = "budget"
+                ext = self._guarded(lambda: ext_module(mod, om, 1))
+                lv["ext"] = "budget" if ext is None else ext
         return lv["ext"]
 
     # -- per-candidate certification -------------------------------------------
@@ -205,9 +210,8 @@ class _CorpusContext:
         fails = []
         guarded = False
         for s in range(self.max_shift + 1):
-            try:
-                lv = self._level(idx, s)
-            except BudgetExceededError:
+            lv = self._level(idx, s)
+            if lv is None:
                 guarded = True
                 break
             mod = lv["module"]
@@ -216,13 +220,13 @@ class _CorpusContext:
             ann = lv["ann"]
             if ann is not None and ann.contains(r):
                 return "certified", "annihilates-module", s, fails
-            om = lv.get("omega")
+            om = lv["omega"]
             if om is not None and om.is_zero_presentation():
                 return "certified", "zero-syzygy", s, fails
-            om_ann = lv.get("omega_ann")
+            om_ann = lv["omega_ann"]
             if om_ann is not None and om_ann.contains(r):
                 return "certified", "annihilates-syzygy", s, fails
-            ext = self._ext(idx, s)
+            ext = self._ext(lv)
             if isinstance(ext, str):
                 guarded = True
                 continue
@@ -232,16 +236,6 @@ class _CorpusContext:
         if fails and not guarded:
             return "failed", None, None, fails
         return "inconclusive", None, None, fails
-
-
-def _certification_ring(ring: RingPresentation) -> RingPresentation:
-    cap = Budget(
-        max_degree=ring.budget.max_degree,
-        max_steps=min(ring.budget.max_steps, _CERT_MAX_STEPS),
-    )
-    if cap == ring.budget:
-        return ring
-    return RingPresentation(ring.field, ring.names, ring.defining, ring.order, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +333,8 @@ def annihilator_bounds(ring: RingPresentation, extra_elements=(), *,
     every other candidate runs the stable-annihilation certificate on each
     corpus member, with syzygy shifts allowed (a pass on Omega^s M still
     certifies M, since the shift is invertible in the singularity
-    category).  Budget blowups are recorded as inconclusive.
+    category).  A guarded step that runs out of its own cap is recorded as
+    inconclusive; running out of the enclosing budget scope aborts.
     """
     ctx = _CorpusContext(ring, seed, max_shift)
     candidates = []
@@ -379,7 +374,7 @@ def annihilator_bounds(ring: RingPresentation, extra_elements=(), *,
 
 def _certify_socle_element(ctx, g, ca_degree, certificates, exclusions,
                            inconclusive) -> bool:
-    report = ca_witness(g, ca_degree, ctx.members)
+    report = ca_witness(g, ca_degree, ctx.members, pair_budget=ctx.cap)
     if report.verdict == "evidence-in":
         certificates.append(Certificate(
             element=g, method="socle-ca-witness",
@@ -657,6 +652,8 @@ def build_report(ring: RingPresentation, *, bound_ideal: IdealHandle | None = No
         except PreconditionError as exc:
             hypotheses.append(f"bound omitted: {exc}")
         except BudgetExceededError as exc:
+            if exc.escapes():
+                raise
             hypotheses.append(f"bound omitted: budget exhausted ({exc})")
 
     return {
@@ -741,6 +738,9 @@ def verify_paper_examples(fld=None):
             ok, detail = fn()
             entries.append(LedgerEntry(name, "pass" if ok else "fail", detail))
         except Exception as exc:  # ledger entries, never exceptions
+            # an exhausted budget scope bounds the whole run, not one entry
+            if isinstance(exc, BudgetExceededError) and exc.escapes():
+                raise
             entries.append(LedgerEntry(name, "fail", f"error: {exc!r}"))
 
     def skip(name, reason):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, Meter, PreconditionError, StructuralError
+from .errors import BudgetExceededError, PreconditionError, StructuralError, active_meter
 # buchberger is unused here but stays importable from this module, where
 # perfbench's tracer rebinds and checks every alias of it
 from .groebner import ModuleElement, PairLoop, buchberger, normal_form, syzygies  # noqa: F401
@@ -148,8 +148,8 @@ def trim_generators(ring: RingPresentation, cols, rank: int, shifts=None):
     column is always kept.
 
     Each candidate is tested against one Groebner basis of the kept columns
-    plus defining * R^rank, which grows as columns are kept, and one Meter
-    under ``ring.budget`` counts the steps of the whole call.
+    plus defining * R^rank, which grows as columns are kept; its steps
+    count against the active budget scope.
     """
     if shifts is None:
         shifts = (0,) * rank
@@ -157,8 +157,8 @@ def trim_generators(ring: RingPresentation, cols, rank: int, shifts=None):
     order = sorted(range(len(cols)),
                    key=lambda j: (_column_degree(cols[j], shifts), j))
     pring = ring.poly_ring
-    loop = PairLoop(pring, rank, Meter(ring.budget))
-    for g in ring.defining_gb():
+    loop = PairLoop(pring, rank, active_meter())
+    for g in ring.defining_basis().polynomials():
         for pos in range(rank):
             loop.add(ModuleElement.unit(pring, rank, pos, g), True)
     kept = []
@@ -320,7 +320,7 @@ def free_resolution(module: FinitelyPresentedModule, length: int, *,
         if detect_periodicity and len(diffs) >= 3 and diffs[-1] == diffs[-3]:
             periodic = (step, 2)
             break
-        syz = syzygies(cols, defining=ring.defining_gb(), budget=ring.budget)
+        syz = syzygies(cols, defining=ring.defining_basis())
         syz = [ring.normal_form_element(el) for el in syz]
         syz = trim_generators(ring, syz, len(cols), col_shifts)
         syz = ring.sort_columns(syz)
@@ -370,7 +370,7 @@ def check_exactness(res: FreeResolution) -> bool:
         cols = matrix_columns(ring, res.differential(i))
         if not cols:
             continue
-        kernel = syzygies(cols, defining=ring.defining_gb(), budget=ring.budget)
+        kernel = syzygies(cols, defining=ring.defining_basis())
         kernel = [ring.normal_form_element(el) for el in kernel]
         kernel = [el for el in kernel if not el.is_zero()]
         if not kernel:
@@ -382,7 +382,7 @@ def check_exactness(res: FreeResolution) -> bool:
             return False
         gb = ring.module_basis(nxt, len(cols))
         for el in kernel:
-            if not normal_form(el, gb, budget=ring.budget).is_zero():
+            if not normal_form(el, gb).is_zero():
                 return False
     return True
 
@@ -421,7 +421,7 @@ def restrict_to_ambient(module: FinitelyPresentedModule) -> FinitelyPresentedMod
         return FinitelyPresentedModule(amb, module.rank, module.rows,
                                        module.shifts)
     cols = module.relation_columns()
-    for g in ring.defining_gb():
+    for g in ring.defining_basis().polynomials():
         for a in range(module.rank):
             cols.append(ModuleElement.unit(amb.poly_ring, module.rank, a, g))
     return FinitelyPresentedModule.from_columns(amb, module.rank, cols,

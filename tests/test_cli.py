@@ -185,6 +185,26 @@ class TestExitCodes:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize("ring", [RING_A, "ring Q[x,y] / (x^3 - y^2)"])
+    def test_step_budget_bounds_the_whole_report(self, capsys, ring):
+        code, out, err = run_cli(capsys, "report", ring, "--max-steps", "200")
+        assert code == 3
+        assert "budget" in err
+        assert out == ""
+
+    def test_step_budget_bounds_verify_paper(self, capsys):
+        code, _, err = run_cli(capsys, "verify-paper", "--max-steps", "10")
+        assert code == 3
+        assert "budget" in err
+
+    def test_step_budget_above_the_total_changes_nothing(self, capsys):
+        # ring A's report takes under 15,000 steps in all
+        code, default, _ = run_cli(capsys, "report", RING_A)
+        assert code == 0
+        code, roomy, _ = run_cli(capsys, "report", RING_A, "--max-steps", "50000")
+        assert code == 0
+        assert roomy == default
+
     def test_env_budget_honored(self, capsys, monkeypatch):
         monkeypatch.setenv("SINGULANT_MAX_DEGREE", "5")
         code, _, err = run_cli(capsys, "resolve", "ring Q[x,y]/(x^3 - y^7)",

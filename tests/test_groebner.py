@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from singulant.errors import Budget, BudgetExceededError, Meter, StructuralError
+from singulant.errors import (
+    DEFAULT_BUDGET,
+    Budget,
+    BudgetExceededError,
+    Meter,
+    StructuralError,
+    budget_scope,
+)
 from singulant.groebner import (
     GroebnerBasis,
     ModuleElement,
@@ -490,14 +497,72 @@ def test_syzygies_sound_and_complete_on_random_homogeneous_input(build):
 def test_step_budget_exhaustion():
     P = qring(2)
     with pytest.raises(BudgetExceededError):
-        buchberger(list(classic_pair(P)), budget=Budget(max_steps=3))
+        with budget_scope(Budget(max_steps=3)):
+            buchberger(list(classic_pair(P)))
 
 
 def test_degree_budget_exhaustion():
     P = qring(2)
     x, y = P.variables()
-    with pytest.raises(BudgetExceededError):
-        buchberger([x ** 5 + y ** 5, y ** 4], budget=Budget(max_degree=4))
+    with pytest.raises(BudgetExceededError) as err:
+        with budget_scope(Budget(max_degree=4)):
+            buchberger([x ** 5 + y ** 5, y ** 4])
+    assert err.value.scope is None
+
+
+def test_nested_scope_steps_count_in_every_enclosing_scope():
+    P = qring(2)
+    gens = list(classic_pair(P))
+    with budget_scope() as alone:
+        buchberger(gens)
+    assert alone.steps > 0
+    with budget_scope() as outer:
+        with budget_scope() as inner:
+            buchberger(gens)
+        assert inner.steps == outer.steps == alone.steps
+        buchberger(gens)
+    assert outer.steps == 2 * alone.steps
+    with budget_scope(Budget(max_degree=4)):
+        with budget_scope() as inner:
+            assert inner.max_degree == 4
+
+
+def test_exhaustion_names_the_scope_whose_limit_ran_out():
+    P = qring(2)
+    gens = list(classic_pair(P))
+    with budget_scope() as outer:
+        with budget_scope(Budget(max_steps=3)) as inner:
+            with pytest.raises(BudgetExceededError) as err:
+                buchberger(gens)
+    assert err.value.scope is inner
+    assert not err.value.escapes(inner) and err.value.escapes(outer)
+    with budget_scope(Budget(max_steps=3)) as outer:
+        with budget_scope() as inner:
+            with pytest.raises(BudgetExceededError) as err:
+                buchberger(gens)
+    assert err.value.scope is outer
+    assert err.value.escapes(inner)
+
+
+def test_each_unscoped_call_gets_its_own_default_meter(monkeypatch):
+    P = qring(2)
+    gens = list(classic_pair(P))
+    built = []
+    init = Meter.__init__
+
+    def counting(meter, *args, **kwargs):
+        init(meter, *args, **kwargs)
+        built.append(meter)
+
+    monkeypatch.setattr(Meter, "__init__", counting)
+    gb = buchberger(gens)
+    normal_form(gens[0] * gens[1], gb)
+    assert len(built) == 2
+    assert all(m.budget == DEFAULT_BUDGET and m.parent is None for m in built)
+    assert all(m.steps > 0 for m in built)
+    with budget_scope():
+        buchberger(gens)
+    assert len(built) == 3
 
 
 def test_mixed_ring_input_rejected():

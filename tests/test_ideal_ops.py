@@ -62,12 +62,22 @@ def test_presentation_format_and_flags():
 def test_defining_gb_is_reduced_and_cached():
     R = embedded_point_ring()
     x, y = R.variable(0), R.variable(1)
-    assert R.defining_gb() == (x * x, x * y)
-    assert R.defining_gb() is R.defining_gb()
+    assert R.defining_basis().polynomials() == (x * x, x * y)
+    assert R.defining_basis() is R.defining_basis()
     assert R.ambient().defining == ()
 
 
 # -- handles ---------------------------------------------------------------------
+
+
+def test_reduced_generators_drop_a_redundant_normal_form():
+    # over F3[x,y]/(x^3 - y^2) the preimage basis of (y) is {y, x^3}, whose
+    # normal forms y and y^2 both survive; y^2 lies in (y) and is dropped
+    R = presentation(PrimeField(3), ("x", "y"), lambda x, y: [x ** 3 - y * y])
+    y = R.variable(1)
+    handle = IdealHandle(R, [y])
+    assert handle.reduced_generators() == (y,)
+    assert handle.format() == "(y)"
 
 
 def test_handle_membership_examples():

@@ -6,7 +6,13 @@ import pytest
 
 from singulant import report as rpt
 from singulant.cli import parse_ring
-from singulant.errors import PreconditionError, StructuralError
+from singulant.errors import (
+    Budget,
+    BudgetExceededError,
+    PreconditionError,
+    StructuralError,
+    budget_scope,
+)
 from singulant.homalg import default_corpus, stable_annihilation_test
 from singulant.ideal_ops import IdealHandle, RingPresentation, socle
 from singulant.jacobian import jacobian_ideal
@@ -262,6 +268,35 @@ class TestBuildReport:
         assert doc["isolated"] is False
         assert doc["radical_comparison"]["verdict"] == "equal"
         assert doc["ann_bounds"]["lower_gens"] == ["1"]
+
+    def test_characteristic_three_cusp_displays_irredundant_generators(self):
+        # in characteristic 3, d/dx(x^3 - y^2) = 3x^2 = 0 and d/dy = -2y = y,
+        # so jac = (y), of height 1; y^2 = x^3 lies in (y) and is not shown
+        doc = build_report(parse_ring("F3[x,y]/(x^3 - y^2)"))
+        assert doc["jac"]["gens"] == ["y"]
+        assert doc["ann_bounds"]["lower_gens"] == ["y"]
+
+
+# -- budgets: one scope per command, capped steps inside the sweep -------------------
+
+
+class TestSweepBudgets:
+    def test_lowered_step_cap_degrades_to_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(rpt, "_CERT_MAX_STEPS", 200)
+        doc = build_report(parse_ring(SNAPSHOT_RINGS["A"]))
+        assert doc["ann_bounds"]["inconclusive"]
+
+    def test_exhausted_command_budget_propagates_through_the_sweep(self):
+        ring = parse_ring(SNAPSHOT_RINGS["A"])
+        with budget_scope(Budget(max_steps=200)) as scope:
+            with pytest.raises(BudgetExceededError) as err:
+                build_report(ring)
+        assert err.value.scope is scope
+
+    def test_exhausted_command_budget_is_not_a_ledger_entry(self):
+        with budget_scope(Budget(max_steps=10)):
+            with pytest.raises(BudgetExceededError):
+                verify_paper_examples()
 
 
 # -- byte-identical report snapshots ------------------------------------------------

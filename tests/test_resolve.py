@@ -10,6 +10,7 @@ from singulant.errors import (
     BudgetExceededError,
     PreconditionError,
     StructuralError,
+    budget_scope,
 )
 from singulant.groebner import buchberger, normal_form, ModuleElement
 from singulant.ideal_ops import RingPresentation
@@ -48,7 +49,7 @@ def _standard_monomials(ring: RingPresentation, degree: int):
     """k-basis of the degree slice of R, as monomials of the ambient ring."""
     from singulant.poly import Monomial
 
-    leads = [g.lead_monomial() for g in ring.defining_gb()]
+    leads = [g.lead_monomial() for g in ring.defining_basis().polynomials()]
     out = []
     for exps in monomials_of_degree(ring.nvars, degree):
         m = Monomial(exps)
@@ -59,8 +60,7 @@ def _standard_monomials(ring: RingPresentation, degree: int):
 
 def _slice_vectors(ring, vectors, cod_shifts, degree):
     """Coordinate dicts of normal forms, keyed by (slot, exponent tuple)."""
-    gb = buchberger(list(ring.defining_gb()), ring=ring.poly_ring,
-                    budget=ring.budget) if ring.defining else None
+    gb = ring.defining_basis() if ring.defining else None
     rows = []
     for vec in vectors:
         row = {}
@@ -229,7 +229,7 @@ def _trim_from_scratch(ring, cols, rank, shifts):
     kept = []
     for j in sorted(range(len(cols)), key=lambda j: (degree(cols[j]), j)):
         if kept:
-            gb = buchberger(kept, defining=ring.defining_gb(),
+            gb = buchberger(kept, defining=ring.defining_basis(),
                             ring=ring.poly_ring, rank=rank)
             if normal_form(cols[j], gb).is_zero():
                 continue
@@ -429,7 +429,7 @@ class TestSyzygyModules:
             if omega.is_zero_presentation():
                 continue
             cols = omega.relation_columns()
-            gb = buchberger(cols, defining=R.defining_gb(),
+            gb = buchberger(cols, defining=R.defining_basis(),
                             ring=R.poly_ring, rank=omega.rank)
             for pos in range(omega.rank):
                 probe = ModuleElement.unit(R.poly_ring, omega.rank, pos, x)
@@ -576,11 +576,10 @@ class TestChecksAndBudgets:
 
     def test_budget_exhaustion_propagates(self):
         R = embedded_point_ring()
-        tight = RingPresentation(QQ, ("x", "y"), R.defining,
-                                 budget=Budget(max_steps=3))
+        k = FinitelyPresentedModule.residue_field(R)
         with pytest.raises(BudgetExceededError):
-            k = FinitelyPresentedModule.residue_field(tight)
-            free_resolution(k, 3)
+            with budget_scope(Budget(max_steps=3)):
+                free_resolution(k, 3)
 
     def test_negative_length_rejected(self):
         R = embedded_point_ring()
