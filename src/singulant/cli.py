@@ -36,6 +36,7 @@ from .homalg import (
     annihilates_ext,
     ext_module,
     koszul_cohomology,
+    module_k_dimension,
     stable_annihilation_test,
 )
 from .ideal_ops import (
@@ -118,12 +119,19 @@ def _tokenize(text: str):
     return tokens
 
 
+# deepest nesting of parentheses and unary minus signs the parser accepts;
+# each level costs a few Python frames, so this stays well below the
+# interpreter's recursion limit
+_MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive-descent parser over one input string."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0):
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -173,11 +181,20 @@ class _Parser:
             return base ** int(exp[1])
         return base
 
+    def _nested(self, parse, tok):
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING} levels",
+                             tok[2], tok[3])
+        value = parse()
+        self.depth -= 1
+        return value
+
     def _base(self, ring):
         tok = self.peek()
         if tok[0] == "-":
             self.advance()
-            return -self._factor(ring)
+            return self._nested(lambda: -self._factor(ring), tok)
         if tok[0] == "INT":
             self.advance()
             value = int(tok[1])
@@ -200,7 +217,7 @@ class _Parser:
                 raise ParseError(f"unknown variable {tok[1]!r}", tok[2], tok[3])
         if tok[0] == "(":
             self.advance()
-            value = self.poly(ring)
+            value = self._nested(lambda: self.poly(ring), tok)
             self.expect(")", "')'")
             return value
         self.fail("expected a polynomial")
@@ -500,9 +517,8 @@ def _cmd_resolve(args, ring, fmt, seed):
 def _cmd_ext(args, ring, fmt, seed):
     M = parse_module(args.module, ring)
     N = parse_module(args.target, ring)
-    ext = ext_module(M, N, args.degree)
-    pres = ext.presentation()
-    dim = ext.k_dimension()
+    pres = ext_module(M, N, args.degree).to_module()
+    dim = module_k_dimension(pres)
     text = (f"Ext^{args.degree}: presentation rank {pres.rank}, "
             f"{pres.n_relations} relations, k-dimension "
             + (str(dim) if dim is not None else "unknown"))
@@ -683,10 +699,16 @@ def main(argv=None) -> int:
     except (PreconditionError, UnsupportedInputError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json or args.command == "report":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(text)
+    try:
+        if args.json or args.command == "report":
+            print(json.dumps(doc, indent=2, sort_keys=True))
+        else:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early; point stdout at devnull so the
+        # interpreter's flush at exit fails silently too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -19,6 +19,7 @@ scheduling.
 from __future__ import annotations
 
 import heapq
+from itertools import islice
 from operator import add, le, sub
 
 from .errors import Meter, StructuralError, active_meter
@@ -26,9 +27,14 @@ from .poly import Monomial, Polynomial, PolynomialRing
 
 
 class ModuleElement:
-    """Immutable element of a finite free module P^rank."""
+    """Immutable element of a finite free module P^rank.
 
-    __slots__ = ("ring", "coords", "_lead", "_tail")
+    ``terms`` holds every nonzero term once as (position, monomial, coeff),
+    in decreasing position-over-term order: position 0 first, and within a
+    position the monomials in decreasing order, so ``terms[0]`` is the lead.
+    """
+
+    __slots__ = ("ring", "rank", "terms")
 
     def __init__(self, ring: PolynomialRing, coords):
         coords = tuple(coords)
@@ -36,80 +42,114 @@ class ModuleElement:
             if not isinstance(c, Polynomial) or (c.ring is not ring and c.ring != ring):
                 raise StructuralError("module coordinates must share one ring")
         self.ring = ring
-        self.coords = coords
-        # False until lead() runs; None is the cached lead of zero
-        self._lead = False
-        self._tail = None
+        self.rank = len(coords)
+        self.terms = tuple((pos, m, k) for pos, c in enumerate(coords) for m, k in c.terms)
+
+    @classmethod
+    def _trusted(cls, ring: PolynomialRing, rank: int, terms: tuple) -> "ModuleElement":
+        """Unchecked construction from terms already nonzero, distinct and
+        in decreasing position-over-term order."""
+        el = object.__new__(cls)
+        el.ring = ring
+        el.rank = rank
+        el.terms = terms
+        return el
+
+    @classmethod
+    def from_terms(cls, ring: PolynomialRing, rank: int, terms) -> "ModuleElement":
+        """Element of P^rank from (position, monomial, coeff) terms in any
+        order, coefficients in the field: equal monomials at one position
+        merge and zero coefficients drop."""
+        fadd, zero = ring.field.add, ring.field.zero
+        acc = {}
+        for t in terms:
+            key = (t[0], t[1].exps)
+            old = acc.get(key)
+            acc[key] = t if old is None else (t[0], t[1], fadd(old[2], t[2]))
+        hkey = ring.order.heap_key()
+        return cls._trusted(ring, rank, tuple(sorted(
+            (t for t in acc.values() if t[2] != zero),
+            key=lambda t: (t[0], hkey(t[1].exps, t[1].degree)))))
 
     @property
-    def rank(self) -> int:
-        return len(self.coords)
+    def coords(self) -> tuple:
+        """The coordinates as polynomials, built on each call."""
+        rows = [[] for _ in range(self.rank)]
+        for pos, m, k in self.terms:
+            rows[pos].append((m, k))
+        return tuple(Polynomial._trusted(self.ring, tuple(r)) for r in rows)
 
     @classmethod
     def wrap(cls, p: Polynomial) -> "ModuleElement":
-        return cls(p.ring, (p,))
+        return cls._trusted(p.ring, 1, tuple((0, m, k) for m, k in p.terms))
 
     @classmethod
     def unit(cls, ring: PolynomialRing, rank: int, pos: int, p: Polynomial | None = None):
-        coords = [ring.zero()] * rank
-        coords[pos] = p if p is not None else ring.one()
-        return cls(ring, coords)
+        if not 0 <= pos < rank:
+            raise StructuralError(f"position {pos} outside rank {rank}")
+        if p is None:
+            p = ring.one()
+        elif p.ring != ring:
+            raise StructuralError("module coordinates must share one ring")
+        return cls._trusted(ring, rank, tuple((pos, m, k) for m, k in p.terms))
 
     def is_zero(self) -> bool:
-        return self.lead() is None
+        return not self.terms
 
     def lead(self):
-        """(position, monomial, coeff) of the largest term, None if zero.
-
-        Position over term with position 0 largest makes this the leading
-        term of the first nonzero coordinate; it is computed once.
-        """
-        lead = self._lead
-        if lead is False:
-            lead = None
-            for pos, c in enumerate(self.coords):
-                if c.terms:
-                    m, k = c.terms[0]
-                    lead = (pos, m, k)
-                    break
-            self._lead = lead
-        return lead
-
-    def tail(self):
-        """(position, exps, degree, coeff) of every term but the lead, in
-        decreasing order, on raw exponent tuples; computed once."""
-        tail = self._tail
-        if tail is None:
-            tail = [(pos, m.exps, m.degree, k)
-                    for pos, c in enumerate(self.coords) for m, k in c.terms]
-            self._tail = tail = tail[1:]
-        return tail
+        """(position, monomial, coeff) of the largest term, None if zero."""
+        return self.terms[0] if self.terms else None
 
     def __eq__(self, other):
-        return isinstance(other, ModuleElement) and self.coords == other.coords
+        return (isinstance(other, ModuleElement) and self.rank == other.rank
+                and self.terms == other.terms and self.ring == other.ring)
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.rank, self.terms))
 
     def __add__(self, other):
         if self.ring != other.ring or self.rank != other.rank:
             raise StructuralError("module elements from different ambients")
-        return ModuleElement(self.ring, [a + b for a, b in zip(self.coords, other.coords)])
+        return ModuleElement.from_terms(self.ring, self.rank, self.terms + other.terms)
 
     def __neg__(self):
-        return ModuleElement(self.ring, [-c for c in self.coords])
+        fneg = self.ring.field.neg
+        return ModuleElement._trusted(
+            self.ring, self.rank, tuple((p, m, fneg(k)) for p, m, k in self.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
+    # a field has no zero divisors and a monomial order is multiplicative, so
+    # scaling by a nonzero constant or multiplying by a term keeps the order
+
     def scale(self, c) -> "ModuleElement":
-        return ModuleElement(self.ring, [p.scale(c) for p in self.coords])
+        ring = self.ring
+        c = ring.field.normalize(c)
+        if c == ring.field.zero:
+            return ModuleElement._trusted(ring, self.rank, ())
+        mul = ring.field.mul
+        return ModuleElement._trusted(
+            ring, self.rank, tuple((p, m, mul(k, c)) for p, m, k in self.terms))
 
     def mul_term(self, mono: Monomial, coeff) -> "ModuleElement":
-        return ModuleElement(self.ring, [p.mul_term(mono, coeff) for p in self.coords])
+        ring = self.ring
+        if not isinstance(mono, Monomial) or len(mono.exps) != ring.nvars:
+            raise StructuralError(f"{mono!r} is not a monomial of a {ring.nvars}-variable ring")
+        c = ring.field.normalize(coeff)
+        if c == ring.field.zero:
+            return ModuleElement._trusted(ring, self.rank, ())
+        mul, exps, degree, trusted = ring.field.mul, mono.exps, mono.degree, Monomial._trusted
+        return ModuleElement._trusted(ring, self.rank, tuple(
+            (p, trusted(tuple(map(add, m.exps, exps)), m.degree + degree), mul(k, c))
+            for p, m, k in self.terms))
 
     def mul_poly(self, q: Polynomial) -> "ModuleElement":
-        return ModuleElement(self.ring, [p * q for p in self.coords])
+        if q.ring != self.ring:
+            raise StructuralError("module coordinates must share one ring")
+        mul = self.ring.field.mul
+        return ModuleElement.from_terms(self.ring, self.rank, [
+            (p, m.mul(qm), mul(k, qk)) for qm, qk in q.terms for p, m, k in self.terms])
 
     def monic(self) -> "ModuleElement":
         lead = self.lead()
@@ -146,18 +186,14 @@ def _reduce(el: ModuleElement, basis, meter: Meter) -> ModuleElement:
     zero, fadd, fmul, fneg = field.zero, field.add, field.mul, field.neg
     hkey = ring.order.heap_key()
     heappush, heappop = heapq.heappush, heapq.heappop
-    divisors = {}  # position -> [(lead exps, lead degree, element)] in basis order
+    divisors = {}  # position -> [(lead exps, lead degree, terms)] in basis order
     for g in basis:
-        gp, gm, _ = g.lead()
-        divisors.setdefault(gp, []).append((gm.exps, gm.degree, g))
-    work = {}
-    heap = []
-    for pos, c in enumerate(el.coords):
-        for m, k in c.terms:
-            work[(pos, m.exps)] = k
-            heap.append((pos, hkey(m.exps, m.degree), m.exps, m.degree))
+        gp, gm, _ = g.terms[0]
+        divisors.setdefault(gp, []).append((gm.exps, gm.degree, g.terms))
+    work = {(pos, m.exps): k for pos, m, k in el.terms}
+    heap = [(pos, hkey(m.exps, m.degree), m.exps, m.degree) for pos, m, _ in el.terms]
     heapq.heapify(heap)
-    remainder = [[] for _ in el.coords]
+    remainder = []  # popped largest first, so already in term order
     while heap:
         pos, _, exps, deg = heappop(heap)
         coeff = work.pop((pos, exps), None)
@@ -165,32 +201,32 @@ def _reduce(el: ModuleElement, basis, meter: Meter) -> ModuleElement:
             continue
         meter.step()
         meter.check_degree(deg)
-        for gexps, gdeg, g in divisors.get(pos, ()):
+        for gexps, gdeg, gterms in divisors.get(pos, ()):
             if gdeg <= deg and all(map(le, gexps, exps)):
                 break
         else:
-            remainder[pos].append((Monomial._trusted(exps, deg), coeff))
+            remainder.append((pos, Monomial._trusted(exps, deg), coeff))
             continue
         # basis elements are monic, so subtract coeff * shift * g; its
         # leading term cancels the popped term and is not re-added
         shift = tuple(map(sub, exps, gexps))
         sdeg = deg - gdeg
         ncoeff = fneg(coeff)
-        for tpos, texps, tdeg, tk in g.tail():
-            m = tuple(map(add, texps, shift))
+        for tpos, tm, tk in islice(gterms, 1, None):
+            m = tuple(map(add, tm.exps, shift))
             key = (tpos, m)
             prod = fmul(tk, ncoeff)
             old = work.get(key)
             if old is None:
                 work[key] = prod
-                heappush(heap, (tpos, hkey(m, tdeg + sdeg), m, tdeg + sdeg))
+                heappush(heap, (tpos, hkey(m, tm.degree + sdeg), m, tm.degree + sdeg))
             else:
                 s = fadd(old, prod)
                 if s == zero:
                     del work[key]
                 else:
                     work[key] = s
-    return ModuleElement(ring, [Polynomial._trusted(ring, tuple(r)) for r in remainder])
+    return ModuleElement._trusted(ring, el.rank, tuple(remainder))
 
 
 def _spair(f: ModuleElement, g: ModuleElement) -> ModuleElement:
@@ -225,11 +261,7 @@ class GroebnerBasis:
         return tuple(el.coords[0] for el in self.elements)
 
     def is_unit_ideal(self) -> bool:
-        return (
-            self.rank == 1
-            and len(self.elements) == 1
-            and self.elements[0].coords[0].is_one()
-        )
+        return self.rank == 1 and len(self.elements) == 1 and self.elements[0].coords[0].is_one()
 
     def is_zero(self) -> bool:
         return not self.elements
@@ -359,18 +391,10 @@ def _core(elements, ipart, ring, rank, meter):
 
 def _interreduce(basis, meter):
     """Reduce to the unique reduced basis: minimal leads, reduced tails."""
-    if not basis:
-        return []
     kept = []
-    for idx, g in enumerate(sorted(basis, key=lead_key)):
+    for g in sorted(basis, key=lead_key):
         gp, gm, _ = g.lead()
-        redundant = False
-        for h in kept:
-            hp, hm, _ = h.lead()
-            if hp == gp and hm.divides(gm):
-                redundant = True
-                break
-        if not redundant:
+        if not any(hp == gp and hm.divides(gm) for hp, hm, _ in (h.lead() for h in kept)):
             kept.append(g)
     final = []
     for i, g in enumerate(kept):
@@ -378,6 +402,26 @@ def _interreduce(basis, meter):
         final.append(_reduce(g, others, meter).monic())
     final.sort(key=lead_key, reverse=True)
     return final
+
+
+def _defining_list(defining):
+    if isinstance(defining, GroebnerBasis):
+        return list(defining.polynomials())
+    return list(defining) if defining else []
+
+
+def _seeded_core(seeds, defining, ring, rank, slots):
+    """``_core`` on the seeds plus defining * e_pos for pos < slots."""
+    ipart = [False] * len(seeds)
+    for g in defining:
+        if g.is_zero():
+            continue
+        if g.ring != ring:
+            raise StructuralError("defining ideal from another ring")
+        for pos in range(slots):
+            seeds.append(ModuleElement.unit(ring, rank, pos, g))
+            ipart.append(True)
+    return _core(seeds, ipart, ring, rank, active_meter())
 
 
 def buchberger(
@@ -396,10 +440,7 @@ def buchberger(
     basis (``ring`` is then required to fix the ambient).
     """
     gens = list(gens)
-    if isinstance(defining, GroebnerBasis):
-        defining = list(defining.polynomials())
-    else:
-        defining = list(defining) if defining else []
+    defining = _defining_list(defining)
     if not gens:
         if defining:
             ring = defining[0].ring
@@ -408,23 +449,8 @@ def buchberger(
         els = []
     else:
         els, ring, rank = _as_elements(gens)
-    meter = active_meter()
-    seeds = []
-    ipart = []
-    for el in els:
-        if el.is_zero():
-            continue
-        seeds.append(el)
-        ipart.append(False)
-    for g in defining:
-        if g.is_zero():
-            continue
-        if g.ring != ring:
-            raise StructuralError("defining ideal from another ring")
-        for pos in range(rank):
-            seeds.append(ModuleElement.unit(ring, rank, pos, g))
-            ipart.append(True)
-    final = _core(seeds, ipart, ring, rank, meter)
+    seeds = [el for el in els if not el.is_zero()]
+    final = _seeded_core(seeds, defining, ring, rank, rank)
     return GroebnerBasis(ring, rank, final, defining)
 
 
@@ -456,29 +482,12 @@ def syzygies(gens, *, defining=None):
     their unit witness directly through the same mechanism.
     """
     els, ring, rank = _as_elements(gens)
-    if isinstance(defining, GroebnerBasis):
-        defining = list(defining.polynomials())
-    else:
-        defining = list(defining) if defining else []
     m = len(els)
-    ext_rank = rank + m
-    meter = active_meter()
-    seeds = []
-    ipart = []
-    for j, el in enumerate(els):
-        coords = list(el.coords) + [ring.zero()] * m
-        coords[rank + j] = ring.one()
-        seeds.append(ModuleElement(ring, coords))
-        ipart.append(False)
-    for g in defining:
-        if g.is_zero():
-            continue
-        for pos in range(rank):
-            seeds.append(ModuleElement.unit(ring, ext_rank, pos, g))
-            ipart.append(True)
-    basis = _core(seeds, ipart, ring, ext_rank, meter)
-    out = []
-    for el in basis:
-        if all(c.is_zero() for c in el.coords[:rank]):
-            out.append(ModuleElement(ring, el.coords[rank:]))
-    return out
+    one = ring.one().terms[0]
+    seeds = [ModuleElement._trusted(ring, rank + m, el.terms + ((rank + j,) + one,))
+             for j, el in enumerate(els)]
+    basis = _seeded_core(seeds, _defining_list(defining), ring, rank + m, rank)
+    # position over term: an element whose lead lies past the original
+    # coordinates has no original part left
+    return [ModuleElement._trusted(ring, m, tuple((p - rank, mono, k) for p, mono, k in el.terms))
+            for el in basis if el.terms[0][0] >= rank]

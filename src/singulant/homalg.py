@@ -174,9 +174,6 @@ class ExtModule(Subquotient):
         self.beta = beta
         self.target_rank = target_rank
 
-    def presentation(self) -> FinitelyPresentedModule:
-        return self.to_module()
-
 
 def _hom_basis_vector(ring, beta, n0, j, s, entries):
     """Vector in R^(beta*n0) with entries[c] at block c, coordinate s."""
@@ -189,14 +186,11 @@ def _hom_basis_vector(ring, beta, n0, j, s, entries):
 
 def _zero_hom_shifts(ring, beta, n0, relation_cols):
     """The homomorphisms that vanish into N: B-columns in every block."""
-    out = []
-    for j in range(beta):
-        for col in relation_cols:
-            coords = [ring.poly_ring.zero()] * (beta * n0)
-            for s in range(n0):
-                coords[j * n0 + s] = col.coords[s]
-            out.append(ModuleElement(ring.poly_ring, coords))
-    return out
+    return [
+        ModuleElement.from_terms(ring.poly_ring, beta * n0,
+                                 [(j * n0 + s, m, k) for s, m, k in col.terms])
+        for j in range(beta) for col in relation_cols
+    ]
 
 
 def _kernel_into(ring, domain_rank, images, allowed):
@@ -210,7 +204,8 @@ def _kernel_into(ring, domain_rank, images, allowed):
     rels = syzygies(combined, defining=ring.defining_basis())
     out = []
     for rel in rels:
-        head = ModuleElement(ring.poly_ring, rel.coords[:domain_rank])
+        head = ModuleElement.from_terms(ring.poly_ring, domain_rank,
+                                        [t for t in rel.terms if t[0] < domain_rank])
         head = ring.normal_form_element(head)
         if not head.is_zero():
             out.append(head)

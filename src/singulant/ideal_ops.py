@@ -437,11 +437,12 @@ def is_equidimensional(ring: RingPresentation):
 
 
 def is_m_primary(ideal: IdealHandle) -> bool:
-    """Every variable lies in the radical of (generators + defining)."""
+    """Every variable lies in the radical of (generators + defining), and
+    the ideal is proper."""
     ring = ideal.ring
     return all(
         radical_membership(ring.variable(i), ideal) for i in range(ring.nvars)
-    )
+    ) and not ideal.is_unit()
 
 
 def socle(ring: RingPresentation) -> IdealHandle:
@@ -455,6 +456,8 @@ def loewy_length(ring: RingPresentation, ideal: IdealHandle) -> int:
     """Least n with m^n inside (ideal + defining); needs an m-primary ideal."""
     if ideal.ring != ring:
         raise StructuralError("ideal lives in a different presentation")
+    if ideal.is_unit():
+        raise PreconditionError("ideal is the unit ideal, so it is not m-primary")
     if not is_m_primary(ideal):
         missing = [
             ring.names[i]

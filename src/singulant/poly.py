@@ -21,18 +21,31 @@ from .errors import StructuralError
 # coefficient fields
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin on the witnesses above is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017))
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin; StructuralError at or past _PRIME_LIMIT."""
+    if p >= _PRIME_LIMIT:
+        raise StructuralError(f"{p} is too large to certify as prime")
+    if p < 2 or any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -402,15 +415,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        field = self.ring.field
-        acc = dict(self.terms)
-        for m, c in other.terms:
-            s = field.add(acc.get(m, field.zero), c)
-            if s == field.zero:
-                acc.pop(m, None)
-            else:
-                acc[m] = s
-        return Polynomial(self.ring, acc)
+        return Polynomial(self.ring, self.terms + other.terms)
 
     def __neg__(self):
         fneg = self.ring.field.neg
@@ -425,17 +430,9 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
-        field = self.ring.field
-        acc = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = m1.mul(m2)
-                s = field.add(acc.get(m, field.zero), field.mul(c1, c2))
-                if s == field.zero:
-                    acc.pop(m, None)
-                else:
-                    acc[m] = s
-        return Polynomial(self.ring, acc)
+        mul = self.ring.field.mul
+        return Polynomial(self.ring, [
+            (m1.mul(m2), mul(c1, c2)) for m1, c1 in self.terms for m2, c2 in other.terms])
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -493,24 +490,11 @@ class Polynomial:
     def partial_derivative(self, i: int) -> "Polynomial":
         if not 0 <= i < self.ring.nvars:
             raise StructuralError(f"variable index {i} out of range")
-        field = self.ring.field
-        acc = {}
-        for m, c in self.terms:
-            e = m.exps[i]
-            if e == 0:
-                continue
-            exps = list(m.exps)
-            exps[i] = e - 1
-            coeff = field.mul(c, field.normalize(e))
-            if coeff == field.zero:
-                continue
-            mono = Monomial(exps)
-            s = field.add(acc.get(mono, field.zero), coeff)
-            if s == field.zero:
-                acc.pop(mono, None)
-            else:
-                acc[mono] = s
-        return Polynomial(self.ring, acc)
+        # the constructor reduces e * c into the field and drops zeros
+        return Polynomial(self.ring, [
+            (Monomial._trusted(m.exps[:i] + (m.exps[i] - 1,) + m.exps[i + 1:], m.degree - 1),
+             m.exps[i] * c)
+            for m, c in self.terms if m.exps[i]])
 
     # -- misc ----------------------------------------------------------------
 

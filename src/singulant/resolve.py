@@ -42,7 +42,8 @@ def matrix_columns(ring: RingPresentation, rows):
 
 def columns_to_rows(rank: int, cols):
     """Row-major matrix of the given rank whose columns are ``cols``."""
-    return tuple(tuple(col.coords[i] for col in cols) for i in range(rank))
+    coords = [col.coords for col in cols]
+    return tuple(tuple(c[i] for c in coords) for i in range(rank))
 
 
 class FinitelyPresentedModule:
@@ -129,12 +130,7 @@ class FinitelyPresentedModule:
 
 
 def _column_degree(col: ModuleElement, shifts) -> int:
-    degs = [
-        c.total_degree() + shifts[i]
-        for i, c in enumerate(col.coords)
-        if not c.is_zero()
-    ]
-    return max(degs, default=-1)
+    return max((m.degree + shifts[pos] for pos, m, _ in col.terms), default=-1)
 
 
 def trim_generators(ring: RingPresentation, cols, rank: int, shifts=None):

@@ -85,6 +85,20 @@ class TestParseRing:
         with pytest.raises(ParseError):
             parse_ring("ring Q[x,y]/(x^2) extra")
 
+    @pytest.mark.parametrize("body", ["(" * 3000 + "x" + ")" * 3000,
+                                      "-" * 3000 + "x"],
+                             ids=["parentheses", "unary-minus"])
+    def test_deep_nesting_is_a_parse_error(self, capsys, body):
+        with pytest.raises(ParseError, match="nesting"):
+            parse_ring(f"Q[x]/({body})")
+        code, _, err = run_cli(capsys, "dim", f"Q[x]/({body})")
+        assert code == 2
+        assert "nesting" in err and "Traceback" not in err
+
+    def test_moderate_nesting_parses(self):
+        ring = parse_ring("Q[x]/(" + "-(" * 40 + "x" + ")" * 40 + ")")
+        assert ring.format() == "Q[x]/(x)"
+
 
 class TestParsePolynomials:
     def test_arithmetic(self):
@@ -172,6 +186,32 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "loewy", RING_A, "--ideal", "(x)")
         assert code == 1
         assert "m-primary" in err
+
+    @pytest.mark.parametrize("ring, unit", [("Q[x]/(x^2)", "(1)"),
+                                            ("Q[x,y]/(x^2,y^2)", "(x+1)")])
+    def test_unit_ideal_is_not_m_primary(self, capsys, ring, unit):
+        code, out, err = run_cli(capsys, "loewy", ring, "--ideal", unit)
+        assert code == 1 and out == ""
+        assert "unit ideal" in err
+        code, out, err = run_cli(capsys, "bound", ring, "--ideal", unit,
+                                 "--assume-annihilates")
+        assert code == 1 and out == ""
+        assert "m-primary" in err
+
+    def test_reader_closing_early_leaves_without_traceback(self):
+        # the JSON (about 115 kB) overfills the pipe, so the write fails
+        # once the reader has gone
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "singulant", "resolve",
+             "Q[x,y,z]/(x*y,y*z,x*z)", "k", "--length", "6", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(10) == b'{\n  "comma'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() in (0, 1, 2, 3)
+        assert err == ""
 
     def test_unsupported_input_is_one(self, capsys):
         code, _, err = run_cli(capsys, "minimal-primes",

@@ -216,6 +216,52 @@ def test_cached_lead_matches_scan_over_all_terms(order):
             assert el.is_zero() == (first is None)
 
 
+def _assert_canonical(el):
+    """``terms`` strictly decreasing under position over term, with no zero
+    coefficient, and the same element as the one built from its coordinates."""
+    order, field = el.ring.order, el.ring.field
+    keys = [(-pos, order.key(m)) for pos, m, _ in el.terms]
+    assert all(a > b for a, b in zip(keys, keys[1:])), el
+    assert all(0 <= pos < el.rank and k != field.zero for pos, _, k in el.terms)
+    assert ModuleElement(el.ring, el.coords) == el
+    assert el.lead() == (el.terms[0] if el.terms else None)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("order", [GREVLEX, LEX, elimination_order((2,), (0, 1))],
+                         ids=["grevlex", "lex", "block"])
+def test_terms_stay_in_position_over_term_order(order, field):
+    rng = random.Random(23)
+    P = PolynomialRing(field, 3, order)
+    x, y, z = P.variables()
+    gb = buchberger([ModuleElement(P, [x * y, z, P.zero()]),
+                     ModuleElement(P, [y * y, P.zero(), x - z]),
+                     ModuleElement.unit(P, 3, 2, z * z)], rank=3)
+    for el in gb:
+        _assert_canonical(el)
+    for _ in range(30):
+        a = ModuleElement(P, [P.zero() if rng.random() < 0.3 else rand_poly(rng, P, 3, 4)
+                              for _ in range(3)])
+        b = ModuleElement(P, [rand_poly(rng, P, 2, 3) for _ in range(3)])
+        mono = rand_monomial(rng, 3, 2)
+        results = [a + b, a - b, a - a, -a, a.scale(rand_coeff(rng, field)),
+                   a.mul_term(mono, rand_coeff(rng, field)),
+                   a.mul_poly(rand_poly(rng, P, 2, 3)),
+                   _reduce(a, gb.elements, Meter())]
+        for el in results:
+            _assert_canonical(el)
+    pair = [x * y + z, y * z - x * x, x * z]
+    syz = syzygies(pair)
+    assert syz
+    for el in syz:
+        assert el.rank == len(pair)
+        _assert_canonical(el)
+    for el in syzygies([ModuleElement(P, [x, y, z]), ModuleElement(P, [y, z, x])],
+                       defining=[x * x - y, z * z]):
+        assert el.rank == 2
+        _assert_canonical(el)
+
+
 # -- heap division against the max-scan rule ------------------------------------
 
 

@@ -205,7 +205,7 @@ class TestExtModule:
         for N in (FinitelyPresentedModule.residue_field(R),
                   FinitelyPresentedModule.cyclic(R, [x]),
                   FinitelyPresentedModule.cyclic(R, [x * x, x * y, y * y])):
-            got = ext_module(free, N, 0).presentation()
+            got = ext_module(free, N, 0).to_module()
             assert got.rows == minimal_presentation(N).rows
 
     def test_ext_of_free_vanishes_positively(self):

@@ -336,6 +336,18 @@ def test_is_m_primary():
     assert not is_m_primary(jac_lift)
 
 
+def test_unit_ideal_is_not_m_primary():
+    R = embedded_point_ring()
+    assert not is_m_primary(IdealHandle(R, [R.poly_ring.one()]))
+    with pytest.raises(PreconditionError, match="unit ideal"):
+        loewy_length(R, IdealHandle(R, [R.poly_ring.one()]))
+    # 1 + x is a unit modulo (x^2, y^2): (1 + x)(1 - x) = 1 - x^2
+    artinian = presentation(QQ, ("x", "y"), lambda x, y: [x * x, y * y])
+    xa = artinian.variable(0)
+    assert not is_m_primary(IdealHandle(artinian, [xa + artinian.poly_ring.one()]))
+    assert is_m_primary(IdealHandle(artinian, [xa, artinian.variable(1)]))
+
+
 def test_socle_embedded_point_ring():
     R = embedded_point_ring()
     x, _ = R.variable(0), R.variable(1)

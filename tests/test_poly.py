@@ -1,6 +1,7 @@
 """Exact arithmetic, monomial orders, and formatting."""
 from fractions import Fraction
 import random
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from singulant.poly import (
     PolynomialRing,
     PrimeField,
     QQ,
+    _is_prime,
     elimination_order,
     exact_divide,
     format_polynomial,
@@ -45,6 +47,34 @@ def test_prime_field_rejects_composite():
         PrimeField(6)
     with pytest.raises(StructuralError):
         PrimeField(1)
+
+
+def test_prime_check_is_fast_on_a_large_prime():
+    start = time.perf_counter()
+    assert PrimeField(2**61 - 1).characteristic == 2**61 - 1
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n", [
+    561, 41041,                # Carmichael numbers
+    2**61 + 1,                 # 3 * 768614336404564651
+    3215031751,                # strong pseudoprime to bases 2, 3, 5 and 7
+    318665857834031151167461,  # strong pseudoprime to every prime base up to 37
+])
+def test_prime_check_rejects_pseudoprimes(n):
+    with pytest.raises(StructuralError, match="not prime"):
+        PrimeField(n)
+
+
+def test_prime_check_matches_trial_division_on_small_inputs():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+    assert [n for n in range(5000) if _is_prime(n) != trial(n)] == []
+
+
+def test_prime_check_refuses_past_its_exact_range():
+    with pytest.raises(StructuralError, match="too large"):
+        PrimeField(2**89 - 1)
 
 
 # -- monomials ----------------------------------------------------------------
