@@ -126,6 +126,15 @@ def _tokenize(text: str):
 _MAX_NESTING = 100
 
 
+def _int(digits: str, tok) -> int:
+    """The value of a digit string, as a ParseError at tok when Python
+    refuses to convert it (past sys.get_int_max_str_digits())."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits)} digits is too long", tok[2], tok[3]) from None
+
+
 class _Parser:
     """Recursive-descent parser over one input string."""
 
@@ -178,7 +187,8 @@ class _Parser:
         base = self._base(ring)
         if self.peek()[0] == "^":
             self.advance()
-            exp = int(self.expect("INT", "exponent")[1])
+            tok = self.expect("INT", "exponent")
+            exp = _int(tok[1], tok)
             # the degree budget bounds the expansion before it is computed
             check_degree(base.total_degree() * exp)
             return base ** exp
@@ -200,11 +210,12 @@ class _Parser:
             return self._nested(lambda: -self._factor(ring), tok)
         if tok[0] == "INT":
             self.advance()
-            value = int(tok[1])
+            value = _int(tok[1], tok)
             # rational coefficient a/b, so formatted output re-parses
             if self.peek()[0] == "/" and self.peek(1)[0] == "INT":
                 self.advance()
-                den = int(self.advance()[1])
+                dtok = self.advance()
+                den = _int(dtok[1], dtok)
                 if den == 0:
                     raise ParseError("zero denominator", tok[2], tok[3])
                 try:
@@ -278,7 +289,7 @@ def _field_from_token(tok):
         return QQ
     if name.startswith("F") and name[1:].isdigit():
         try:
-            return PrimeField(int(name[1:]))
+            return PrimeField(_int(name[1:], tok))
         except StructuralError as exc:
             raise ParseError(str(exc), tok[2], tok[3])
     raise ParseError(f"expected field Q or F<p>, found {name!r}",

@@ -464,10 +464,12 @@ class PairLoop:
 
 def _core(elements, ipart, ring, rank, meter):
     """Reduced basis of the seeds ``elements``; ``ipart`` flags the adjoined
-    defining generators (see ``PairLoop``)."""
+    defining generators (see ``PairLoop``).  A flagged seed that the earlier
+    seeds reduce is no longer a defining generator and loses its flag."""
     loop = PairLoop(ring, rank, meter)
     for el, flag in zip(elements, ipart):
-        loop.add(loop.reduce(el), flag)
+        nf = loop.reduce(el)
+        loop.add(nf, flag and nf == el)
     loop.complete()
     return _interreduce(loop.basis, meter)
 

@@ -16,20 +16,16 @@ from itertools import combinations, combinations_with_replacement
 
 from .errors import (Budget, BudgetExceededError, PreconditionError, StructuralError,
                      active_meter, budget_scope)
-# buchberger is unused here but stays importable from this module, where
-# perfbench's tracer rebinds and checks every alias of it
-from .groebner import ModuleElement, buchberger, normal_form, syzygies  # noqa: F401
-from .ideal_ops import (
-    IdealHandle,
-    RingPresentation,
-    intersection,
-    radical_membership,
-)
+# buchberger and trim_generators are unused here but stay importable from
+# this module, where perfbench's tracer rebinds and checks every alias of them
+from .groebner import ModuleElement, buchberger, normal_form  # noqa: F401
+from .ideal_ops import IdealHandle, RingPresentation, radical_membership
 from .poly import Monomial, Polynomial
-from .resolve import (
+from .resolve import (  # noqa: F401
     FinitelyPresentedModule,
     free_resolution,
     matrix_columns,
+    minimal_kernel,
     minimal_presentation,
     syzygy_module,
     trim_generators,
@@ -43,7 +39,7 @@ from .resolve import (
 class Subquotient:
     """Z/B for submodules B <= Z <= R^rank, kept as generator lists.
 
-    Cycles are kept as given: nonzero and in normal form, as _minimal_kernel
+    Cycles are kept as given: nonzero and in normal form, as minimal_kernel
     returns them.  Boundaries are normalized here and zero ones dropped.
     """
 
@@ -84,30 +80,27 @@ class Subquotient:
         if not self.cycles:
             return FinitelyPresentedModule(ring, 0)
         t = len(self.cycles)
-        cols = _minimal_kernel(ring, t, self.cycles, self.boundaries)
+        cols = minimal_kernel(ring, t, self.cycles, self.boundaries)
         raw = FinitelyPresentedModule.from_columns(ring, t, cols)
         return minimal_presentation(raw)
 
-    def k_dimension(self, *, max_degree: int | None = None):
-        return module_k_dimension(self.to_module(), max_degree=max_degree)
+    def k_dimension(self):
+        return module_k_dimension(self.to_module())
 
 
-def module_k_dimension(module: FinitelyPresentedModule, *,
-                       max_degree: int | None = None):
+def module_k_dimension(module: FinitelyPresentedModule):
     """Total dimension over the base field, or None when not finite.
 
     Counts standard module monomials against the combined leading-term
     module of the relations and the defining ideal, slot by slot; a slot
-    whose count never reaches zero before the degree cap (by default the
-    active budget scope's max_degree) makes the result None rather than a
-    guess.
+    whose count never reaches zero before the active budget scope's
+    max_degree makes the result None rather than a guess.
     """
     mod = minimal_presentation(module)
     ring = mod.ring
     if mod.rank == 0:
         return 0
-    if max_degree is None:
-        max_degree = active_meter().max_degree
+    max_degree = active_meter().max_degree
     leads = {s: [g.lead_monomial() for g in ring.defining_basis().polynomials()]
              for s in range(mod.rank)}
     cols = mod.relation_columns()
@@ -140,19 +133,19 @@ def module_k_dimension(module: FinitelyPresentedModule, *,
 
 
 def module_annihilator(module: FinitelyPresentedModule) -> IdealHandle:
-    """ann(M) = the intersection over slots of (relations : e_slot)."""
+    """ann(M) for M = coker(B) of rank n: the r with r e_s in the span of
+    B for every s, one colon of the diagonal vector (e_0 | ... | e_(n-1))
+    of R^(n*n) into B copied into each block."""
     mod = minimal_presentation(module)
     ring = mod.ring
-    if mod.rank == 0:
-        return IdealHandle(ring, [ring.poly_ring.one()])
-    cols = mod.relation_columns()
-    result = None
-    for s in range(mod.rank):
-        unit = ModuleElement.unit(ring.poly_ring, mod.rank, s)
-        heads = _kernel_into(ring, 1, [unit], cols)
-        handle = IdealHandle(ring, [h.coords[0] for h in heads])
-        result = handle if result is None else intersection(result, handle)
-    return result
+    pring = ring.poly_ring
+    n = mod.rank
+    if n == 0:
+        return IdealHandle(ring, [pring.one()])
+    diagonal = ModuleElement(pring, [pring.one() if t % (n + 1) == 0 else pring.zero()
+                                     for t in range(n * n)])
+    allowed = _zero_hom_shifts(ring, n, n, mod.relation_columns())
+    return IdealHandle(ring, [v.coords[0] for v in ring.kernel_into(1, [diagonal], allowed)])
 
 
 # ---------------------------------------------------------------------------
@@ -191,31 +184,6 @@ def _zero_hom_shifts(ring, beta, n0, relation_cols):
                                  [(j * n0 + s, m, k) for s, m, k in col.terms])
         for j in range(beta) for col in relation_cols
     ]
-
-
-def _kernel_into(ring, domain_rank, images, allowed):
-    """Generators of {v in R^dom : sum v_t * images[t] in <allowed>}."""
-    if not images or all(el.is_zero() for el in images):
-        return [
-            ModuleElement.unit(ring.poly_ring, domain_rank, t)
-            for t in range(domain_rank)
-        ]
-    combined = list(images) + list(allowed)
-    rels = syzygies(combined, defining=ring.defining_basis())
-    out = []
-    for rel in rels:
-        head = ModuleElement.from_terms(ring.poly_ring, domain_rank,
-                                        [t for t in rel.terms if t[0] < domain_rank])
-        head = ring.normal_form_element(head)
-        if not head.is_zero():
-            out.append(head)
-    return out
-
-
-def _minimal_kernel(ring, domain_rank, images, allowed):
-    """``_kernel_into`` trimmed to a minimal generating set, in column order."""
-    cols = _kernel_into(ring, domain_rank, images, allowed)
-    return ring.sort_columns(trim_generators(ring, cols, domain_rank))
 
 
 def ext_module(M: FinitelyPresentedModule, N: FinitelyPresentedModule,
@@ -260,7 +228,7 @@ def ext_module(M: FinitelyPresentedModule, N: FinitelyPresentedModule,
                     ring, beta, n0, jp, s,
                     [(j, d_cur[jp][j]) for j in range(beta)]))
 
-    cycles = _minimal_kernel(ring, dom, images, allowed)
+    cycles = minimal_kernel(ring, dom, images, allowed)
     return ExtModule(ring, cycles, boundaries, degree=i, source=M, target=N,
                      beta=beta, target_rank=n0)
 
@@ -282,7 +250,7 @@ def stable_annihilation_test(r: Polynomial, M: FinitelyPresentedModule) -> bool:
     This is the shift-0 test.  In D_sg(R) a module is isomorphic to a
     shift of its syzygy Omega^s M, so r may annihilate M there while
     failing here; annihilator_bounds therefore also tries the syzygies up
-    to its max_shift.  Over Q[x,y]/(x^2, xy), y fails on R/m^2 = R/(y^2),
+    to its _MAX_SHIFT.  Over Q[x,y]/(x^2, xy), y fails on R/m^2 = R/(y^2),
     since Hom(R/(y^2), R) = (x) and y is not in (x) + (y^2), but passes on
     Omega^1(R/m^2) = (y^2), which is R/(x).
     """
@@ -459,9 +427,9 @@ class KoszulComplex:
         if rank == 0:
             return Subquotient(ring, 0, [], [])
         # at the top degree the differential is empty, so every vector is a cycle
-        cycles = _minimal_kernel(ring, rank,
-                                 matrix_columns(ring, self.differential(i)),
-                                 self.zero_hom_shifts(i + 1))
+        cycles = minimal_kernel(ring, rank,
+                                matrix_columns(ring, self.differential(i)),
+                                self.zero_hom_shifts(i + 1))
         boundaries = self.zero_hom_shifts(i)
         if i >= 1:
             boundaries.extend(matrix_columns(ring, self.differential(i - 1)))

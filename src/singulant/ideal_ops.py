@@ -21,7 +21,8 @@ from .errors import (
     UnsupportedInputError,
     active_meter,
 )
-from .groebner import GroebnerBasis, ModuleElement, buchberger, lead_key, normal_form
+from .groebner import (GroebnerBasis, ModuleElement, buchberger, lead_key, normal_form,
+                       syzygies)
 from .poly import (
     GREVLEX,
     Monomial,
@@ -29,7 +30,6 @@ from .poly import (
     Polynomial,
     PolynomialRing,
     elimination_order,
-    exact_divide,
     format_polynomial,
 )
 
@@ -94,6 +94,27 @@ class RingPresentation:
         """Reduced basis of the preimage in P^rank of the span of ``cols``."""
         return buchberger(cols, defining=self.defining_basis(),
                           ring=self.poly_ring, rank=rank)
+
+    def kernel_into(self, domain_rank: int, images, allowed):
+        """Generators of {v in R^d : sum v_t * images[t] in <allowed>}.
+
+        ``images`` holds the images in one R^n of the d = ``domain_rank``
+        unit vectors, or nothing for the zero map, and ``allowed`` elements
+        of the same R^n.  The kernel is read off one syzygy run over R on
+        images + allowed, keeping each syzygy's first d coordinates in
+        normal form (Greuel-Pfister ch. 2); colons, intersections and
+        annihilators are all this one computation.  With no nonzero image
+        every vector qualifies, and the unit vectors are returned.  The
+        generators are not trimmed.
+        """
+        pring = self.poly_ring
+        if all(el.is_zero() for el in images):
+            return [ModuleElement.unit(pring, domain_rank, t) for t in range(domain_rank)]
+        rels = syzygies(list(images) + list(allowed), defining=self.defining_basis())
+        heads = (ModuleElement.from_terms(pring, domain_rank,
+                                          [t for t in rel.terms if t[0] < domain_rank])
+                 for rel in rels)
+        return [h for h in map(self.normal_form_element, heads) if not h.is_zero()]
 
     @staticmethod
     def sort_columns(cols):
@@ -246,39 +267,28 @@ class IdealHandle:
 # membership and radicals
 
 
-def _extension(pring: PolynomialRing):
-    """P[t] with t appended last and a block order eliminating t."""
-    n = pring.nvars
-    order = elimination_order((n,), tuple(range(n)))
-    ext = PolynomialRing(pring.field, n + 1, order)
-
-    def lift(p: Polynomial) -> Polynomial:
-        return Polynomial(ext, [(Monomial(m.exps + (0,)), c) for m, c in p.terms])
-
-    def restrict(p: Polynomial) -> Polynomial:
-        return Polynomial(pring, [(Monomial(m.exps[:-1]), c) for m, c in p.terms])
-
-    return ext, lift, restrict
-
-
 def radical_membership(f: Polynomial, ideal: IdealHandle) -> bool:
     """f in the radical of the ideal, decided with a fresh inverse variable.
 
-    1 lies in the extended ideal (preimage, 1 - t*f) iff f is in the
-    radical; this holds over any coefficient field.
+    1 lies in the extended ideal (preimage, 1 - t*f) of P[t] iff f is in
+    the radical; this holds over any coefficient field.  t is appended last,
+    under a block order eliminating it.
     """
     ring = ideal.ring
     if f.ring != ring.poly_ring:
         raise StructuralError("element from another ring")
     if f.is_zero():
         return True
-    ext, lift, _ = _extension(ring.poly_ring)
-    t = ext.variable(ring.nvars)
+    n = ring.nvars
+    ext = PolynomialRing(ring.field, n + 1, elimination_order((n,), tuple(range(n))))
+
+    def lift(p: Polynomial) -> Polynomial:
+        return Polynomial(ext, [(Monomial(m.exps + (0,)), c) for m, c in p.terms])
+
     gens = [lift(g) for g in ideal.generators]
     gens += [lift(g) for g in ring.defining_basis().polynomials()]
-    gens.append(ext.one() - t * lift(f))
-    gb = buchberger(gens, ring=ext)
-    return gb.is_unit_ideal()
+    gens.append(ext.one() - ext.variable(n) * lift(f))
+    return buchberger(gens, ring=ext).is_unit_ideal()
 
 
 def radical_equal(i: IdealHandle, j: IdealHandle) -> bool:
@@ -294,50 +304,37 @@ def radical_equal(i: IdealHandle, j: IdealHandle) -> bool:
 
 
 def intersection(i: IdealHandle, j: IdealHandle) -> IdealHandle:
-    """I cap J via the standard one-variable elimination."""
-    if i.ring != j.ring:
-        raise StructuralError("ideals live in different presentations")
-    ring = i.ring
-    ext, lift, restrict = _extension(ring.poly_ring)
-    t = ext.variable(ring.nvars)
-    one = ext.one()
-    defining = list(ring.defining_basis().polynomials())
-    gens = [t * lift(g) for g in list(i.generators) + defining]
-    gens += [(one - t) * lift(g) for g in list(j.generators) + defining]
-    if not gens:
-        return IdealHandle(ring, [])
-    gb = buchberger(gens, ring=ext)
-    out = []
-    for p in gb.polynomials():
-        if all(m.exps[-1] == 0 for m, _ in p.terms):
-            out.append(restrict(p))
-    return IdealHandle(ring, out)
+    """I cap J over R: the colon of (1, 1) into I e_0 + J e_1.
 
-
-def ideal_quotient(i: IdealHandle, j: IdealHandle) -> IdealHandle:
-    """(I : J) computed generator by generator through intersections.
-
-    Over a quotient presentation the computation runs on the preimage in
-    the ambient ring, where the identity (J : g) = (J cap (g)) / g holds;
-    the result is returned as a handle of the original presentation.
+    A ring element r lies in both ideals exactly when r * (1, 1) lies in
+    the submodule I e_0 + J e_1 of R^2, so the intersection is one
+    ``kernel_into`` of rank one.
     """
     if i.ring != j.ring:
         raise StructuralError("ideals live in different presentations")
     ring = i.ring
-    amb = ring.ambient()
-    gens_j = [g for g in j.generators if not g.is_zero()]
-    if not gens_j:
-        # (I : 0) is the unit ideal
-        return IdealHandle(ring, [ring.poly_ring.one()])
-    base = IdealHandle(amb, list(i.basis_polynomials()))
-    result = None
-    for g in gens_j:
-        cap = intersection(base, IdealHandle(amb, [g]))
-        part = IdealHandle(
-            amb, [exact_divide(p, g) for p in cap.basis_polynomials()]
-        )
-        result = part if result is None else intersection(result, part)
-    return IdealHandle(ring, list(result.basis_polynomials()))
+    pring = ring.poly_ring
+    allowed = [ModuleElement.unit(pring, 2, 0, g) for g in i.generators]
+    allowed += [ModuleElement.unit(pring, 2, 1, g) for g in j.generators]
+    one = ModuleElement(pring, [pring.one(), pring.one()])
+    return IdealHandle(ring, [v.coords[0] for v in ring.kernel_into(1, [one], allowed)])
+
+
+def ideal_quotient(i: IdealHandle, j: IdealHandle) -> IdealHandle:
+    """(I : J) over R: the colon of (g_1, ..., g_s) into I^s.
+
+    With J = (g_1, ..., g_s), r g_k lies in I for every k exactly when
+    r * (g_1, ..., g_s) lies in I e_1 + ... + I e_s, so the quotient is one
+    ``kernel_into`` of rank one.  (I : 0) is the unit ideal.
+    """
+    if i.ring != j.ring:
+        raise StructuralError("ideals live in different presentations")
+    ring = i.ring
+    pring = ring.poly_ring
+    s = len(j.generators)
+    allowed = [ModuleElement.unit(pring, s, k, g) for k in range(s) for g in i.generators]
+    image = ModuleElement(pring, j.generators)
+    return IdealHandle(ring, [v.coords[0] for v in ring.kernel_into(1, [image], allowed)])
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +443,8 @@ def is_m_primary(ideal: IdealHandle) -> bool:
 
 
 def socle(ring: RingPresentation) -> IdealHandle:
-    """(defining : maximal ideal), returned as an ideal of R."""
-    amb = ring.ambient()
-    q = ideal_quotient(ring.defining_ideal(), amb.maximal_ideal())
-    return IdealHandle(ring, list(q.basis_polynomials()))
+    """(0 : m) over R."""
+    return ideal_quotient(IdealHandle(ring, []), ring.maximal_ideal())
 
 
 def loewy_length(ring: RingPresentation, ideal: IdealHandle) -> int:

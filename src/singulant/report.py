@@ -73,6 +73,10 @@ _CERT_MAX_STEPS = 20_000
 _HOM_COLUMNS_CAP = 32
 _ANN_SIZE_CAP = 24
 _SYZ_SIZE_CAP = 48
+# socle candidates are swept with ca_witness at this Ext degree; every other
+# candidate may pass on any syzygy shift up to _MAX_SHIFT
+_CA_DEGREE = 2
+_MAX_SHIFT = 3
 
 
 def _presentation_size(module) -> int:
@@ -127,11 +131,10 @@ class _CorpusContext:
     ``cap`` scope and degrades to "inconclusive" when that cap is hit.
     """
 
-    def __init__(self, ring: RingPresentation, seed: int, max_shift: int):
+    def __init__(self, ring: RingPresentation, seed: int):
         self.ring = ring
         self.cap = Budget(max_degree=active_meter().max_degree,
                           max_steps=_CERT_MAX_STEPS)
-        self.max_shift = max_shift
         self.labels = corpus_labels(ring)
         self.members = default_corpus(ring, seed)
         self._levels = [[] for _ in self.members]
@@ -202,14 +205,14 @@ class _CorpusContext:
     def certify(self, idx: int, r: Polynomial):
         """Outcome of the stable-annihilation certificate on one member.
 
-        Tries syzygy shifts 0..max_shift: a pass on Omega^s certifies the
+        Tries syzygy shifts 0.._MAX_SHIFT: a pass on Omega^s certifies the
         member (the shift is an isomorphism in the singularity category).
         Returns (status, route, shift, failed_shifts) with status one of
         "certified" | "failed" | "inconclusive".
         """
         fails = []
         guarded = False
-        for s in range(self.max_shift + 1):
+        for s in range(_MAX_SHIFT + 1):
             lv = self._level(idx, s)
             if lv is None:
                 guarded = True
@@ -325,18 +328,18 @@ class AnnihilatorBounds:
 
 
 def annihilator_bounds(ring: RingPresentation, extra_elements=(), *,
-                       seed: int = 0, ca_degree: int = 2,
-                       max_shift: int = 3) -> AnnihilatorBounds:
+                       seed: int = 0) -> AnnihilatorBounds:
     """Certify annihilator candidates over the default witness corpus.
 
-    Socle generators are swept with ca_witness at the given Ext degree;
+    Socle generators are swept with ca_witness at Ext degree _CA_DEGREE;
     every other candidate runs the stable-annihilation certificate on each
-    corpus member, with syzygy shifts allowed (a pass on Omega^s M still
-    certifies M, since the shift is invertible in the singularity
-    category).  A guarded step that runs out of its own cap is recorded as
-    inconclusive; running out of the enclosing budget scope aborts.
+    corpus member, with syzygy shifts up to _MAX_SHIFT allowed (a pass on
+    Omega^s M still certifies M, since the shift is invertible in the
+    singularity category).  A guarded step that runs out of its own cap is
+    recorded as inconclusive; running out of the enclosing budget scope
+    aborts.
     """
-    ctx = _CorpusContext(ring, seed, max_shift)
+    ctx = _CorpusContext(ring, seed)
     candidates = []
     seen = set()
     for g in socle(ring).reduced_generators():
@@ -354,8 +357,8 @@ def annihilator_bounds(ring: RingPresentation, extra_elements=(), *,
     certificates, exclusions, inconclusive, lower_gens = [], [], [], []
     for g, origin in candidates:
         if origin == "socle":
-            ok = _certify_socle_element(ctx, g, ca_degree,
-                                        certificates, exclusions, inconclusive)
+            ok = _certify_socle_element(ctx, g, certificates, exclusions,
+                                        inconclusive)
         else:
             ok = _certify_stable_element(ctx, g,
                                          certificates, exclusions, inconclusive)
@@ -372,13 +375,13 @@ def annihilator_bounds(ring: RingPresentation, extra_elements=(), *,
     )
 
 
-def _certify_socle_element(ctx, g, ca_degree, certificates, exclusions,
+def _certify_socle_element(ctx, g, certificates, exclusions,
                            inconclusive) -> bool:
-    report = ca_witness(g, ca_degree, ctx.members, pair_budget=ctx.cap)
+    report = ca_witness(g, _CA_DEGREE, ctx.members, pair_budget=ctx.cap)
     if report.verdict == "evidence-in":
         certificates.append(Certificate(
             element=g, method="socle-ca-witness",
-            detail={"ext_degree": ca_degree, "pairs": len(report.entries)},
+            detail={"ext_degree": _CA_DEGREE, "pairs": len(report.entries)},
         ))
         return True
     if report.verdict == "proved-not-in":
@@ -387,7 +390,7 @@ def _certify_socle_element(ctx, g, ca_degree, certificates, exclusions,
             element=g,
             module=ctx.labels[bad.source_index],
             target=ctx.labels[bad.target_index],
-            ext_degree=ca_degree,
+            ext_degree=_CA_DEGREE,
         ))
         return False
     # budget-exhausted sweep: fall back to the stable certificate, which the

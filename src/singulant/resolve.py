@@ -168,6 +168,14 @@ def trim_generators(ring: RingPresentation, cols, rank: int, shifts=None):
     return kept
 
 
+def minimal_kernel(ring: RingPresentation, domain_rank: int, images, allowed,
+                   shifts=None):
+    """``ring.kernel_into`` trimmed to a minimal generating set (graded
+    by ``shifts`` on the domain), in column order."""
+    cols = ring.kernel_into(domain_rank, images, allowed)
+    return ring.sort_columns(trim_generators(ring, cols, domain_rank, shifts))
+
+
 def minimal_presentation(module: FinitelyPresentedModule) -> FinitelyPresentedModule:
     """Isomorphic presentation with no unit entries and no redundant columns.
 
@@ -316,13 +324,9 @@ def free_resolution(module: FinitelyPresentedModule, length: int, *,
         if detect_periodicity and len(diffs) >= 3 and diffs[-1] == diffs[-3]:
             periodic = (step, 2)
             break
-        syz = syzygies(cols, defining=ring.defining_basis())
-        syz = [ring.normal_form_element(el) for el in syz]
-        syz = trim_generators(ring, syz, len(cols), col_shifts)
-        syz = ring.sort_columns(syz)
         rank = len(cols)
         cur_shifts = col_shifts
-        cols = syz
+        cols = minimal_kernel(ring, rank, cols, (), col_shifts)
     if periodic is None and not complete and not cols:
         complete = True
     res = FreeResolution(ring, ranks, diffs, shifts, False, complete, periodic)

@@ -112,6 +112,18 @@ class TestParseRing:
         assert len(ring.defining[0].terms) == 25
 
 
+    @pytest.mark.parametrize("ring", [
+        "Q[x]/(x^{n})", "Q[x]/({n}*x)", "Q[x]/(x - 1/{n})", "F{n}[x]"],
+        ids=["exponent", "coefficient", "denominator", "field"])
+    def test_integer_past_the_conversion_limit_is_a_parse_error(self, capsys, ring):
+        text = ring.format(n="9" * 5000)
+        with pytest.raises(ParseError, match="5000 digits"):
+            parse_ring(text)
+        code, out, err = run_cli(capsys, "dim", text)
+        assert code == 2 and out == ""
+        assert "integer of 5000 digits is too long" in err and "Traceback" not in err
+
+
 class TestParsePolynomials:
     def test_arithmetic(self):
         ring = parse_ring("Q[x,y]")
@@ -326,6 +338,28 @@ class TestCommandOutput:
     def test_ext_dimension(self, capsys):
         _, out, _ = run_cli(capsys, "ext", RING_A, "k", "k", "--degree", "2")
         assert "k-dimension 3" in out
+
+    def test_resolve_of_two_socle_relations(self, capsys):
+        # over (x^2, y^2) the relations of coker [[x],[y]] are
+        # ann(x) cap ann(y) = (x) cap (y) = (xy), the socle; ann(xy) = m
+        _, out, _ = run_cli(capsys, "resolve", "Q[x,y]/(x^2,y^2)", "[[x],[y]]",
+                            "--length", "3")
+        assert "ranks: 2 1 1 2" in out
+        assert "d_2:\n  [x*y]\nd_3:\n  [x, y]" in out
+
+    def test_resolve_modulo_a_zero_divisor(self, capsys):
+        # x is a zero-divisor: x(xy - z^2) = y(x^2 - yz) + z(y^2 - xz) lies in
+        # the defining ideal while xy - z^2 does not, so pd R/(x) is not 1
+        _, out, _ = run_cli(capsys, "resolve", "Q[x,y,z]/(x^2-y*z, y^2-x*z)",
+                            "R/(x)", "--length", "2")
+        assert "ranks: 1 1 1" in out
+        assert "d_2:\n  [x*y - z^2]" in out
+        assert "projective dimension: 1" not in out
+
+    def test_ext_of_two_socle_relations(self, capsys):
+        _, out, _ = run_cli(capsys, "ext", "Q[x,y]/(x^2,y^2)", "[[x],[y]]", "k",
+                            "--degree", "2")
+        assert "k-dimension 1" in out
 
     def test_ext_ann(self, capsys):
         _, out, _ = run_cli(capsys, "ext-ann", RING_A, "R/(x,y)", "k",

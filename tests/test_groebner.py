@@ -623,6 +623,59 @@ def test_syzygies_over_quotient_ring():
     assert {s.coords[0] for s in syz} == {x, y}
 
 
+def test_defining_seed_reduced_by_a_generator_keeps_its_pairs():
+    # over Q[x,y]/(x^2, y^2) the relations of (x, y) are the r with rx and ry
+    # in the defining ideal: (x, y^2) cap (x^2, y) = (x^2, xy, y^2).  The
+    # seed x^2 e_0 reduces by (x, y) to -xy e_1 plus a witness part, which is
+    # no defining generator and must still pair with y^2 e_1.
+    P = qring(2)
+    x, y = P.variables()
+    defining = buchberger([x * x, y * y])
+    syz = syzygies([ModuleElement(P, [x, y])], defining=defining)
+    assert buchberger([s.coords[0] for s in syz]) == buchberger([x * x, x * y, y * y])
+
+
+def _random_homogeneous_element(rng, ring, rank):
+    """Nonzero element of ring^rank whose entry at position p has degree d + p."""
+    d = rng.randint(1, 2)
+    while True:
+        coords = []
+        for p in range(rank):
+            slots = oracles.monomials_of_degree(ring.nvars, d + p)
+            c = ring.zero()
+            for exps in rng.sample(slots, min(len(slots), rng.randint(0, 2))):
+                c = c + ring.monomial(exps).scale(rand_coeff(rng, ring.field))
+            coords.append(c)
+        el = ModuleElement(ring, coords)
+        if not el.is_zero():
+            return el
+
+
+@pytest.mark.parametrize("build", [lambda: qring(3), lambda: fring(3, 2)])
+def test_defining_flag_matches_plain_seeds(build):
+    """``defining=`` against the same computation with D * e_p as plain seeds.
+
+    The flag only lets the pair loop skip pairs of two unchanged defining
+    generators, so the reduced basis must equal the one built from D * e_p
+    added as ordinary generators, and the syzygies must span the module
+    read off the plain syzygies of gens + D * e_p.
+    """
+    ring = build()
+    rng = random.Random(2024)
+    for _ in range(80):
+        defining = buchberger(_random_homogeneous_ideal(rng, ring, max_gens=3, max_degree=2))
+        rank = rng.randint(1, 2)
+        gens = [_random_homogeneous_element(rng, ring, rank) for _ in range(rng.randint(1, 3))]
+        plain = [ModuleElement.unit(ring, rank, p, g)
+                 for g in defining.polynomials() for p in range(rank)]
+        got = buchberger(gens, defining=defining)
+        assert got == buchberger(gens + plain, ring=ring, rank=rank)
+        m = len(gens)
+        want = [ModuleElement(ring, s.coords[:m]) for s in syzygies(gens + plain)]
+        assert (buchberger(syzygies(gens, defining=defining), ring=ring, rank=m)
+                == buchberger(want, ring=ring, rank=m))
+
+
 @pytest.mark.parametrize("build", [lambda: qring(3), lambda: fring(7, 3)])
 def test_syzygies_sound_and_complete_on_random_homogeneous_input(build):
     ring = build()

@@ -432,6 +432,14 @@ class TestModuleAnnihilator:
         omega = syzygy_module(k, 1)
         assert module_annihilator(omega).same_ideal(IdealHandle(R, [x]))
 
+    def test_annihilator_of_two_socle_relations(self):
+        # over (x^2, y^2), r e_0 = s (x, y) forces s y = 0, so s in (y) and
+        # r in (xy); xy e_0 = y (x, y) and xy e_1 = x (x, y) in R^2
+        R = presentation(QQ, ("x", "y"), lambda x, y: [x * x, y * y])
+        x, y = R.variable(0), R.variable(1)
+        M = FinitelyPresentedModule(R, 2, ((x,), (y,)))
+        assert module_annihilator(M).same_ideal(IdealHandle(R, [x * y]))
+
     def test_annihilator_edges(self):
         R = embedded_point_ring()
         free = FinitelyPresentedModule.cyclic(R, [])

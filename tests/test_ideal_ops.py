@@ -210,27 +210,39 @@ def _random_monomial_handle(rng, P, max_gens=3, max_degree=4):
     return IdealHandle(P, gens), exps
 
 
+def _monomial_presentations(rng):
+    """Q[x,y,z], then Q[x,y,z]/D for a random monomial D, with D's exponents."""
+    P = presentation(QQ, ("x", "y", "z"), None)
+    yield P, []
+    D, ed = _random_monomial_handle(rng, P, max_gens=2, max_degree=3)
+    yield RingPresentation(QQ, P.names, D.generators), ed
+
+
 @pytest.mark.parametrize("seed", [3, 17])
 def test_intersection_and_quotient_match_monomial_oracle(seed):
-    P = presentation(QQ, ("x", "y", "z"), None)
+    """Over P/D with D monomial the oracle works on preimages: I cap J is
+    (I + D) cap (J + D) and (I : J) is (I + D : J)."""
     rng = random.Random(seed)
-    for _ in range(12):
-        I, ei = _random_monomial_handle(rng, P)
-        J, ej = _random_monomial_handle(rng, P)
-        want_cap = oracles.monomial_intersection(ei, ej)
-        got_cap = intersection(I, J)
-        assert got_cap.same_ideal(
-            IdealHandle(P, [P.poly_ring.monomial(e) for e in want_cap])
-        )
-        want_q = oracles.monomial_quotient_ideal(ei, ej)
-        got_q = ideal_quotient(I, J)
-        assert got_q.same_ideal(
-            IdealHandle(P, [P.poly_ring.monomial(e) for e in want_q])
-        )
-        # containment invariants hold regardless of the oracle
-        for f in got_q.generators:
-            for g in J.generators:
-                assert I.contains(f * g)
+    for P, ed in _monomial_presentations(rng):
+        for _ in range(12):
+            I, ei = _random_monomial_handle(rng, P)
+            J, ej = _random_monomial_handle(rng, P)
+            want_cap = oracles.monomial_intersection(ei + ed, ej + ed)
+            got_cap = intersection(I, J)
+            assert got_cap.same_ideal(
+                IdealHandle(P, [P.poly_ring.monomial(e) for e in want_cap])
+            )
+            want_q = oracles.monomial_quotient_ideal(ei + ed, ej)
+            got_q = ideal_quotient(I, J)
+            assert got_q.same_ideal(
+                IdealHandle(P, [P.poly_ring.monomial(e) for e in want_q])
+            )
+            # containment invariants hold regardless of the oracle
+            for f in got_q.generators:
+                for g in J.generators:
+                    assert I.contains(f * g)
+            for f in got_cap.generators:
+                assert I.contains(f) and J.contains(f)
 
 
 # -- dimension, height, minimal primes ------------------------------------------------

@@ -58,3 +58,48 @@ def test_checker_flags_both_kinds_of_import():
                          ids=lambda p: p.name)
 def test_package_imports_are_public_and_module_level(path):
     assert import_violations(path.read_text(encoding="utf-8")) == []
+
+
+# the one kernel routine, and the reference check that re-derives kernels on
+# purpose, are the only callers of the syzygy engine
+SYZYGY_CALLERS = {"ideal_ops.RingPresentation.kernel_into", "resolve.check_exactness"}
+
+
+def syzygy_callers(source: str, module: str):
+    """Qualified names of the functions in source that call ``syzygies``."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef) and any(
+                        isinstance(n, ast.Call) and (
+                            getattr(n.func, "id", None) == "syzygies"
+                            or getattr(n.func, "attr", None) == "syzygies")
+                        for n in ast.walk(child)):
+                    found.add(name)
+                visit(child, name)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_syzygy_caller_check_sees_functions_and_methods():
+    source = (
+        "def f(x):\n"
+        "    return syzygies(x)\n"
+        "class A:\n"
+        "    def g(self):\n"
+        "        return groebner.syzygies([])\n"
+        "    def h(self):\n"
+        "        return self.g()\n"
+    )
+    assert syzygy_callers(source, "m") == {"m.f", "m.A.g"}
+
+
+def test_only_the_kernel_routine_calls_syzygies():
+    found = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        found |= syzygy_callers(path.read_text(encoding="utf-8"), path.stem)
+    assert found == SYZYGY_CALLERS
