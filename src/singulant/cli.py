@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import string
 import sys
 from fractions import Fraction
 
@@ -58,17 +59,9 @@ from .report import (
     format_ledger,
     generation_time_bound,
     ledger_passed,
-    report_json,
-    ring_depth,
     verify_paper_examples,
 )
-from .resolve import FinitelyPresentedModule, free_resolution
-
-COMMANDS = (
-    "jac", "dim", "height", "depth", "socle", "loewy", "nu", "equidim",
-    "minimal-primes", "isolated", "resolve", "ext", "ext-ann", "koszul",
-    "stable-ann", "bound", "report", "verify-paper",
-)
+from .resolve import FinitelyPresentedModule, free_resolution, ring_depth
 
 _ORDERS = {"grevlex": GREVLEX, "lex": LEX}
 
@@ -77,6 +70,11 @@ _ORDERS = {"grevlex": GREVLEX, "lex": LEX}
 # tokenizer / parser
 
 _SYMBOLS = set("^*+-()[]/,")
+# only ASCII digits and identifiers: int() and str.isdigit() accept other
+# Unicode digits, which must not read as numbers
+_DIGITS = frozenset(string.digits)
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_CHARS = _IDENT_START | _DIGITS
 
 
 def _tokenize(text: str):
@@ -94,19 +92,12 @@ def _tokenize(text: str):
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS or ch in _IDENT_START:
+            kind, chars = ("INT", _DIGITS) if ch in _DIGITS else ("IDENT", _IDENT_CHARS)
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in chars:
                 j += 1
-            tokens.append(("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("IDENT", text[i:j], line, col))
+            tokens.append((kind, text[i:j], line, col))
             col += j - i
             i = j
             continue
@@ -135,6 +126,24 @@ def _int(digits: str, tok) -> int:
         raise ParseError(f"integer of {len(digits)} digits is too long", tok[2], tok[3]) from None
 
 
+def _check_digits(p, tok, exp=1):
+    """A ParseError at tok when p^exp has a rational coefficient past
+    sys.get_int_max_str_digits(), which str() cannot print.  For a power,
+    only lc(p^exp) = lc(p)^exp is checked, from bit lengths alone
+    (2^(4 * limit) > 10^limit), so that it is refused before it is computed."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or p.ring.field.characteristic or p.is_zero():
+        return
+    if exp == 1:
+        bound = 10 ** limit
+        big = any(abs(c.numerator) >= bound or c.denominator >= bound for _, c in p.terms)
+    else:
+        lc = p.lead_coeff()
+        big = exp * (max(abs(lc.numerator), lc.denominator).bit_length() - 1) >= 4 * limit
+    if big:
+        raise ParseError(f"coefficient of more than {limit} digits", tok[2], tok[3])
+
+
 class _Parser:
     """Recursive-descent parser over one input string."""
 
@@ -155,13 +164,11 @@ class _Parser:
     def expect(self, kind: str, what: str | None = None):
         tok = self.advance()
         if tok[0] != kind:
-            found = "end of input" if tok[0] == "EOF" else repr(tok[1])
-            raise ParseError(f"expected {what or kind}, found {found}",
-                             tok[2], tok[3])
+            self.fail(f"expected {what or kind}", tok)
         return tok
 
-    def fail(self, message: str):
-        tok = self.peek()
+    def fail(self, message: str, tok=None):
+        tok = tok or self.peek()
         found = "end of input" if tok[0] == "EOF" else repr(tok[1])
         raise ParseError(f"{message}, found {found}", tok[2], tok[3])
 
@@ -169,11 +176,13 @@ class _Parser:
 
     def poly(self, ring):
         """poly := term (('+'|'-') term)*"""
+        start = self.peek()
         value = self._term(ring)
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             rhs = self._term(ring)
             value = value + rhs if op == "+" else value - rhs
+        _check_digits(value, start)
         return value
 
     def _term(self, ring):
@@ -184,13 +193,15 @@ class _Parser:
         return value
 
     def _factor(self, ring):
+        start = self.peek()
         base = self._base(ring)
         if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("INT", "exponent")
             exp = _int(tok[1], tok)
-            # the degree budget bounds the expansion before it is computed
+            # the degree and digit limits bound the expansion before it is computed
             check_degree(base.total_degree() * exp)
+            _check_digits(base, start, exp)
             return base ** exp
         return base
 
@@ -236,49 +247,49 @@ class _Parser:
             return value
         self.fail("expected a polynomial")
 
-    def poly_list(self, ring):
-        """'(' poly (',' poly)* ')' — an empty '()' gives no generators."""
-        self.expect("(", "'('")
-        polys = []
-        if self.peek()[0] != ")":
-            polys.append(self.poly(ring))
+    def comma_list(self, item, opening, closing, empty=False):
+        """opening item (',' item)* closing: (items, closing token); with
+        ``empty`` the list may also have no items."""
+        self.expect(opening, f"'{opening}'")
+        items = []
+        if not (empty and self.peek()[0] == closing):
+            items.append(item())
             while self.peek()[0] == ",":
                 self.advance()
-                polys.append(self.poly(ring))
-        self.expect(")", "')'")
-        return polys
+                items.append(item())
+        return items, self.expect(closing, f"'{closing}'")
+
+    def poly_list(self, ring):
+        """'(' poly (',' poly)* ')' — an empty '()' gives no generators."""
+        return self.comma_list(lambda: self.poly(ring), "(", ")", empty=True)[0]
 
 
 def parse_ring(text: str, *, order=GREVLEX) -> RingPresentation:
     """`ring <FIELD>[vars] / (gens)` — keyword and quotient part optional."""
     parser = _Parser(text)
-    tok = parser.peek()
-    if tok[0] == "IDENT" and tok[1] == "ring":
+    if parser.peek()[1] == "ring":
         parser.advance()
     ftok = parser.expect("IDENT", "field (Q or F<p>)")
     fld = _field_from_token(ftok)
-    parser.expect("[", "'['")
-    names = [parser.expect("IDENT", "variable name")[1]]
-    positions = {names[0]: (ftok[2], ftok[3])}
-    while parser.peek()[0] == ",":
-        parser.advance()
+    seen = set()
+
+    def variable():
         tok = parser.expect("IDENT", "variable name")
-        if tok[1] in positions:
+        if tok[1] in seen:
             raise ParseError(f"duplicate variable name {tok[1]!r}",
                              tok[2], tok[3])
-        positions[tok[1]] = (tok[2], tok[3])
-        names.append(tok[1])
-    parser.expect("]", "']'")
+        seen.add(tok[1])
+        return tok[1]
+
+    names = parser.comma_list(variable, "[", "]")[0]
     ambient = RingPresentation(fld, names, (), order)
     gens = []
     if parser.peek()[0] == "/":
         parser.advance()
         start = parser.peek()
-        for g in parser.poly_list(ambient):
-            if g.is_zero():
-                raise ParseError("zero defining generator rejected",
-                                 start[2], start[3])
-            gens.append(g)
+        gens = parser.poly_list(ambient)
+        if any(g.is_zero() for g in gens):
+            raise ParseError("zero defining generator rejected", start[2], start[3])
     parser.expect("EOF", "end of input")
     return RingPresentation(fld, names, gens, order)
 
@@ -287,7 +298,7 @@ def _field_from_token(tok):
     name = tok[1]
     if name == "Q":
         return QQ
-    if name.startswith("F") and name[1:].isdigit():
+    if name.startswith("F") and name[1:].isdigit() and name.isascii():
         try:
             return PrimeField(_int(name[1:], tok))
         except StructuralError as exc:
@@ -316,24 +327,19 @@ def parse_module(text: str, ring: RingPresentation) -> FinitelyPresentedModule:
     tok = parser.peek()
     if tok[0] == "IDENT" and tok[1] == "R":
         parser.advance()
+        gens = []
         if parser.peek()[0] == "/":
             parser.advance()
             gens = parser.poly_list(ring)
-            parser.expect("EOF", "end of input")
-            return FinitelyPresentedModule.cyclic(ring, gens)
         parser.expect("EOF", "end of input")
-        return FinitelyPresentedModule.cyclic(ring, [])
+        return FinitelyPresentedModule.cyclic(ring, gens)
     if tok[0] == "IDENT" and tok[1] == "k":
         parser.advance()
         parser.expect("EOF", "end of input")
         return FinitelyPresentedModule.residue_field(ring)
     if tok[0] == "[":
-        parser.advance()
-        rows = [_matrix_row(parser, ring)]
-        while parser.peek()[0] == ",":
-            parser.advance()
-            rows.append(_matrix_row(parser, ring))
-        closing = parser.expect("]", "']'")
+        rows, closing = parser.comma_list(
+            lambda: parser.comma_list(lambda: parser.poly(ring), "[", "]")[0], "[", "]")
         parser.expect("EOF", "end of input")
         if len({len(row) for row in rows}) > 1:
             raise ParseError("ragged relation matrix", closing[2], closing[3])
@@ -341,31 +347,20 @@ def parse_module(text: str, ring: RingPresentation) -> FinitelyPresentedModule:
     parser.fail("expected a module (R/(...), R, k, or [[...],[...]])")
 
 
-def _matrix_row(parser: _Parser, ring):
-    parser.expect("[", "'['")
-    row = [parser.poly(ring)]
-    while parser.peek()[0] == ",":
-        parser.advance()
-        row.append(parser.poly(ring))
-    parser.expect("]", "']'")
-    return row
-
-
 # ---------------------------------------------------------------------------
 # serialization helpers
 
 
-def _poly_json(ring, p):
+def _poly_json(p):
     """Coefficient/exponent-list form: [[coeff, [e1..en]], ...]."""
     return [[str(c), list(m.exps)] for m, c in p.terms]
 
 
-def _matrix_json(ring, rows):
-    return [[_poly_json(ring, entry) for entry in row] for row in rows]
+def _matrix_json(rows):
+    return [[_poly_json(entry) for entry in row] for row in rows]
 
 
 def _resolution_json(res):
-    ring = res.ring
     pd = res.projective_dimension()
     return {
         "ranks": list(res.ranks),
@@ -374,7 +369,7 @@ def _resolution_json(res):
         "periodic": list(res.periodic) if res.periodic is not None else None,
         "projective_dimension": pd if isinstance(pd, int) else (
             "infinite" if pd is not None else None),
-        "differentials": [_matrix_json(ring, d) for d in res.differentials],
+        "differentials": [_matrix_json(d) for d in res.differentials],
     }
 
 
@@ -394,141 +389,144 @@ def _format_matrix(ring, rows) -> str:
     )
 
 
+def _required(args, ring, key, parse, form):
+    """parse(value of --key, ring); a ParseError when the flag is missing."""
+    if getattr(args, key) is None:
+        raise ParseError(f"{args.command} requires --{key} \"{form}\"")
+    return parse(getattr(args, key), ring)
+
+
 # ---------------------------------------------------------------------------
-# command execution
+# subcommands: one registry entry each, in --help order
+
+_RING = ("ring", {"help": 'e.g. "ring Q[x,y] / (x^2, x*y)"'})
+_MODULE = ("module", {"help": "module: R/(g1,...), R, k, or [[...]]"})
+_TARGET = ("target", {"help": "second module, same syntax"})
+_IDEAL = ("--ideal", {"metavar": "(g1,...)", "help": "ideal generators"})
+_ELEMENT = ("--element", {"metavar": "r", "help": "ring element"})
+_ASSUME = ("--assume-annihilates", {
+    "action": "store_true",
+    "help": "record the annihilation hypothesis instead of checking"})
 
 
-def _session(args):
-    """Resolve budget/seed/order from flags, then environment, then defaults."""
-    values = {}
-    for key in ("max_degree", "max_steps", "seed"):
-        value, env = getattr(args, key), f"SINGULANT_{key.upper()}"
-        if value is None and env in os.environ:
-            try:
-                value = int(os.environ[env])
-            except ValueError:
-                raise ParseError(f"bad integer {os.environ[env]!r} for {env}")
-        if value is not None:
-            values[key] = value
-    seed = values.pop("seed", 0)
-    budget = Budget(**values)
-    if budget.max_degree <= 0 or budget.max_steps <= 0:
-        raise ParseError("budgets must be positive")
-    return budget, seed, _ORDERS[args.order]
+def _degree(d):
+    return ("--degree", {"type": int, "default": d,
+                         "help": f"cohomological degree (default {d})"})
 
 
-def _execute(args):
-    """Run one command in one budget scope: (exit_code, text, json_document)."""
-    budget, seed, order = _session(args)
-    with budget_scope(budget):
-        if args.command == "verify-paper":
-            fld = _field_from_token(("IDENT", args.field, 1, 1))
-            entries = verify_paper_examples(fld)
-            code = 0 if ledger_passed(entries) else 1
-            doc = {"command": "verify-paper",
-                   "result": [{"name": e.name, "status": e.status,
-                               "detail": e.detail} for e in entries]}
-            return code, format_ledger(entries), doc
-
-        ring = parse_ring(args.ring, order=order)
-        text, result = _HANDLERS[args.command](args, ring, ring.format_element, seed)
-    if args.command == "report":
-        return 0, text, result
-    return 0, text, {"command": args.command, "result": result}
+_COMMANDS = {}
 
 
-def _cmd_jac(args, ring, fmt, seed):
+def _command(name, help_, *arguments):
+    """Register the decorated handler as subcommand ``name``, with
+    ``arguments`` as (name or flag, add_argument keywords) pairs.  The
+    handler maps (args, ring or None) to (exit code, text, result); a text
+    of None makes the result the whole JSON document, printed in both modes."""
+    def register(handler):
+        _COMMANDS[name] = (help_, arguments, handler)
+        return handler
+    return register
+
+
+@_command("jac", "Jacobian ideal of the presentation", _RING)
+def _jac(args, ring):
     jac = jacobian_ideal(ring)
-    gens = [fmt(g) for g in jac.reduced_generators()]
-    return jac.format(), {"gens": gens}
+    return 0, jac.format(), {"gens": [ring.format_element(g)
+                                      for g in jac.reduced_generators()]}
 
 
-def _cmd_dim(args, ring, fmt, seed):
+@_command("dim", "Krull dimension", _RING)
+def _dim(args, ring):
     d = ring_dimension(ring)
-    return str(d), d
+    return 0, str(d), d
 
 
-def _cmd_height(args, ring, fmt, seed):
+@_command("height", "height of the defining ideal (or --ideal)", _RING, _IDEAL)
+def _height(args, ring):
     if args.ideal is not None:
         handle = parse_ideal(args.ideal, ring)
     else:
         handle = ring.defining_ideal()
     h = height(handle)
-    return str(h), h
+    return 0, str(h), h
 
 
-def _cmd_depth(args, ring, fmt, seed):
+@_command("depth", "depth of the ring", _RING)
+def _depth(args, ring):
     d = ring_depth(ring)
-    return str(d), d
+    return 0, str(d), d
 
 
-def _cmd_socle(args, ring, fmt, seed):
+@_command("socle", "socle (0 : m)", _RING)
+def _socle(args, ring):
     soc = socle(ring)
-    return soc.format(), {"gens": [fmt(g) for g in soc.reduced_generators()]}
+    return 0, soc.format(), {"gens": [ring.format_element(g)
+                                      for g in soc.reduced_generators()]}
 
 
-def _require_ideal(args, ring) -> IdealHandle:
-    if args.ideal is None:
-        raise ParseError(f"{args.command} requires --ideal \"(g1, ...)\"")
-    return parse_ideal(args.ideal, ring)
+@_command("loewy", "Loewy length of R/I for the m-primary --ideal", _RING, _IDEAL)
+def _loewy(args, ring):
+    n = loewy_length(ring, _required(args, ring, "ideal", parse_ideal, "(g1, ...)"))
+    return 0, str(n), n
 
 
-def _cmd_loewy(args, ring, fmt, seed):
-    n = loewy_length(ring, _require_ideal(args, ring))
-    return str(n), n
+@_command("nu", "minimal number of generators of --ideal", _RING, _IDEAL)
+def _nu(args, ring):
+    n = minimal_generators(_required(args, ring, "ideal", parse_ideal, "(g1, ...)"))
+    return 0, str(n), n
 
 
-def _cmd_nu(args, ring, fmt, seed):
-    n = minimal_generators(_require_ideal(args, ring))
-    return str(n), n
-
-
-def _cmd_equidim(args, ring, fmt, seed):
+@_command("equidim", "equidimensionality verdict", _RING)
+def _equidim(args, ring):
     verdict = is_equidimensional(ring)
-    return _verdict_text(verdict), verdict
+    return 0, _verdict_text(verdict), verdict
 
 
-def _cmd_minimal_primes(args, ring, fmt, seed):
-    primes = minimal_primes_monomial(ring.defining_ideal())
+@_command("minimal-primes", "minimal primes of the (monomial) defining ideal", _RING)
+def _minimal_primes(args, ring):
     result = []
     lines = []
-    for p in primes:
-        gens = [fmt(v) for v in p.generators]
+    for p in minimal_primes_monomial(ring.defining_ideal()):
+        gens = [ring.format_element(v) for v in p.generators]
         d = ring.nvars - len(gens)
         result.append({"gens": gens, "dim": d})
         lines.append(f"{p.format()}  dim {d}")
-    return "\n".join(lines) if lines else "(0)", result
+    return 0, "\n".join(lines) if lines else "(0)", result
 
 
-def _cmd_isolated(args, ring, fmt, seed):
+@_command("isolated", "isolated-singularity certificate", _RING)
+def _isolated(args, ring):
     iso = is_isolated_singularity(ring)
     lines = [_verdict_text(iso.verdict)]
-    witnesses = [[fmt(v) for v in p.generators] for p in iso.witness_primes]
+    witnesses = [[ring.format_element(v) for v in p.generators]
+                 for p in iso.witness_primes]
     for names in witnesses:
         lines.append(f"witness prime: ({', '.join(names)})")
     result = {"verdict": iso.verdict, "regular": iso.regular,
               "witness_primes": witnesses}
-    return "\n".join(lines), result
+    return 0, "\n".join(lines), result
 
 
-def _cmd_resolve(args, ring, fmt, seed):
-    module = parse_module(args.module, ring)
-    res = free_resolution(module, args.length)
-    pd = res.projective_dimension()
+@_command("resolve", "minimal free resolution of a module", _RING, _MODULE,
+          ("--length", {"type": int, "default": 4,
+                        "help": "resolution length (default 4)"}))
+def _resolve(args, ring):
+    res = free_resolution(parse_module(args.module, ring), args.length)
+    result = _resolution_json(res)
+    pd = result["projective_dimension"]
     lines = [
         "ranks: " + " ".join(str(r) for r in res.ranks),
-        f"minimal: {'true' if res.minimal else 'false'}",
-        "projective dimension: " + (
-            str(pd) if isinstance(pd, int)
-            else ("infinite" if pd is not None else f">= {res.length}")),
+        f"minimal: {_verdict_text(res.minimal)}",
+        f"projective dimension: {pd if pd is not None else f'>= {res.length}'}",
     ]
     for i in range(1, len(res.ranks)):
         lines.append(f"d_{i}:")
         lines.append(_format_matrix(ring, res.differential(i)))
-    return "\n".join(lines), _resolution_json(res)
+    return 0, "\n".join(lines), result
 
 
-def _cmd_ext(args, ring, fmt, seed):
+@_command("ext", "Ext^i(M, N) presentation", _RING, _MODULE, _TARGET, _degree(1))
+def _ext(args, ring):
     M = parse_module(args.module, ring)
     N = parse_module(args.target, ring)
     pres = ext_module(M, N, args.degree).to_module()
@@ -538,27 +536,23 @@ def _cmd_ext(args, ring, fmt, seed):
             + (str(dim) if dim is not None else "unknown"))
     result = {"degree": args.degree, "rank": pres.rank,
               "relations": pres.n_relations, "k_dimension": dim}
-    return text, result
+    return 0, text, result
 
 
-def _require_element(args, ring):
-    if args.element is None:
-        raise ParseError(f"{args.command} requires --element \"r\"")
-    return parse_element(args.element, ring)
-
-
-def _cmd_ext_ann(args, ring, fmt, seed):
-    r = _require_element(args, ring)
+@_command("ext-ann", "does r annihilate Ext^i(M, N)?", _RING, _MODULE, _TARGET,
+          _ELEMENT, _degree(2))
+def _ext_ann(args, ring):
+    r = _required(args, ring, "element", parse_element, "r")
     M = parse_module(args.module, ring)
     N = parse_module(args.target, ring)
     ok = annihilates_ext(r, M, N, args.degree)
-    return "true" if ok else "false", ok
+    return 0, _verdict_text(ok), ok
 
 
-def _cmd_koszul(args, ring, fmt, seed):
-    if args.sequence is None:
-        raise ParseError("koszul requires --sequence \"(f1, ...)\"")
-    sequence = parse_ideal(args.sequence, ring).generators
+@_command("koszul", "Koszul cohomology H^i of a sequence on a module", _RING, _MODULE,
+          ("--sequence", {"metavar": "(f1,...)", "help": "ring elements"}), _degree(0))
+def _koszul(args, ring):
+    sequence = _required(args, ring, "sequence", parse_ideal, "(f1, ...)").generators
     module = parse_module(args.module, ring)
     h = koszul_cohomology(list(sequence), module, args.degree)
     zero = h.is_zero_presentation()
@@ -567,62 +561,56 @@ def _cmd_koszul(args, ring, fmt, seed):
             f"{h.n_relations} relations")
     result = {"degree": args.degree, "rank": h.rank,
               "relations": h.n_relations, "zero": zero}
-    return text, result
+    return 0, text, result
 
 
-def _cmd_stable_ann(args, ring, fmt, seed):
-    r = _require_element(args, ring)
+@_command("stable-ann", "stable annihilation certificate for r on a module",
+          _RING, _MODULE, _ELEMENT)
+def _stable_ann(args, ring):
+    r = _required(args, ring, "element", parse_element, "r")
     module = parse_module(args.module, ring)
     ok = stable_annihilation_test(r, module)
-    return "true" if ok else "false", ok
+    return 0, _verdict_text(ok), ok
 
 
-def _cmd_bound(args, ring, fmt, seed):
+@_command("bound", "generation-time bound for --ideal (default: jac)",
+          _RING, _IDEAL, _ASSUME)
+def _bound(args, ring):
     if args.ideal is not None:
         ideal = parse_ideal(args.ideal, ring)
     else:
         ideal = jacobian_ideal(ring)
     result = generation_time_bound(
-        ring, ideal, assume_annihilates=args.assume_annihilates, seed=seed
+        ring, ideal, assume_annihilates=args.assume_annihilates, seed=args.seed
     ).payload()
     lines = [f"I = ({', '.join(result['I_gens'])})"]
     for key in ("nu", "loewy", "depth", "generation_time", "dim_sg_bound"):
         lines.append(f"{key} = {result[key]}")
     if result["assume_annihilates"]:
         lines.append("assume_annihilates = true")
-    return "\n".join(lines), result
+    return 0, "\n".join(lines), result
 
 
-def _cmd_report(args, ring, fmt, seed):
+@_command("report", "full singularity report (JSON)", _RING, _IDEAL, _ASSUME)
+def _report(args, ring):
     bound_ideal = parse_ideal(args.ideal, ring) if args.ideal is not None else None
-    doc = build_report(ring, bound_ideal=bound_ideal,
-                       assume_annihilates=args.assume_annihilates, seed=seed)
-    return report_json(doc).rstrip("\n"), doc
+    return 0, None, build_report(ring, bound_ideal=bound_ideal,
+                                 assume_annihilates=args.assume_annihilates,
+                                 seed=args.seed)
 
 
-_HANDLERS = {
-    "jac": _cmd_jac,
-    "dim": _cmd_dim,
-    "height": _cmd_height,
-    "depth": _cmd_depth,
-    "socle": _cmd_socle,
-    "loewy": _cmd_loewy,
-    "nu": _cmd_nu,
-    "equidim": _cmd_equidim,
-    "minimal-primes": _cmd_minimal_primes,
-    "isolated": _cmd_isolated,
-    "resolve": _cmd_resolve,
-    "ext": _cmd_ext,
-    "ext-ann": _cmd_ext_ann,
-    "koszul": _cmd_koszul,
-    "stable-ann": _cmd_stable_ann,
-    "bound": _cmd_bound,
-    "report": _cmd_report,
-}
+@_command("verify-paper", "re-run the golden-example ledger",
+          ("--field", {"default": "Q", "metavar": "FIELD",
+                       "help": "coefficient field: Q or F<p> (default Q)"}))
+def _verify_paper(args, ring):
+    entries = verify_paper_examples(_field_from_token(("IDENT", args.field, 1, 1)))
+    result = [{"name": e.name, "status": e.status, "detail": e.detail}
+              for e in entries]
+    return 0 if ledger_passed(entries) else 1, format_ledger(entries), result
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing and execution
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -645,65 +633,50 @@ def _build_argparser() -> argparse.ArgumentParser:
         description="singularity invariants of finitely presented rings",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def cmd(name, help_, ring=True, module=False, target=False, **flags):
+    for name, (help_, arguments, _) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_)
-        if ring:
-            p.add_argument("ring", help='e.g. "ring Q[x,y] / (x^2, x*y)"')
-        if module:
-            p.add_argument("module", help='module: R/(g1,...), R, k, or [[...]]')
-        if target:
-            p.add_argument("target", help="second module, same syntax")
-        for flag, spec in flags.items():
+        for flag, spec in arguments:
             p.add_argument(flag, **spec)
-        return p
-
-    ideal_flag = {"--ideal": {"default": None, "metavar": "(g1,...)",
-                              "help": "ideal generators"}}
-    element_flag = {"--element": {"default": None, "metavar": "r",
-                                  "help": "ring element"}}
-    degree_flag = lambda d: {"--degree": {"type": int, "default": d,
-                                          "help": f"cohomological degree (default {d})"}}
-
-    cmd("jac", "Jacobian ideal of the presentation")
-    cmd("dim", "Krull dimension")
-    cmd("height", "height of the defining ideal (or --ideal)", **ideal_flag)
-    cmd("depth", "depth of the ring")
-    cmd("socle", "socle (0 : m)")
-    cmd("loewy", "Loewy length of R/I for the m-primary --ideal", **ideal_flag)
-    cmd("nu", "minimal number of generators of --ideal", **ideal_flag)
-    cmd("equidim", "equidimensionality verdict")
-    cmd("minimal-primes", "minimal primes of the (monomial) defining ideal")
-    cmd("isolated", "isolated-singularity certificate")
-    cmd("resolve", "minimal free resolution of a module", module=True,
-        **{"--length": {"type": int, "default": 4,
-                        "help": "resolution length (default 4)"}})
-    cmd("ext", "Ext^i(M, N) presentation", module=True, target=True,
-        **degree_flag(1))
-    cmd("ext-ann", "does r annihilate Ext^i(M, N)?", module=True, target=True,
-        **{**element_flag, **degree_flag(2)})
-    cmd("koszul", "Koszul cohomology H^i of a sequence on a module",
-        module=True, **{**{"--sequence": {"default": None, "metavar": "(f1,...)",
-                                          "help": "ring elements"}},
-                        **degree_flag(0)})
-    cmd("stable-ann", "stable annihilation certificate for r on a module",
-        module=True, **element_flag)
-    cmd("bound", "generation-time bound for --ideal (default: jac)",
-        **{**ideal_flag, "--assume-annihilates": {"action": "store_true",
-           "help": "record the annihilation hypothesis instead of checking"}})
-    cmd("report", "full singularity report (JSON)",
-        **{**ideal_flag, "--assume-annihilates": {"action": "store_true",
-           "help": "record the annihilation hypothesis instead of checking"}})
-    cmd("verify-paper", "re-run the golden-example ledger", ring=False,
-        **{"--field": {"default": "Q", "metavar": "FIELD",
-                       "help": "coefficient field: Q or F<p> (default Q)"}})
     return top
+
+
+def _session(args) -> Budget:
+    """The command's budget from flags, then environment, then defaults;
+    the corpus seed resolves the same way onto ``args.seed`` (default 0)."""
+    values = {}
+    for key in ("max_degree", "max_steps", "seed"):
+        value, env = getattr(args, key), f"SINGULANT_{key.upper()}"
+        if value is None and env in os.environ:
+            try:
+                value = int(os.environ[env])
+            except ValueError:
+                raise ParseError(f"bad integer {os.environ[env]!r} for {env}")
+        if value is not None:
+            values[key] = value
+    args.seed = values.pop("seed", 0)
+    budget = Budget(**values)
+    if budget.max_degree <= 0 or budget.max_steps <= 0:
+        raise ParseError("budgets must be positive")
+    return budget
+
+
+def _execute(args):
+    """Run one command in one budget scope: (exit code, output text)."""
+    budget = _session(args)
+    handler = _COMMANDS[args.command][2]
+    with budget_scope(budget):
+        ring = parse_ring(args.ring, order=_ORDERS[args.order]) if "ring" in args else None
+        code, text, result = handler(args, ring)
+    if text is None or args.json:
+        doc = result if text is None else {"command": args.command, "result": result}
+        text = json.dumps(doc, indent=2, sort_keys=True)
+    return code, text
 
 
 def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
-        code, text, doc = _execute(args)
+        code, output = _execute(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -714,10 +687,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.json or args.command == "report":
-            print(json.dumps(doc, indent=2, sort_keys=True))
-        else:
-            print(text)
+        print(output)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe early; point stdout at devnull so the

@@ -318,19 +318,17 @@ class GroebnerBasis:
     """A reduced Groebner basis plus the context it was computed in.
 
     For quotient-ring semantics the basis generates the preimage in P^rank,
-    i.e. the input module together with defining * e_i for every coordinate;
-    ``defining`` remembers the defining basis used.  The divisor table of
-    the elements is built on the first ``normal_form`` and kept; equality
-    and hashing ignore it.
+    i.e. the input module together with defining * e_i for every coordinate.
+    The divisor table of the elements is built on the first ``normal_form``
+    and kept; equality and hashing ignore it.
     """
 
-    __slots__ = ("ring", "rank", "elements", "defining", "_table")
+    __slots__ = ("ring", "rank", "elements", "_table")
 
-    def __init__(self, ring, rank, elements, defining):
+    def __init__(self, ring, rank, elements):
         self.ring = ring
         self.rank = rank
         self.elements = tuple(elements)
-        self.defining = tuple(defining) if defining else ()
         self._table = None
 
     def polynomials(self):
@@ -537,7 +535,7 @@ def buchberger(
         els, ring, rank = _as_elements(gens)
     seeds = [el for el in els if not el.is_zero()]
     final = _seeded_core(seeds, defining, ring, rank, rank)
-    return GroebnerBasis(ring, rank, final, defining)
+    return GroebnerBasis(ring, rank, final)
 
 
 def normal_form(f, gb: GroebnerBasis):

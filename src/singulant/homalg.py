@@ -320,6 +320,14 @@ def ca_witness(r: Polynomial, n: int, corpus, *,
     return CaWitnessReport(r, n, entries, verdict)
 
 
+def corpus_labels(ring: RingPresentation):
+    """Stable display names matching the default corpus order."""
+    labels = ["k", "R"]
+    labels += [f"R/({nm})" for nm in ring.names]
+    labels += ["R/m^2", "syz1(k)", "coker(2x3 seeded)"]
+    return labels
+
+
 def default_corpus(ring: RingPresentation, seed: int = 0):
     """The standard witness modules: cyclic staples plus one seeded matrix.
 

@@ -36,6 +36,11 @@ from .poly import (
 _IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
 
+def field_token(fld) -> str:
+    """The field as the grammar writes it: Q or F<p>."""
+    return "Q" if fld.characteristic == 0 else f"F{fld.characteristic}"
+
+
 class RingPresentation:
     """R = field[names] / (defining), with caches for derived data."""
 
@@ -171,8 +176,7 @@ class RingPresentation:
         return format_polynomial(p, self.names)
 
     def format(self) -> str:
-        field = "Q" if self.field.characteristic == 0 else f"F{self.field.characteristic}"
-        base = f"{field}[{','.join(self.names)}]"
+        base = f"{field_token(self.field)}[{','.join(self.names)}]"
         if not self.defining:
             return base
         gens = ", ".join(self.format_element(g) for g in self.defining)

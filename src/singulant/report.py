@@ -28,6 +28,7 @@ from .errors import (
 from .homalg import (
     annihilates_ext,
     ca_witness,
+    corpus_labels,
     default_corpus,
     ext_module,
     koszul_cohomology,
@@ -38,6 +39,7 @@ from .homalg import (
 from .ideal_ops import (
     IdealHandle,
     RingPresentation,
+    field_token,
     height,
     is_equidimensional,
     is_m_primary,
@@ -54,7 +56,7 @@ from .jacobian import (
     jacobian_ideal,
     singular_locus_certificate,
 )
-from .poly import QQ, Polynomial, PrimeField
+from .poly import QQ, Polynomial, PolynomialRing
 from .resolve import (
     FinitelyPresentedModule,
     check_complex,
@@ -99,18 +101,6 @@ HYPOTHESIS_CRITERION_GAP = (
     "jacobian criterion not validated for this presentation: singular-locus "
     "conclusions relying on it are reported as unknown"
 )
-
-
-def field_token(fld) -> str:
-    return "Q" if fld.characteristic == 0 else f"F{fld.characteristic}"
-
-
-def corpus_labels(ring: RingPresentation):
-    """Stable display names matching the default corpus order."""
-    labels = ["k", "R"]
-    labels += [f"R/({nm})" for nm in ring.names]
-    labels += ["R/m^2", "syz1(k)", "coker(2x3 seeded)"]
-    return labels
 
 
 def _shift_label(label: str, s: int) -> str:
@@ -713,15 +703,18 @@ def ledger_passed(entries) -> bool:
     return all(e.status != "fail" for e in entries)
 
 
+# the goldens that depend on the four-variable Jacobian ideal
+_RATIONAL_ONLY = frozenset({"jac/plane-line-union", "isolated/plane-line-union",
+                            "radical-compare/plane-line-union"})
+
+
 def _embedded_point_line(fld) -> RingPresentation:
-    amb = RingPresentation(fld, ("x", "y"))
-    x, y = amb.variable(0), amb.variable(1)
+    x, y = PolynomialRing(fld, 2).variables()
     return RingPresentation(fld, ("x", "y"), (x * x, x * y))
 
 
 def _plane_line_union(fld) -> RingPresentation:
-    amb = RingPresentation(fld, ("x", "y", "z", "w"))
-    x, y, z, w = (amb.variable(i) for i in range(4))
+    x, y, z, w = PolynomialRing(fld, 4).variables()
     return RingPresentation(fld, ("x", "y", "z", "w"), (x * x, y * z, y * w))
 
 
@@ -733,10 +726,14 @@ def verify_paper_examples(fld=None):
     reason; everything else runs unchanged.
     """
     fld = fld if fld is not None else QQ
-    char2 = fld.characteristic == 2
     entries = []
 
     def run(name, fn):
+        if fld.characteristic == 2 and name in _RATIONAL_ONLY:
+            entries.append(LedgerEntry(name, "skipped", (
+                "characteristic 2 collapses d(x^2) = 2x; this golden value is "
+                "rational-only")))
+            return
         try:
             ok, detail = fn()
             entries.append(LedgerEntry(name, "pass" if ok else "fail", detail))
@@ -746,18 +743,11 @@ def verify_paper_examples(fld=None):
                 raise
             entries.append(LedgerEntry(name, "fail", f"error: {exc!r}"))
 
-    def skip(name, reason):
-        entries.append(LedgerEntry(name, "skipped", reason))
-
     A = _embedded_point_line(fld)
     ax, ay = A.variable(0), A.variable(1)
     B = _plane_line_union(fld)
     bx, by, bz, bw = (B.variable(i) for i in range(4))
     k_A = FinitelyPresentedModule.residue_field(A)
-    char2_reason = (
-        "characteristic 2 collapses d(x^2) = 2x; this golden value is "
-        "rational-only"
-    )
 
     def jac_plane_line():
         jac = jacobian_ideal(B)
@@ -886,10 +876,7 @@ def verify_paper_examples(fld=None):
         return ok, "H^0 = ann(x) != 0 and H^1 = R/(x); support check passes"
 
     run("jac/embedded-point-line", jac_embedded_point)
-    if char2:
-        skip("jac/plane-line-union", char2_reason)
-    else:
-        run("jac/plane-line-union", jac_plane_line)
+    run("jac/plane-line-union", jac_plane_line)
     run("height-dim/plane-line-union", height_dim_plane_line)
     run("dim-depth/embedded-point-line", dim_depth_embedded_point)
     run("equidim/plane-line-union", equidim_plane_line)
@@ -901,15 +888,9 @@ def verify_paper_examples(fld=None):
     run("ca3/y-evidence", ca3_y_evidence)
     run("socle/embedded-point-line", socle_embedded_point)
     run("isolated/embedded-point-line", isolated_embedded_point)
-    if char2:
-        skip("isolated/plane-line-union", char2_reason)
-    else:
-        run("isolated/plane-line-union", isolated_plane_line)
+    run("isolated/plane-line-union", isolated_plane_line)
     run("radical-compare/embedded-point-line", radical_embedded_point)
-    if char2:
-        skip("radical-compare/plane-line-union", char2_reason)
-    else:
-        run("radical-compare/plane-line-union", radical_plane_line)
+    run("radical-compare/plane-line-union", radical_plane_line)
     run("bound/maximal-ideal", bound_maximal_ideal)
     run("koszul/depth-detector", koszul_depth_detector)
     return entries

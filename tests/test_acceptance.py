@@ -16,6 +16,7 @@ from singulant.groebner import buchberger, normal_form
 from singulant.homalg import (
     annihilates_ext,
     ca_witness,
+    corpus_labels,
     default_corpus,
     ext_module,
     koszul_cohomology,
@@ -33,7 +34,7 @@ from singulant.ideal_ops import (
 )
 from singulant.jacobian import is_isolated_singularity, jacobian_ideal
 from singulant.poly import QQ
-from singulant.report import corpus_labels, generation_time_bound
+from singulant.report import generation_time_bound
 from singulant.resolve import (
     FinitelyPresentedModule,
     check_complex,

@@ -1,4 +1,5 @@
 """Grammar, dispatch, exit codes, and JSON-schema conformance of the CLI."""
+import argparse
 import json
 import random
 import subprocess
@@ -9,7 +10,14 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from singulant.cli import main, parse_element, parse_ideal, parse_module, parse_ring
+from singulant.cli import (
+    _build_argparser,
+    main,
+    parse_element,
+    parse_ideal,
+    parse_module,
+    parse_ring,
+)
 from singulant.errors import ParseError
 from singulant.poly import QQ, PrimeField
 
@@ -122,6 +130,38 @@ class TestParseRing:
         code, out, err = run_cli(capsys, "dim", text)
         assert code == 2 and out == ""
         assert "integer of 5000 digits is too long" in err and "Traceback" not in err
+
+    def test_coefficient_past_the_conversion_limit_is_a_parse_error(self, capsys):
+        # 4,300 digits still print, and over F_p every power reduces
+        ring = parse_ring("Q[x]/(x - 10^4299)")
+        assert ring.format() == "Q[x]/(x - 1" + "0" * 4299 + ")"
+        assert parse_ring("F7[x]/(x - 10^5000)").format() == "F7[x]/(x + 5)"
+        for command, ring, column in [("report", "Q[x,y]/(x^2-10^5000*y^3)", 9),
+                                      ("dim", "Q[x]/(x - (10^2000)^3)", 11),
+                                      ("dim", "Q[x]/(x - 10^3000*10^3000)", 7),
+                                      ("dim", "Q[x]/(x - 1/10^4300)", 7)]:
+            code, out, err = run_cli(capsys, command, ring)
+            assert code == 2 and out == "", ring
+            assert err == ("parse error: coefficient of more than 4300 digits "
+                           f"(line 1, column {column})\n")
+
+    def test_huge_power_of_a_constant_is_refused_before_it_is_computed(self, capsys):
+        start = time.perf_counter()
+        # 3^10000000 has 4.7 million digits and takes seconds to compute
+        code, _, err = run_cli(capsys, "dim", "Q[x]/(x - 3^10000000)")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and "coefficient of more than 4300 digits" in err
+
+    @pytest.mark.parametrize("ring, char, column", [
+        ("Q[\u00e9]", "\u00e9", 3),        # a non-ASCII letter
+        ("Q[x]/(x^\u00b2)", "\u00b2", 9),  # superscript two, isdigit() but not int()
+        ("Q[x]/(x^\u0663)", "\u0663", 9),  # Arabic-Indic three, int() reads it as 3
+    ], ids=["letter", "superscript-digit", "arabic-indic-digit"])
+    def test_non_ascii_character_is_a_parse_error(self, capsys, ring, char, column):
+        code, out, err = run_cli(capsys, "dim", ring)
+        assert code == 2 and out == ""
+        assert err == (f"parse error: unexpected character {char!r} "
+                       f"(line 1, column {column})\n")
 
 
 class TestParsePolynomials:
@@ -459,3 +499,42 @@ class TestJsonOutput:
         assert out.returncode == 0
         assert "report" in out.stdout
         assert "RuntimeWarning" not in out.stderr
+
+
+# -- declarations ------------------------------------------------------------------
+
+# every subcommand, in --help order: its positional arguments and its own
+# option flags with their defaults; the flags shared by all come first
+COMMON_FLAGS = {"--json": False, "--max-degree": None, "--max-steps": None,
+                "--seed": None, "--order": "grevlex"}
+DECLARATIONS = {
+    "jac": (["ring"], {}),
+    "dim": (["ring"], {}),
+    "height": (["ring"], {"--ideal": None}),
+    "depth": (["ring"], {}),
+    "socle": (["ring"], {}),
+    "loewy": (["ring"], {"--ideal": None}),
+    "nu": (["ring"], {"--ideal": None}),
+    "equidim": (["ring"], {}),
+    "minimal-primes": (["ring"], {}),
+    "isolated": (["ring"], {}),
+    "resolve": (["ring", "module"], {"--length": 4}),
+    "ext": (["ring", "module", "target"], {"--degree": 1}),
+    "ext-ann": (["ring", "module", "target"], {"--element": None, "--degree": 2}),
+    "koszul": (["ring", "module"], {"--sequence": None, "--degree": 0}),
+    "stable-ann": (["ring", "module"], {"--element": None}),
+    "bound": (["ring"], {"--ideal": None, "--assume-annihilates": False}),
+    "report": (["ring"], {"--ideal": None, "--assume-annihilates": False}),
+    "verify-paper": ([], {"--field": "Q"}),
+}
+
+
+def test_subcommands_match_the_declaration_table():
+    top = _build_argparser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(DECLARATIONS)
+    for name, (positionals, flags) in DECLARATIONS.items():
+        actions = [a for a in sub.choices[name]._actions if a.dest != "help"]
+        assert [a.dest for a in actions if not a.option_strings] == positionals, name
+        got = [(a.option_strings[-1], a.default) for a in actions if a.option_strings]
+        assert got == list({**COMMON_FLAGS, **flags}.items()), name
