@@ -18,6 +18,7 @@ SINGULANT_MAX_DEGREE, SINGULANT_MAX_STEPS, SINGULANT_SEED.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import string
@@ -42,6 +43,8 @@ from .homalg import (
     stable_annihilation_test,
 )
 from .ideal_ops import (
+    IDENT_CHARS,
+    IDENT_START,
     IdealHandle,
     RingPresentation,
     height,
@@ -73,8 +76,6 @@ _SYMBOLS = set("^*+-()[]/,")
 # only ASCII digits and identifiers: int() and str.isdigit() accept other
 # Unicode digits, which must not read as numbers
 _DIGITS = frozenset(string.digits)
-_IDENT_START = frozenset(string.ascii_letters + "_")
-_IDENT_CHARS = _IDENT_START | _DIGITS
 
 
 def _tokenize(text: str):
@@ -92,8 +93,8 @@ def _tokenize(text: str):
             col += 1
             i += 1
             continue
-        if ch in _DIGITS or ch in _IDENT_START:
-            kind, chars = ("INT", _DIGITS) if ch in _DIGITS else ("IDENT", _IDENT_CHARS)
+        if ch in _DIGITS or ch in IDENT_START:
+            kind, chars = ("INT", _DIGITS) if ch in _DIGITS else ("IDENT", IDENT_CHARS)
             j = i
             while j < len(text) and text[j] in chars:
                 j += 1
@@ -613,7 +614,10 @@ def _verify_paper(args, ring):
 # argument parsing and execution
 
 
+@functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built by the first ``main`` call
+    and kept for the rest of the process: parse_args leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit JSON instead of text")

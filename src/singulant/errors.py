@@ -8,7 +8,7 @@ block, such as one command.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
 
@@ -132,6 +132,19 @@ def budget_scope(budget: Budget | None = None):
         yield meter
     finally:
         _ACTIVE.reset(token)
+
+
+def guarded(budget: Budget | None, thunk):
+    """thunk() in a budget scope of its own, or in none when ``budget`` is
+    None; None when that scope, or a limit that names no scope, runs out.
+    Running out of an enclosing scope's steps propagates."""
+    with nullcontext() if budget is None else budget_scope(budget) as meter:
+        try:
+            return thunk()
+        except BudgetExceededError as exc:
+            if exc.escapes(meter):
+                raise
+            return None
 
 
 def active_meter() -> Meter:

@@ -10,12 +10,10 @@ B * e_(j) are part of every boundary module.
 from __future__ import annotations
 
 import random
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
-from .errors import (Budget, BudgetExceededError, PreconditionError, StructuralError,
-                     active_meter, budget_scope)
+from .errors import Budget, PreconditionError, StructuralError, active_meter, guarded
 # buchberger and trim_generators are unused here but stay importable from
 # this module, where perfbench's tracer rebinds and checks every alias of them
 from .groebner import ModuleElement, buchberger, normal_form  # noqa: F401
@@ -23,6 +21,7 @@ from .ideal_ops import IdealHandle, RingPresentation, radical_membership
 from .poly import Monomial, Polynomial
 from .resolve import (  # noqa: F401
     FinitelyPresentedModule,
+    FreeResolution,
     free_resolution,
     matrix_columns,
     minimal_kernel,
@@ -158,12 +157,9 @@ class ExtModule(Subquotient):
     that of the minimal presentation of N."""
 
     def __init__(self, ring: RingPresentation, cycles, boundaries, *, degree: int,
-                 source: FinitelyPresentedModule, target: FinitelyPresentedModule,
                  beta: int, target_rank: int):
         super().__init__(ring, beta * target_rank, cycles, boundaries)
         self.degree = degree
-        self.source = source
-        self.target = target
         self.beta = beta
         self.target_rank = target_rank
 
@@ -188,21 +184,37 @@ def _zero_hom_shifts(ring, beta, n0, relation_cols):
 
 def ext_module(M: FinitelyPresentedModule, N: FinitelyPresentedModule,
                i: int) -> ExtModule:
-    """Ext^i_R(M, N) from the dualized minimal resolution of M."""
+    """Ext^i_R(M, N): ``ext_from_resolution`` on the resolution of M out
+    to step i+1 and the minimal presentation of N."""
     if i < 0:
         raise PreconditionError("Ext degree must be nonnegative")
-    if M.ring != N.ring:
-        raise StructuralError("Ext arguments must share one ring presentation")
-    ring = M.ring
     Nmin = minimal_presentation(N)
-    n0 = Nmin.rank
-    res = free_resolution(M, i + 1, detect_periodicity=False)
+    return ext_from_resolution(free_resolution(M, i + 1, detect_periodicity=False), Nmin, i)
+
+
+def ext_from_resolution(res: FreeResolution, N: FinitelyPresentedModule,
+                        i: int) -> ExtModule:
+    """Ext^i_R(M, N) from ``res``, a minimal resolution of M, dualized into N.
+
+    N must already be a minimal presentation: its rank is the block size
+    of Hom(F_i, N), and it is not trimmed again here.  ``res`` must reach
+    step i+1 or be complete, as ``free_resolution(M, i + 1,
+    detect_periodicity=False)`` always is, so one resolution of M serves
+    every target N.
+    """
+    if i < 0:
+        raise PreconditionError("Ext degree must be nonnegative")
+    if res.ring != N.ring:
+        raise StructuralError("Ext arguments must share one ring presentation")
+    if res.length <= i and not res.complete:
+        raise PreconditionError(f"resolution stops before step {i + 1}")
+    ring = res.ring
+    n0 = N.rank
     if res.length < i or n0 == 0:
-        return ExtModule(ring, [], [], degree=i, source=M, target=N,
-                         beta=0, target_rank=n0)
+        return ExtModule(ring, [], [], degree=i, beta=0, target_rank=n0)
     beta = res.ranks[i]
     dom = beta * n0
-    b_cols = Nmin.relation_columns()
+    b_cols = N.relation_columns()
 
     # cycles: kernel of the dual of d_(i+1), into the zero-hom span; past
     # the end of the resolution there are no images, so every vector is a cycle
@@ -229,23 +241,27 @@ def ext_module(M: FinitelyPresentedModule, N: FinitelyPresentedModule,
                     [(j, d_cur[jp][j]) for j in range(beta)]))
 
     cycles = minimal_kernel(ring, dom, images, allowed)
-    return ExtModule(ring, cycles, boundaries, degree=i, source=M, target=N,
-                     beta=beta, target_rank=n0)
+    return ExtModule(ring, cycles, boundaries, degree=i, beta=beta, target_rank=n0)
+
+
+def _check_element(r, ring: RingPresentation):
+    if not isinstance(r, Polynomial) or r.ring != ring.poly_ring:
+        raise StructuralError("element must live in the presented ring")
 
 
 def annihilates_ext(r: Polynomial, M: FinitelyPresentedModule,
                     N: FinitelyPresentedModule, i: int) -> bool:
     """True iff r * (every cycle generator) lies in the boundary span."""
-    if not isinstance(r, Polynomial) or r.ring != M.ring.poly_ring:
-        raise StructuralError("element must live in the presented ring")
+    _check_element(r, M.ring)
     return ext_module(M, N, i).annihilated_by(r)
 
 
 def stable_annihilation_test(r: Polynomial, M: FinitelyPresentedModule) -> bool:
     """Does r * id_M factor through a projective?
 
-    Certified by r * Ext^1(M, Omega^1 M) = 0; a free module passes for
-    every r outright.
+    Certified by r * Ext^1(M, Omega^1 M) = 0, with Omega^1 M read off the
+    resolution that Ext^1 is built from; a free module passes for every r
+    outright.
 
     This is the shift-0 test.  In D_sg(R) a module is isomorphic to a
     shift of its syzygy Omega^s M, so r may annihilate M there while
@@ -259,10 +275,12 @@ def stable_annihilation_test(r: Polynomial, M: FinitelyPresentedModule) -> bool:
         raise PreconditionError("the zero module has no stable identity")
     if Mmin.is_free_presentation():
         return True
-    omega = syzygy_module(M, 1)
+    res = free_resolution(M, 2, detect_periodicity=False)
+    omega = res.syzygy(1)
     if omega.is_zero_presentation():
         return True
-    return annihilates_ext(r, M, omega, 1)
+    _check_element(r, M.ring)
+    return ext_from_resolution(res, minimal_presentation(omega), 1).annihilated_by(r)
 
 
 # ---------------------------------------------------------------------------
@@ -293,24 +311,30 @@ def ca_witness(r: Polynomial, n: int, corpus, *,
 
     A single failing pair proves r is not an annihilator at this degree;
     a clean sweep is evidence only, since the quantifier runs over all
-    finitely generated modules.  With ``pair_budget`` each pair runs in a
-    budget scope of its own.  A pair that runs out of that scope, or of a
-    limit that names no scope, is recorded as budget-exhausted and the
-    sweep goes on; running out of an enclosing scope's steps propagates.
+    finitely generated modules.  Each source is resolved once, out to
+    step n+1, and each target's minimal presentation is taken once; the
+    pair (M, N) then only builds Ext^n(M, N) from those and tests r on it.
+    With ``pair_budget`` each of these three kinds of step runs in a
+    budget scope of its own.  A step that runs out of that scope, or of a
+    limit that names no scope, leaves its pair budget-exhausted, or every
+    pair of its source or target, and the sweep goes on; running out of
+    an enclosing scope's steps propagates.
     """
     corpus = list(corpus)
+    for M in corpus:
+        _check_element(r, M.ring)
+
+    resolutions = [
+        guarded(pair_budget, lambda: free_resolution(M, n + 1, detect_periodicity=False))
+        for M in corpus]
+    targets = [guarded(pair_budget, lambda: minimal_presentation(N)) for N in corpus]
     entries = []
-    for a, M in enumerate(corpus):
-        for b, N in enumerate(corpus):
-            scope = nullcontext() if pair_budget is None else budget_scope(pair_budget)
-            with scope as meter:
-                try:
-                    ok = annihilates_ext(r, M, N, n)
-                    entries.append(PairOutcome(a, b, "pass" if ok else "fail"))
-                except BudgetExceededError as exc:
-                    if exc.escapes(meter):
-                        raise
-                    entries.append(PairOutcome(a, b, "budget-exhausted"))
+    for a, res in enumerate(resolutions):
+        for b, N in enumerate(targets):
+            ok = None if res is None or N is None else guarded(
+                pair_budget, lambda: ext_from_resolution(res, N, n).annihilated_by(r))
+            outcome = "budget-exhausted" if ok is None else "pass" if ok else "fail"
+            entries.append(PairOutcome(a, b, outcome))
     if any(e.outcome == "fail" for e in entries):
         verdict = "proved-not-in"
     elif any(e.outcome == "budget-exhausted" for e in entries):

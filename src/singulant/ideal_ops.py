@@ -13,6 +13,7 @@ input is accepted with an affine-reading caveat surfaced by callers.
 from __future__ import annotations
 
 import itertools
+import string
 
 from .errors import (
     BudgetExceededError,
@@ -33,7 +34,10 @@ from .poly import (
     format_polynomial,
 )
 
-_IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+# the identifier rule of variable names and of the parser's tokenizer: an
+# ASCII letter or underscore, then ASCII letters, digits and underscores
+IDENT_START = frozenset(string.ascii_letters + "_")
+IDENT_CHARS = IDENT_START | frozenset(string.digits)
 
 
 def field_token(fld) -> str:
@@ -49,7 +53,7 @@ class RingPresentation:
         if len(set(names)) != len(names):
             raise StructuralError("duplicate variable names")
         for nm in names:
-            if not nm or nm[0].isdigit() or any(ch not in _IDENT_OK for ch in nm):
+            if not nm or nm[0] not in IDENT_START or not IDENT_CHARS.issuperset(nm):
                 raise StructuralError(f"bad variable name {nm!r}")
         self.field = field
         self.names = names

@@ -23,13 +23,14 @@ from .errors import (
     StructuralError,
     UnsupportedInputError,
     active_meter,
-    budget_scope,
+    guarded,
 )
 from .homalg import (
     annihilates_ext,
     ca_witness,
     corpus_labels,
     default_corpus,
+    ext_from_resolution,
     ext_module,
     koszul_cohomology,
     koszul_support_check,
@@ -64,7 +65,6 @@ from .resolve import (
     free_resolution,
     minimal_presentation,
     ring_depth,
-    syzygy_module,
 )
 
 # each guarded step of a certification sweep runs in a budget scope of its own
@@ -107,6 +107,13 @@ def _shift_label(label: str, s: int) -> str:
     return label if s == 0 else f"syz{s}({label})"
 
 
+def _omega_one(module):
+    """(resolution of module to step 2, its minimal Omega^1): the same
+    resolution ``syzygy_module(module, 1)`` builds, kept for Ext^1."""
+    res = free_resolution(module, 2, detect_periodicity=False)
+    return res, minimal_presentation(res.syzygy(1))
+
+
 # ---------------------------------------------------------------------------
 # certification context: shared syzygy chains and Ext groups per corpus member
 
@@ -117,8 +124,11 @@ class _CorpusContext:
     For each corpus member the context maintains the chain of syzygy
     modules M, Omega^1 M, Omega^2 M, ...; for each link it can produce the
     annihilator (cheap certificate) and the Ext group of the stable test
-    (decisive but potentially large).  Each heavy step runs in its own
-    ``cap`` scope and degrades to "inconclusive" when that cap is hit.
+    (decisive but potentially large).  Each link M resolves M once, out to
+    step 2, reads its Omega^1 off that resolution and keeps it, so the
+    Ext^1(M, Omega^1 M) of the stable test reuses the same resolution and
+    the already minimal Omega^1.  Each heavy step runs in its own ``cap``
+    scope and degrades to "inconclusive" when that cap is hit.
     """
 
     def __init__(self, ring: RingPresentation, seed: int):
@@ -129,16 +139,6 @@ class _CorpusContext:
         self.members = default_corpus(ring, seed)
         self._levels = [[] for _ in self.members]
 
-    def _guarded(self, thunk):
-        """thunk() in a fresh ``cap`` scope; None when that scope runs out."""
-        with budget_scope(self.cap) as meter:
-            try:
-                return thunk()
-            except BudgetExceededError as exc:
-                if exc.escapes(meter):
-                    raise
-                return None
-
     # -- chain construction ---------------------------------------------------
 
     def _level(self, idx: int, s: int):
@@ -148,7 +148,7 @@ class _CorpusContext:
             if levels:
                 base = levels[-1]["omega"]
             else:
-                base = self._guarded(lambda: minimal_presentation(self.members[idx]))
+                base = guarded(self.cap, lambda: minimal_presentation(self.members[idx]))
             if base is None:
                 return None
             lv = {"module": base}
@@ -159,11 +159,10 @@ class _CorpusContext:
                     lv["ann"] = levels[-1]["omega_ann"]
                 else:
                     lv["ann"] = self._annihilator(base)
-                om = None
+                res = om = None
                 if _presentation_size(base) <= _SYZ_SIZE_CAP:
-                    om = self._guarded(
-                        lambda: minimal_presentation(syzygy_module(base, 1)))
-                lv["omega"] = om
+                    res, om = guarded(self.cap, lambda: _omega_one(base)) or (None, None)
+                lv["resolution"], lv["omega"] = res, om
                 if om is None or om.is_zero_presentation():
                     lv["omega_ann"] = None
                 else:
@@ -176,7 +175,7 @@ class _CorpusContext:
             return IdealHandle(self.ring, list(module.rows[0]) if module.rows else [])
         if _presentation_size(module) > _ANN_SIZE_CAP:
             return None
-        return self._guarded(lambda: module_annihilator(module))
+        return guarded(self.cap, lambda: module_annihilator(module))
 
     def _ext(self, lv: dict):
         if "ext" not in lv:
@@ -186,7 +185,7 @@ class _CorpusContext:
             elif mod.n_relations * om.rank > _HOM_COLUMNS_CAP:
                 lv["ext"] = "too-large"
             else:
-                ext = self._guarded(lambda: ext_module(mod, om, 1))
+                ext = guarded(self.cap, lambda: ext_from_resolution(lv["resolution"], om, 1))
                 lv["ext"] = "budget" if ext is None else ext
         return lv["ext"]
 
@@ -201,11 +200,11 @@ class _CorpusContext:
         "certified" | "failed" | "inconclusive".
         """
         fails = []
-        guarded = False
+        capped = False
         for s in range(_MAX_SHIFT + 1):
             lv = self._level(idx, s)
             if lv is None:
-                guarded = True
+                capped = True
                 break
             mod = lv["module"]
             if mod.is_zero_presentation() or mod.is_free_presentation():
@@ -221,12 +220,12 @@ class _CorpusContext:
                 return "certified", "annihilates-syzygy", s, fails
             ext = self._ext(lv)
             if isinstance(ext, str):
-                guarded = True
+                capped = True
                 continue
             if ext.annihilated_by(r):
                 return "certified", "ext-vanishing", s, fails
             fails.append(s)
-        if fails and not guarded:
+        if fails and not capped:
             return "failed", None, None, fails
         return "inconclusive", None, None, fails
 

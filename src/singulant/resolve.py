@@ -283,6 +283,22 @@ class FreeResolution:
             for m in self.differentials for row in m for e in row
         )
 
+    def syzygy(self, n: int) -> FinitelyPresentedModule:
+        """Omega^n of the resolved module: coker of d_(n+1) on F_n.
+
+        Needs d_(n+1) or a complete resolution, past whose end every
+        syzygy is free or zero; a truncated or periodic-shortcut
+        resolution that stops before step n+1 does not determine Omega^n.
+        """
+        if n < 0:
+            raise PreconditionError("syzygy index must be nonnegative")
+        if self.length <= n and not self.complete:
+            raise PreconditionError(f"resolution stops before step {n + 1}")
+        if self.length < n:
+            return FinitelyPresentedModule(self.ring, 0)
+        rows = self.differential(n + 1) if self.length > n else ()
+        return FinitelyPresentedModule(self.ring, self.ranks[n], rows, self.shifts[n])
+
 
 def free_resolution(module: FinitelyPresentedModule, length: int, *,
                     detect_periodicity: bool = True) -> FreeResolution:
@@ -392,21 +408,18 @@ def check_exactness(res: FreeResolution) -> bool:
 
 
 def syzygy_module(module: FinitelyPresentedModule, n: int) -> FinitelyPresentedModule:
-    """The n-th syzygy in the minimal resolution: coker of d_(n+1).
+    """The n-th syzygy in the minimal resolution: ``FreeResolution.syzygy``.
 
     Periodicity detection is switched off so the resolution is always
-    carried honestly out to step n+1 (or until it stops by itself).
+    carried honestly out to step n+1 (or until it stops by itself).  A
+    caller that also needs the resolution, say for Ext^n(module, -),
+    builds it with exactly this call and reads the syzygy off it.
     """
     if n < 0:
         raise PreconditionError("syzygy index must be nonnegative")
     if n == 0:
         return minimal_presentation(module)
-    res = free_resolution(module, n + 1, detect_periodicity=False)
-    if res.length < n:
-        return FinitelyPresentedModule(module.ring, 0)
-    rank = res.ranks[n]
-    rows = res.differential(n + 1) if res.length >= n + 1 else ()
-    return FinitelyPresentedModule(module.ring, rank, rows, res.shifts[n])
+    return free_resolution(module, n + 1, detect_periodicity=False).syzygy(n)
 
 
 def restrict_to_ambient(module: FinitelyPresentedModule) -> FinitelyPresentedModule:

@@ -500,6 +500,24 @@ class TestJsonOutput:
         assert "report" in out.stdout
         assert "RuntimeWarning" not in out.stderr
 
+    def test_calls_in_one_process_match_fresh_interpreters(self, capsys, monkeypatch):
+        """main builds its parser once per process: successive calls with
+        other subcommands, --help and argument errors print what a fresh
+        interpreter prints for each."""
+        monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal
+        runs = [("dim", RING_A), ("resolve", RING_A, "k", "--length", "2", "--json"),
+                ("--help",), ("ext", "--help"), ("dim",), ("jac", "Q[x"),
+                ("jac", RING_B)]
+        for argv in runs:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "singulant", *argv],
+                                   capture_output=True, text=True)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
 
 # -- declarations ------------------------------------------------------------------
 

@@ -15,7 +15,9 @@ from singulant.homalg import (
     CaWitnessReport,
     ca_witness,
     annihilates_ext,
+    corpus_labels,
     default_corpus,
+    ext_from_resolution,
     ext_module,
     koszul_cohomology,
     koszul_complex,
@@ -34,7 +36,7 @@ from singulant.resolve import (
 )
 
 from oracles import _row_reduce, monomials_of_degree
-from util import fail_ring, presentation, embedded_point_ring
+from util import count_calls, fail_ring, presentation, embedded_point_ring
 
 
 def rows_str(matrix):
@@ -231,6 +233,26 @@ class TestExtModule:
             ext_module(k, k, -1)
         with pytest.raises(StructuralError):
             ext_module(k, kF, 1)
+        # Ext^1 needs d_2, which a resolution cut at step 1 lacks
+        with pytest.raises(PreconditionError):
+            ext_from_resolution(free_resolution(k, 1), k, 1)
+        with pytest.raises(StructuralError):
+            ext_from_resolution(free_resolution(k, 2), kF, 1)
+
+    def test_one_resolution_serves_every_target(self):
+        """All 49 corpus pairs at degree 2: one resolution per source and one
+        minimal presentation per target give ext_module's cycles and
+        boundaries."""
+        R = embedded_point_ring()
+        corpus = default_corpus(R, 0)
+        targets = [minimal_presentation(N) for N in corpus]
+        for a, M in enumerate(corpus):
+            res = free_resolution(M, 3, detect_periodicity=False)
+            for b, (N, Nmin) in enumerate(zip(corpus, targets)):
+                shared = ext_from_resolution(res, Nmin, 2)
+                fresh = ext_module(M, N, 2)
+                assert shared.cycles == fresh.cycles, (a, b)
+                assert shared.boundaries == fresh.boundaries, (a, b)
 
     def test_dimensions_match_brute_force_oracle(self):
         R = embedded_point_ring()
@@ -370,6 +392,33 @@ class TestCaWitness:
                             pair_budget=Budget(max_steps=20))
         assert report.verdict == "budget-exhausted"
         assert report.entries[0].outcome == "budget-exhausted"
+
+    def test_each_source_is_resolved_once(self, monkeypatch):
+        R = embedded_point_ring()
+        corpus = default_corpus(R, 0)
+        calls = count_calls(monkeypatch, free_resolution)
+        ca_witness(R.variable(0), 2, corpus)
+        assert [args[0] for args in calls] == corpus
+
+    # over Q[x,y]/(x^2, xy), with r = x at degree 2: resolving k to step 3
+    # takes 128 steps and R/(y) 53; presenting k takes 8 and the seeded
+    # cokernel 18; the pair (R/(y), k) takes 65 once both are given
+    @pytest.mark.parametrize("members, max_steps, outcomes", [
+        # k's row runs out on its resolution; R/(y)'s row fits, though
+        # resolution, presentation and pair together (126) would not
+        (("k", "R/(y)"), 100, ["budget-exhausted"] * 2 + ["pass"] * 2),
+        # the cokernel's column runs out on its presentation, and its row
+        # on its resolution; the free module's pair with itself takes none
+        (("R", "coker(2x3 seeded)"), 10, ["pass"] + ["budget-exhausted"] * 3),
+    ])
+    def test_exhausted_source_or_target_marks_its_pairs(self, members, max_steps,
+                                                        outcomes):
+        R = embedded_point_ring()
+        by_label = dict(zip(corpus_labels(R), default_corpus(R, 0)))
+        report = ca_witness(R.variable(0), 2, [by_label[m] for m in members],
+                            pair_budget=Budget(max_steps=max_steps))
+        assert [e.outcome for e in report.entries] == outcomes
+        assert report.verdict == "budget-exhausted"
 
     def test_enclosing_budget_exhaustion_is_raised(self):
         R = embedded_point_ring()

@@ -26,8 +26,9 @@ from singulant.report import (
     report_json,
     verify_paper_examples,
 )
+from singulant.resolve import free_resolution, minimal_presentation, syzygy_module
 
-from util import fail_ring, ideal, presentation, embedded_point_ring
+from util import count_calls, fail_ring, ideal, presentation, embedded_point_ring
 
 
 @pytest.fixture(scope="module")
@@ -299,12 +300,24 @@ class TestSweepBudgets:
                 verify_paper_examples()
 
 
+# -- resolution reuse in the sweep ---------------------------------------------------
+
+
+def test_sweep_reuses_resolutions(monkeypatch, ring_a):
+    """Ring A with its Jacobian candidates: 15 resolutions (59 when every
+    corpus pair and every stable Ext test resolved its source afresh)."""
+    gens = jacobian_ideal(ring_a).reduced_generators()
+    calls = count_calls(monkeypatch, free_resolution)
+    annihilator_bounds(ring_a, extra_elements=gens)
+    assert len(calls) <= 15
+
+
 # -- byte-identical report snapshots ------------------------------------------------
 
 # Each file in tests/data is report_json(build_report(parse_ring(text))) for
 # the ring below, written by the code it guards: a change meant to keep
 # behaviour must keep these bytes.  The cusp and cubic files are expected to
-# change when ROADMAP item 4 adds its equidimensionality certificates (their
+# change when ROADMAP item 1 adds its equidimensionality certificates (their
 # reports now lack the bound block).  A change that regenerates any file
 # explains the diff in CHANGES.md.
 SNAPSHOT_RINGS = {
@@ -315,6 +328,18 @@ SNAPSHOT_RINGS = {
     "xy_yz_xz": "Q[x,y,z]/(x*y, y*z, x*z)",
     "cusp": "Q[x,y]/(x^3 - y^2)",
 }
+
+
+@pytest.mark.parametrize("key", sorted(SNAPSHOT_RINGS))
+def test_minimal_presentation_is_idempotent(key):
+    """On each corpus member and its first syzygy: the sweep hands the
+    minimal Omega^1 to Ext without trimming it again."""
+    ring = parse_ring(SNAPSHOT_RINGS[key])
+    for M in default_corpus(ring, 0):
+        for module in (M, syzygy_module(M, 1)):
+            once = minimal_presentation(module)
+            twice = minimal_presentation(once)
+            assert (twice.rows, twice.shifts) == (once.rows, once.shifts)
 
 
 @pytest.mark.parametrize("key", sorted(SNAPSHOT_RINGS))

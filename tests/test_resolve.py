@@ -417,6 +417,21 @@ class TestSyzygyModules:
         with pytest.raises(PreconditionError):
             syzygy_module(k, -1)
 
+    def test_syzygy_past_a_truncated_resolution_is_refused(self):
+        """Omega^n needs d_(n+1): a resolution cut short by its length or
+        by the periodicity shortcut does not determine it."""
+        R = embedded_point_ring()
+        k = FinitelyPresentedModule.residue_field(R)
+        res = free_resolution(k, 1)
+        assert res.syzygy(0) == minimal_presentation(k)
+        with pytest.raises(PreconditionError):
+            res.syzygy(1)
+        F = fail_ring()
+        periodic = free_resolution(FinitelyPresentedModule.cyclic(F, [F.variable(0)]), 6)
+        assert periodic.periodic is not None and periodic.length < 6
+        with pytest.raises(PreconditionError):
+            periodic.syzygy(periodic.length)
+
     def test_x_annihilates_first_syzygies(self):
         """Multiplication by x lands in the relation span of each syzygy."""
         R = embedded_point_ring()

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 import random
+import sys
 
 from singulant.poly import (
     GREVLEX,
@@ -72,3 +73,18 @@ def fail_ring(field=QQ) -> RingPresentation:
 def ideal(ring: RingPresentation, builder) -> IdealHandle:
     gens = builder(*[ring.variable(i) for i in range(ring.nvars)])
     return IdealHandle(ring, gens)
+
+
+def count_calls(monkeypatch, fn):
+    """Record the arguments of every call of fn made through any singulant
+    module's binding of it; monkeypatch restores the bindings."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("singulant") and vars(mod).get(fn.__name__) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counting)
+    return calls
