@@ -307,27 +307,36 @@ class CaWitnessReport:
 
 def ca_witness(r: Polynomial, n: int, corpus, *,
                pair_budget: Budget | None = None) -> CaWitnessReport:
-    """Annihilation evidence for r at Ext-degree n over all corpus pairs.
-
-    A single failing pair proves r is not an annihilator at this degree;
-    a clean sweep is evidence only, since the quantifier runs over all
-    finitely generated modules.  Each source is resolved once, out to
-    step n+1, and each target's minimal presentation is taken once; the
-    pair (M, N) then only builds Ext^n(M, N) from those and tests r on it.
-    With ``pair_budget`` each of these three kinds of step runs in a
-    budget scope of its own.  A step that runs out of that scope, or of a
-    limit that names no scope, leaves its pair budget-exhausted, or every
-    pair of its source or target, and the sweep goes on; running out of
-    an enclosing scope's steps propagates.
-    """
+    """``ca_witness_from_resolutions`` over all pairs of ``corpus``, on each
+    source's resolution out to step n+1 and each target's minimal
+    presentation, each taken in a ``pair_budget`` scope of its own."""
     corpus = list(corpus)
     for M in corpus:
         _check_element(r, M.ring)
-
     resolutions = [
         guarded(pair_budget, lambda: free_resolution(M, n + 1, detect_periodicity=False))
         for M in corpus]
     targets = [guarded(pair_budget, lambda: minimal_presentation(N)) for N in corpus]
+    return ca_witness_from_resolutions(r, n, resolutions, targets, pair_budget=pair_budget)
+
+
+def ca_witness_from_resolutions(r: Polynomial, n: int, resolutions, targets, *,
+                                pair_budget: Budget | None = None) -> CaWitnessReport:
+    """Annihilation evidence for r at Ext-degree n over all pairs (M, N).
+
+    A single failing pair proves r is not an annihilator at this degree;
+    a clean sweep is evidence only, since the quantifier runs over all
+    finitely generated modules.  ``resolutions`` holds a resolution of
+    each source that reaches step n+1 or is complete, ``targets`` the
+    minimal presentation of each target; a None in either, left by a step
+    that ran out, makes each of its pairs budget-exhausted.  A pair only
+    builds Ext^n(M, N) and tests r on it, in a ``pair_budget`` scope of
+    its own.  Running out of that scope, or of a limit that names no
+    scope, leaves the pair budget-exhausted and the sweep goes on; running
+    out of an enclosing scope's steps propagates.
+    """
+    for res in filter(None, resolutions):
+        _check_element(r, res.ring)
     entries = []
     for a, res in enumerate(resolutions):
         for b, N in enumerate(targets):

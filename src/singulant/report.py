@@ -28,6 +28,7 @@ from .errors import (
 from .homalg import (
     annihilates_ext,
     ca_witness,
+    ca_witness_from_resolutions,
     corpus_labels,
     default_corpus,
     ext_from_resolution,
@@ -107,28 +108,21 @@ def _shift_label(label: str, s: int) -> str:
     return label if s == 0 else f"syz{s}({label})"
 
 
-def _omega_one(module):
-    """(resolution of module to step 2, its minimal Omega^1): the same
-    resolution ``syzygy_module(module, 1)`` builds, kept for Ext^1."""
-    res = free_resolution(module, 2, detect_periodicity=False)
-    return res, minimal_presentation(res.syzygy(1))
-
-
 # ---------------------------------------------------------------------------
-# certification context: shared syzygy chains and Ext groups per corpus member
+# certification context: one resolution per corpus member, shared by the sweep
 
 
 class _CorpusContext:
     """Lazy per-member caches shared by every candidate in one sweep.
 
-    For each corpus member the context maintains the chain of syzygy
-    modules M, Omega^1 M, Omega^2 M, ...; for each link it can produce the
-    annihilator (cheap certificate) and the Ext group of the stable test
-    (decisive but potentially large).  Each link M resolves M once, out to
-    step 2, reads its Omega^1 off that resolution and keeps it, so the
-    Ext^1(M, Omega^1 M) of the stable test reuses the same resolution and
-    the already minimal Omega^1.  Each heavy step runs in its own ``cap``
-    scope and degrades to "inconclusive" when that cap is hit.
+    Each corpus member M has one minimal presentation and one resolution,
+    grown in place as far as a candidate needs it.  Link s of M's syzygy
+    chain is Omega^s M, read off that resolution, and so is the stable
+    test's Ext^1(Omega^s M, Omega^(s+1) M), as Ext^(s+1)(M, Omega^(s+1) M);
+    the socle sweep's pairs share both objects.  Links, annihilators and
+    Ext groups are memoised per (member, s).  Each heavy step, down to one
+    resolution step, runs in its own ``cap`` scope and degrades to
+    "inconclusive" when that cap is hit.
     """
 
     def __init__(self, ring: RingPresentation, seed: int):
@@ -137,57 +131,60 @@ class _CorpusContext:
                           max_steps=_CERT_MAX_STEPS)
         self.labels = corpus_labels(ring)
         self.members = default_corpus(ring, seed)
-        self._levels = [[] for _ in self.members]
+        self._memo = {}
+        self._stuck = set()
+
+    def _cached(self, key, thunk):
+        if key not in self._memo:
+            self._memo[key] = thunk()
+        return self._memo[key]
 
     # -- chain construction ---------------------------------------------------
 
-    def _level(self, idx: int, s: int):
-        """Link s of member idx's syzygy chain; None once the chain breaks."""
-        levels = self._levels[idx]
-        while len(levels) <= s:
-            if levels:
-                base = levels[-1]["omega"]
-            else:
-                base = guarded(self.cap, lambda: minimal_presentation(self.members[idx]))
-            if base is None:
+    def resolution(self, idx: int, length: int):
+        """Member idx's resolution reaching step ``length`` or complete, grown
+        one step per cap scope; None once its presentation, or a step it
+        needs, ran out.  A step that ran out is not tried again."""
+        pres = self.omega(idx, 0)
+        res = None if pres is None else self._cached(("res", idx), lambda: guarded(
+            self.cap, lambda: free_resolution(pres, 0, detect_periodicity=False)))
+        while res is not None and res.length < length and not res.complete:
+            if idx in self._stuck or guarded(self.cap, lambda: res.grow(res.length + 1)) is None:
+                self._stuck.add(idx)
                 return None
-            lv = {"module": base}
-            if base.is_zero_presentation() or base.is_free_presentation():
-                lv.update(ann=None, omega=None, omega_ann=None)
-            else:
-                if levels and levels[-1]["omega_ann"] is not None:
-                    lv["ann"] = levels[-1]["omega_ann"]
-                else:
-                    lv["ann"] = self._annihilator(base)
-                res = om = None
-                if _presentation_size(base) <= _SYZ_SIZE_CAP:
-                    res, om = guarded(self.cap, lambda: _omega_one(base)) or (None, None)
-                lv["resolution"], lv["omega"] = res, om
-                if om is None or om.is_zero_presentation():
-                    lv["omega_ann"] = None
-                else:
-                    lv["omega_ann"] = self._annihilator(om)
-            levels.append(lv)
-        return levels[s]
+        return res
 
-    def _annihilator(self, module):
-        if module.rank == 1:
-            return IdealHandle(self.ring, list(module.rows[0]) if module.rows else [])
-        if _presentation_size(module) > _ANN_SIZE_CAP:
-            return None
-        return guarded(self.cap, lambda: module_annihilator(module))
+    def omega(self, idx: int, s: int):
+        """Link s of member idx's syzygy chain; None once the chain breaks."""
+        def link():
+            if s == 0:
+                return guarded(self.cap, lambda: minimal_presentation(self.members[idx]))
+            prev = self.omega(idx, s - 1)
+            if prev is None or _presentation_size(prev) > _SYZ_SIZE_CAP:
+                return None
+            res = self.resolution(idx, s + 1)
+            return None if res is None else res.syzygy(s)
+        return self._cached(("omega", idx, s), link)
 
-    def _ext(self, lv: dict):
-        if "ext" not in lv:
-            mod, om = lv["module"], lv["omega"]
-            if om is None:
-                lv["ext"] = "budget"
-            elif mod.n_relations * om.rank > _HOM_COLUMNS_CAP:
-                lv["ext"] = "too-large"
-            else:
-                ext = guarded(self.cap, lambda: ext_from_resolution(lv["resolution"], om, 1))
-                lv["ext"] = "budget" if ext is None else ext
-        return lv["ext"]
+    def _annihilator(self, idx: int, s: int):
+        def ann():
+            module = self.omega(idx, s)
+            if module.rank == 1:
+                return IdealHandle(self.ring, list(module.rows[0]) if module.rows else [])
+            if _presentation_size(module) > _ANN_SIZE_CAP:
+                return None
+            return guarded(self.cap, lambda: module_annihilator(module))
+        return self._cached(("ann", idx, s), ann)
+
+    def _ext(self, idx: int, s: int):
+        """Ext^1(Omega^s M, Omega^(s+1) M); None past a cap."""
+        def ext():
+            mod, om = self.omega(idx, s), self.omega(idx, s + 1)
+            if om is None or mod.n_relations * om.rank > _HOM_COLUMNS_CAP:
+                return None
+            res = self.resolution(idx, s + 2)
+            return guarded(self.cap, lambda: ext_from_resolution(res, om, s + 1))
+        return self._cached(("ext", idx, s), ext)
 
     # -- per-candidate certification -------------------------------------------
 
@@ -202,24 +199,23 @@ class _CorpusContext:
         fails = []
         capped = False
         for s in range(_MAX_SHIFT + 1):
-            lv = self._level(idx, s)
-            if lv is None:
+            mod = self.omega(idx, s)
+            if mod is None:
                 capped = True
                 break
-            mod = lv["module"]
             if mod.is_zero_presentation() or mod.is_free_presentation():
                 return "certified", "zero-or-free", s, fails
-            ann = lv["ann"]
+            ann = self._annihilator(idx, s)
             if ann is not None and ann.contains(r):
                 return "certified", "annihilates-module", s, fails
-            om = lv["omega"]
+            om = self.omega(idx, s + 1)
             if om is not None and om.is_zero_presentation():
                 return "certified", "zero-syzygy", s, fails
-            om_ann = lv["omega_ann"]
+            om_ann = None if om is None else self._annihilator(idx, s + 1)
             if om_ann is not None and om_ann.contains(r):
                 return "certified", "annihilates-syzygy", s, fails
-            ext = self._ext(lv)
-            if isinstance(ext, str):
+            ext = self._ext(idx, s)
+            if ext is None:
                 capped = True
                 continue
             if ext.annihilated_by(r):
@@ -366,7 +362,10 @@ def annihilator_bounds(ring: RingPresentation, extra_elements=(), *,
 
 def _certify_socle_element(ctx, g, certificates, exclusions,
                            inconclusive) -> bool:
-    report = ca_witness(g, _CA_DEGREE, ctx.members, pair_budget=ctx.cap)
+    members = range(len(ctx.members))
+    report = ca_witness_from_resolutions(
+        g, _CA_DEGREE, [ctx.resolution(i, _CA_DEGREE + 1) for i in members],
+        [ctx.omega(i, 0) for i in members], pair_budget=ctx.cap)
     if report.verdict == "evidence-in":
         certificates.append(Certificate(
             element=g, method="socle-ca-witness",
@@ -652,7 +651,7 @@ def build_report(ring: RingPresentation, *, bound_ideal: IdealHandle | None = No
         "ring": ring.format(),
         "field": field_token(ring.field),
         "dim": ring_dimension(ring),
-        "depth": ring_depth(ring),
+        "depth": ring_depth(ring) if bound_doc is None else bound_doc["depth"],
         "jac": {"gens": [ring.format_element(g)
                          for g in cert.ideal.reduced_generators()]},
         "equidimensional": cert.equidimensional,

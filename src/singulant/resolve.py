@@ -13,7 +13,7 @@ F_i -> F_{i-1} are the relation vectors, read as elements of R^(rank F_{i-1}).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, PreconditionError, StructuralError, active_meter
 # buchberger is unused here but stays importable from this module, where
@@ -243,10 +243,12 @@ class FreeResolution:
 
     ``ranks`` lists beta_0..beta_L; ``differentials`` lists d_1..d_L in
     row-major form, d_i having ranks[i-1] rows and ranks[i] columns.
-    ``complete`` records that the syzygies of the last differential were
-    computed and found zero, certifying pd = L.  ``periodic`` records a
-    detected repetition (step, period) of differentials, certifying
-    infinite projective dimension.
+    ``pending`` holds the columns of d_(L+1): the minimal generators of
+    ker d_L, or at L = 0 the relations of the presentation; ``grow``
+    appends them next.  ``complete`` records that they were computed and
+    found zero, certifying pd = L.  ``periodic`` records a detected
+    repetition (step, period) of differentials, certifying infinite
+    projective dimension; ``pending`` is then None.
     """
 
     ring: RingPresentation
@@ -256,6 +258,7 @@ class FreeResolution:
     minimal: bool
     complete: bool
     periodic: object = None
+    pending: list = field(default=None, repr=False, compare=False)
 
     @property
     def length(self) -> int:
@@ -299,55 +302,48 @@ class FreeResolution:
         rows = self.differential(n + 1) if self.length > n else ()
         return FinitelyPresentedModule(self.ring, self.ranks[n], rows, self.shifts[n])
 
+    def grow(self, length: int, *, detect_periodicity: bool = False) -> FreeResolution:
+        """Carry the resolution on, in place, out to step ``length``.
+
+        Stops early when the pending syzygies vanish (finite projective
+        dimension, flagged complete).  With ``detect_periodicity`` it also
+        stops when a differential repeats the previous one or the one
+        before that: the construction is deterministic in the matrix
+        alone, so an exact repeat proves the resolution continues
+        periodically forever.  Each step computes its kernel before it
+        appends anything, so a step that runs out of budget leaves the
+        resolution as the step before left it.
+        """
+        while self.length < length and self.pending:
+            cols = self.pending
+            col_shifts = [_column_degree(c, self.shifts[-1]) for c in cols]
+            diff = columns_to_rows(self.ranks[-1], cols)
+            period = next((p for p in (1, 2) if detect_periodicity
+                           and len(self.differentials) >= p
+                           and self.differentials[-p] == diff), None)
+            kernel = None if period else minimal_kernel(self.ring, len(cols), cols, (),
+                                                         col_shifts)
+            self.differentials.append(diff)
+            self.ranks.append(len(cols))
+            self.shifts.append(col_shifts)
+            self.pending = kernel
+            if period:
+                self.periodic = (self.length, period)
+        self.complete = self.pending == []
+        self.minimal = self.is_minimal_certified()
+        return self
+
 
 def free_resolution(module: FinitelyPresentedModule, length: int, *,
                     detect_periodicity: bool = True) -> FreeResolution:
-    """Resolution of coker(presentation) out to homological degree ``length``.
-
-    Stops early when the syzygies vanish (finite projective dimension,
-    flagged complete).  With ``detect_periodicity`` it also stops when a
-    differential repeats the previous one or the one before that: the
-    construction is deterministic in the matrix alone, so an exact repeat
-    proves the resolution continues periodically forever.
-    """
+    """Resolution of coker(presentation) out to homological degree ``length``:
+    its minimal presentation, carried on by ``FreeResolution.grow``."""
     if length < 0:
         raise PreconditionError("resolution length must be nonnegative")
-    ring = module.ring
     mod = minimal_presentation(module)
-    if mod.rank == 0:
-        return FreeResolution(ring, [0], [], [[]], True, True)
-    ranks = [mod.rank]
-    shifts = [list(mod.shifts)]
-    diffs = []
-    periodic = None
-    complete = False
-    cols = ring.sort_columns(mod.relation_columns())
-    rank = mod.rank
-    cur_shifts = list(mod.shifts)
-    step = 0
-    while step < length:
-        if not cols:
-            complete = True
-            break
-        step += 1
-        col_shifts = [_column_degree(c, cur_shifts) for c in cols]
-        diffs.append(columns_to_rows(rank, cols))
-        ranks.append(len(cols))
-        shifts.append(col_shifts)
-        if detect_periodicity and len(diffs) >= 2 and diffs[-1] == diffs[-2]:
-            periodic = (step, 1)
-            break
-        if detect_periodicity and len(diffs) >= 3 and diffs[-1] == diffs[-3]:
-            periodic = (step, 2)
-            break
-        rank = len(cols)
-        cur_shifts = col_shifts
-        cols = minimal_kernel(ring, rank, cols, (), col_shifts)
-    if periodic is None and not complete and not cols:
-        complete = True
-    res = FreeResolution(ring, ranks, diffs, shifts, False, complete, periodic)
-    res.minimal = res.is_minimal_certified()
-    return res
+    res = FreeResolution(mod.ring, [mod.rank], [], [list(mod.shifts)], True, False,
+                         pending=mod.ring.sort_columns(mod.relation_columns()))
+    return res.grow(length, detect_periodicity=detect_periodicity)
 
 
 def check_complex(res: FreeResolution) -> bool:
@@ -412,8 +408,9 @@ def syzygy_module(module: FinitelyPresentedModule, n: int) -> FinitelyPresentedM
 
     Periodicity detection is switched off so the resolution is always
     carried honestly out to step n+1 (or until it stops by itself).  A
-    caller that also needs the resolution, say for Ext^n(module, -),
-    builds it with exactly this call and reads the syzygy off it.
+    caller that also needs the resolution, say for Ext^n(module, -), or
+    more syzygies, keeps one resolution, reads each syzygy off it and
+    carries it on with ``FreeResolution.grow``.
     """
     if n < 0:
         raise PreconditionError("syzygy index must be nonnegative")

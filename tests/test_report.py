@@ -13,7 +13,7 @@ from singulant.errors import (
     StructuralError,
     budget_scope,
 )
-from singulant.homalg import default_corpus, stable_annihilation_test
+from singulant.homalg import corpus_labels, default_corpus, stable_annihilation_test
 from singulant.ideal_ops import IdealHandle, RingPresentation, socle
 from singulant.jacobian import jacobian_ideal
 from singulant.poly import QQ, PrimeField
@@ -26,7 +26,12 @@ from singulant.report import (
     report_json,
     verify_paper_examples,
 )
-from singulant.resolve import free_resolution, minimal_presentation, syzygy_module
+from singulant.resolve import (
+    free_resolution,
+    minimal_presentation,
+    ring_depth,
+    syzygy_module,
+)
 
 from util import count_calls, fail_ring, ideal, presentation, embedded_point_ring
 
@@ -287,6 +292,18 @@ class TestSweepBudgets:
         doc = build_report(parse_ring(SNAPSHOT_RINGS["A"]))
         assert doc["ann_bounds"]["inconclusive"]
 
+    def test_each_resolution_step_runs_in_a_scope_of_its_own(self, monkeypatch):
+        """Under a 50-step cap, the resolution steps that fit one by one
+        still serve every link that needs no more: only syz1(k) and the
+        seeded cokernel stay undecided, for x after its socle sweep ran
+        out and for y.  A scope per link or per whole growth lost more."""
+        monkeypatch.setattr(rpt, "_CERT_MAX_STEPS", 50)
+        doc = build_report(parse_ring(SNAPSHOT_RINGS["A"]))
+        assert doc["ann_bounds"]["inconclusive"] == [
+            {"element": "x", "modules": ["syz1(k)", "coker(2x3 seeded)"]},
+            {"element": "y", "modules": ["syz1(k)", "coker(2x3 seeded)"]},
+        ]
+
     def test_exhausted_command_budget_propagates_through_the_sweep(self):
         ring = parse_ring(SNAPSHOT_RINGS["A"])
         with budget_scope(Budget(max_steps=200)) as scope:
@@ -304,12 +321,34 @@ class TestSweepBudgets:
 
 
 def test_sweep_reuses_resolutions(monkeypatch, ring_a):
-    """Ring A with its Jacobian candidates: 15 resolutions (59 when every
-    corpus pair and every stable Ext test resolved its source afresh)."""
-    gens = jacobian_ideal(ring_a).reduced_generators()
-    calls = count_calls(monkeypatch, free_resolution)
-    annihilator_bounds(ring_a, extra_elements=gens)
-    assert len(calls) <= 15
+    """One resolution per corpus member the sweep reaches past its
+    presentation, plus default_corpus's own syzygy_module(k, 1).  On ring
+    A the socle sweep reaches all seven members: 8 calls (59 when every
+    pair and every stable Ext test resolved its source afresh, 15 when
+    each chain link had a resolution of its own).  Over the cubic cone R
+    is free and every candidate annihilates k and R/m^2 on their
+    presentations, so the sweep resolves five members: 6 calls."""
+    cases = [
+        (ring_a, corpus_labels(ring_a)),
+        (parse_ring(SNAPSHOT_RINGS["cubic"]),
+         ["R/(y)", "R/(z)", "syz1(k)", "coker(2x3 seeded)", "R/(x)"]),
+    ]
+    for ring, resolved in cases:
+        members = dict(zip(corpus_labels(ring), default_corpus(ring, 0)))
+        gens = jacobian_ideal(ring).reduced_generators()
+        calls = count_calls(monkeypatch, free_resolution)
+        annihilator_bounds(ring, extra_elements=gens)
+        monkeypatch.undo()
+        assert [args[0] for args in calls] == [members["k"]] + [
+            minimal_presentation(members[label]) for label in resolved]
+
+
+def test_report_computes_depth_once(monkeypatch, ring_a):
+    """The depth field reads the bound block's depth, which ring A has."""
+    calls = count_calls(monkeypatch, ring_depth)
+    doc = build_report(ring_a)
+    assert doc["bound"]["depth"] == doc["depth"] == 0
+    assert len(calls) == 1
 
 
 # -- byte-identical report snapshots ------------------------------------------------
@@ -340,6 +379,30 @@ def test_minimal_presentation_is_idempotent(key):
             once = minimal_presentation(module)
             twice = minimal_presentation(once)
             assert (twice.rows, twice.shifts) == (once.rows, once.shifts)
+
+
+@pytest.mark.parametrize("key", sorted(SNAPSHOT_RINGS))
+def test_syzygy_chain_is_read_off_one_resolution(key):
+    """The sweep reads link s of a member's syzygy chain, Omega^s M, off
+    one resolution of M.  The reference builds the chain link by link:
+    the minimal presentation of the first syzygy of a fresh 2-step
+    resolution of the link before.  Each link must be that resolution's
+    syzygy, and its own 2-step resolution that resolution's tail."""
+    ring = parse_ring(SNAPSHOT_RINGS[key])
+    for M in default_corpus(ring, 0):
+        res = free_resolution(M, 4, detect_periodicity=False)
+        link = minimal_presentation(M)
+        for s in range(3):
+            omega = res.syzygy(s)
+            assert (link, link.shifts) == (omega, omega.shifts)
+            if link.is_zero_presentation():
+                break
+            two = free_resolution(link, 2, detect_periodicity=False)
+            end = s + two.length
+            assert (two.ranks, two.differentials, two.shifts) == (
+                res.ranks[s:end + 1], res.differentials[s:end], res.shifts[s:end + 1])
+            assert two.complete == (res.complete and res.length == end)
+            link = minimal_presentation(two.syzygy(1))
 
 
 @pytest.mark.parametrize("key", sorted(SNAPSHOT_RINGS))

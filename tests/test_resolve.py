@@ -13,6 +13,7 @@ from singulant.errors import (
     budget_scope,
 )
 from singulant.groebner import buchberger, normal_form, ModuleElement
+from singulant.homalg import default_corpus
 from singulant.ideal_ops import RingPresentation
 from singulant.poly import QQ, PrimeField
 from singulant import resolve as resolve_module
@@ -609,3 +610,69 @@ class TestChecksAndBudgets:
         res = free_resolution(M, 3)
         assert res.betti() == [0]
         assert res.complete
+
+
+# ---------------------------------------------------------------------------
+# growing a resolution in place
+
+
+def _cubic_cone():
+    return presentation(QQ, ("x", "y", "z"), lambda x, y, z: [x ** 3 + y ** 3 + z ** 3])
+
+
+GROW_RINGS = {"A": embedded_point_ring, "cubic": _cubic_cone}
+
+
+def _grow_members():
+    return [M for ring in GROW_RINGS.values() for M in default_corpus(ring(), 0)]
+
+
+def _state(res):
+    return (list(res.ranks), list(res.differentials), list(res.shifts), res.pending)
+
+
+class TestGrow:
+    @pytest.mark.parametrize("key, index", [
+        (key, i) for key, ring in GROW_RINGS.items()
+        for i in range(len(default_corpus(ring(), 0)))])
+    def test_step_by_step_growth_matches_one_run(self, key, index):
+        corpus = default_corpus(GROW_RINGS[key](), 0)
+        whole = free_resolution(corpus[index], 5, detect_periodicity=False)
+        res = free_resolution(corpus[index], 1, detect_periodicity=False)
+        for length in range(2, 6):
+            assert res.grow(length) is res
+        assert res == whole
+        assert (res.ranks, res.differentials, res.shifts) == (
+            whole.ranks, whole.differentials, whole.shifts)
+        assert (res.complete, res.minimal, res.pending) == (
+            whole.complete, whole.minimal, whole.pending)
+
+    def test_growing_a_complete_resolution_changes_nothing(self):
+        done = [res for res in (free_resolution(M, 5, detect_periodicity=False)
+                                for M in _grow_members()) if res.complete]
+        # R over both rings; over the cubic cone the three R/(v), of pd 1,
+        # and the seeded cokernel, of pd 2
+        assert len(done) == 6
+        for res in done:
+            before = _state(res)
+            res.grow(res.length + 3)
+            assert _state(res) == before and res.complete
+
+    def test_exhausted_growth_leaves_the_resolution_unchanged(self):
+        """One step that runs out of its scope's last step appends nothing;
+        carried on with budget to spare, it ends where one run ends."""
+        for M in _grow_members():
+            res = free_resolution(M, 1, detect_periodicity=False)
+            if res.complete:
+                continue
+            probe = free_resolution(M, 1, detect_periodicity=False)
+            with budget_scope() as meter:
+                probe.grow(2)
+            before = _state(res)
+            with budget_scope(Budget(max_steps=meter.steps - 1)):
+                with pytest.raises(BudgetExceededError):
+                    res.grow(2)
+            assert _state(res) == before and not res.complete
+            res.grow(5)
+            assert res == free_resolution(M, 5, detect_periodicity=False)
+            assert res.pending == probe.grow(5).pending

@@ -64,24 +64,49 @@ def test_package_imports_are_public_and_module_level(path):
 # purpose, are the only callers of the syzygy engine
 SYZYGY_CALLERS = {"ideal_ops.RingPresentation.kernel_into", "resolve.check_exactness"}
 
+# a corpus member's one resolution is the only source of its syzygy chain in
+# the report; the golden ledger's Betti check resolves its own modules
+REPORT_RESOLUTION_CALLERS = {"report._CorpusContext.resolution",
+                             "report.verify_paper_examples.betti_residue_family"}
+GROW_CALLERS = {"resolve.free_resolution", "report._CorpusContext.resolution"}
 
-def syzygy_callers(source: str, module: str):
-    """Qualified names of the functions in source that call ``syzygies``."""
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _own_nodes(node):
+    """The nodes of node's body, not entering nested functions or classes."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, _SCOPES):
+            yield from _own_nodes(child)
+
+
+def callers(source: str, module: str, callee: str):
+    """Qualified names of the functions in source that call ``callee``,
+    by plain name or as an attribute; a call inside a nested function
+    counts for the innermost one, a call inside a lambda for its function."""
     found = set()
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(child, _SCOPES):
                 name = f"{prefix}.{child.name}"
                 if not isinstance(child, ast.ClassDef) and any(
                         isinstance(n, ast.Call) and (
-                            getattr(n.func, "id", None) == "syzygies"
-                            or getattr(n.func, "attr", None) == "syzygies")
-                        for n in ast.walk(child)):
+                            getattr(n.func, "id", None) == callee
+                            or getattr(n.func, "attr", None) == callee)
+                        for n in _own_nodes(child)):
                     found.add(name)
                 visit(child, name)
 
     visit(ast.parse(source), module)
+    return found
+
+
+def package_callers(callee: str):
+    found = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        found |= callers(path.read_text(encoding="utf-8"), path.stem, callee)
     return found
 
 
@@ -94,12 +119,20 @@ def test_syzygy_caller_check_sees_functions_and_methods():
         "        return groebner.syzygies([])\n"
         "    def h(self):\n"
         "        return self.g()\n"
+        "def outer():\n"
+        "    def inner():\n"
+        "        return (lambda: syzygies([]))()\n"
+        "    return inner\n"
     )
-    assert syzygy_callers(source, "m") == {"m.f", "m.A.g"}
+    assert callers(source, "m", "syzygies") == {"m.f", "m.A.g", "m.outer.inner"}
+    assert callers(source, "m", "g") == {"m.A.h"}
 
 
 def test_only_the_kernel_routine_calls_syzygies():
-    found = set()
-    for path in PACKAGE_DIR.glob("*.py"):
-        found |= syzygy_callers(path.read_text(encoding="utf-8"), path.stem)
-    assert found == SYZYGY_CALLERS
+    assert package_callers("syzygies") == SYZYGY_CALLERS
+
+
+def test_the_report_resolves_each_member_on_one_path():
+    source = (PACKAGE_DIR / "report.py").read_text(encoding="utf-8")
+    assert callers(source, "report", "free_resolution") == REPORT_RESOLUTION_CALLERS
+    assert package_callers("grow") == GROW_CALLERS
