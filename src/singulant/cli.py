@@ -315,11 +315,16 @@ def parse_element(text: str, ring: RingPresentation):
     return value
 
 
-def parse_ideal(text: str, ring: RingPresentation) -> IdealHandle:
+def _parse_poly_list(text: str, ring: RingPresentation):
+    """`(f1, ...)` as a list, zeros kept."""
     parser = _Parser(text)
-    gens = parser.poly_list(ring)
+    polys = parser.poly_list(ring)
     parser.expect("EOF", "end of input")
-    return IdealHandle(ring, gens)
+    return polys
+
+
+def parse_ideal(text: str, ring: RingPresentation) -> IdealHandle:
+    return IdealHandle(ring, _parse_poly_list(text, ring))
 
 
 def parse_module(text: str, ring: RingPresentation) -> FinitelyPresentedModule:
@@ -553,9 +558,9 @@ def _ext_ann(args, ring):
 @_command("koszul", "Koszul cohomology H^i of a sequence on a module", _RING, _MODULE,
           ("--sequence", {"metavar": "(f1,...)", "help": "ring elements"}), _degree(0))
 def _koszul(args, ring):
-    sequence = _required(args, ring, "sequence", parse_ideal, "(f1, ...)").generators
+    sequence = _required(args, ring, "sequence", _parse_poly_list, "(f1, ...)")
     module = parse_module(args.module, ring)
-    h = koszul_cohomology(list(sequence), module, args.degree)
+    h = koszul_cohomology(sequence, module, args.degree)
     zero = h.is_zero_presentation()
     text = (f"H^{args.degree}: zero" if zero else
             f"H^{args.degree}: presentation rank {h.rank}, "

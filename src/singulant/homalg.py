@@ -1,17 +1,22 @@
 """Ext modules, Koszul cohomology, and element-annihilation tests.
 
-Both constructions land in the same shape: a subquotient cycles/boundaries
-inside a free module R^q, where membership of r * (cycle) in the boundary
-span decides whether r annihilates the cohomology class.  Hom(F, N) for
-F free of rank b and N = coker(B) of rank n0 is flattened to R^(b*n0),
-block j holding the image of the j-th generator; the "zero homomorphisms"
-B * e_(j) are part of every boundary module.
+Both are H^i of a cochain complex of free modules with coefficients in
+N = coker(B) of rank n0: Ext^i(M, N) = H^i(Hom(F, N)) over a free
+resolution F of M, and K(f; N) = K(f; R) (x) N.  ``_cohomology`` builds
+either from the R-level maps into and out of the term C = R^b, which it
+lays out as R^b (x) R^n0 = R^(b*n0), block j holding the image of the j-th
+basis vector.  The maps become map (x) id_n0 and the "zero homomorphisms"
+id_b (x) B, the relations of N in every block, are part of every boundary
+module.  The cohomology is a subquotient cycles/boundaries of R^(b*n0),
+where membership of r * (cycle) in the boundary span decides whether r
+annihilates the cohomology class.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from .errors import Budget, PreconditionError, StructuralError, active_meter, guarded
 # buchberger and trim_generators are unused here but stay importable from
@@ -23,7 +28,6 @@ from .resolve import (  # noqa: F401
     FinitelyPresentedModule,
     FreeResolution,
     free_resolution,
-    matrix_columns,
     minimal_kernel,
     minimal_presentation,
     syzygy_module,
@@ -87,6 +91,36 @@ class Subquotient:
         return module_k_dimension(self.to_module())
 
 
+def _units(one: Polynomial, n: int):
+    return [ModuleElement.unit(one.ring, n, t, one) for t in range(n)]
+
+
+def _kron(a_cols, b_cols):
+    """The columns a (x) b, a outer and b inner: coordinate c*q + s of
+    a (x) b is a_c * b_s, where q is the rank of b."""
+    return [ModuleElement.from_terms(a.ring, a.rank * b.rank, [
+        (pa * b.rank + pb, ma.mul(mb), a.ring.field.mul(ka, kb))
+        for pa, ma, ka in a.terms for pb, mb, kb in b.terms]) for a in a_cols for b in b_cols]
+
+
+def _cohomology(ring: RingPresentation, into, out, rank: int, N: FinitelyPresentedModule):
+    """(cycles, boundaries) of the cohomology at C = R^rank (x) N.
+
+    ``into`` holds the R-level columns of the map into C, each in R^rank,
+    and ``out`` the rank columns of the map out of C, or nothing for the
+    zero map, when every vector is a cycle.  N must be a minimal
+    presentation.  The cycles are the kernel of out (x) id_n0 into the zero
+    homs of the next term, the boundaries the zero homs of C and then the
+    image of into (x) id_n0.
+    """
+    one, n0, b_cols = ring.poly_ring.one(), N.rank, N.relation_columns()
+    out_rank = out[0].rank if out else 0
+    cycles = minimal_kernel(ring, rank * n0, _kron(out, _units(one, n0)),
+                            _kron(_units(one, out_rank), b_cols))
+    boundaries = _kron(_units(one, rank), b_cols) + _kron(into, _units(one, n0))
+    return cycles, boundaries
+
+
 def module_k_dimension(module: FinitelyPresentedModule):
     """Total dimension over the base field, or None when not finite.
 
@@ -143,7 +177,7 @@ def module_annihilator(module: FinitelyPresentedModule) -> IdealHandle:
         return IdealHandle(ring, [pring.one()])
     diagonal = ModuleElement(pring, [pring.one() if t % (n + 1) == 0 else pring.zero()
                                      for t in range(n * n)])
-    allowed = _zero_hom_shifts(ring, n, n, mod.relation_columns())
+    allowed = _kron(_units(pring.one(), n), mod.relation_columns())
     return IdealHandle(ring, [v.coords[0] for v in ring.kernel_into(1, [diagonal], allowed)])
 
 
@@ -162,24 +196,6 @@ class ExtModule(Subquotient):
         self.degree = degree
         self.beta = beta
         self.target_rank = target_rank
-
-
-def _hom_basis_vector(ring, beta, n0, j, s, entries):
-    """Vector in R^(beta*n0) with entries[c] at block c, coordinate s."""
-    zero = ring.poly_ring.zero()
-    coords = [zero] * (beta * n0)
-    for c, value in entries:
-        coords[c * n0 + s] = value
-    return ModuleElement(ring.poly_ring, coords)
-
-
-def _zero_hom_shifts(ring, beta, n0, relation_cols):
-    """The homomorphisms that vanish into N: B-columns in every block."""
-    return [
-        ModuleElement.from_terms(ring.poly_ring, beta * n0,
-                                 [(j * n0 + s, m, k) for s, m, k in col.terms])
-        for j in range(beta) for col in relation_cols
-    ]
 
 
 def ext_module(M: FinitelyPresentedModule, N: FinitelyPresentedModule,
@@ -213,34 +229,11 @@ def ext_from_resolution(res: FreeResolution, N: FinitelyPresentedModule,
     if res.length < i or n0 == 0:
         return ExtModule(ring, [], [], degree=i, beta=0, target_rank=n0)
     beta = res.ranks[i]
-    dom = beta * n0
-    b_cols = N.relation_columns()
-
-    # cycles: kernel of the dual of d_(i+1), into the zero-hom span; past
-    # the end of the resolution there are no images, so every vector is a cycle
-    images, allowed = [], []
-    if res.length >= i + 1:
-        d_next = res.differential(i + 1)
-        beta_next = res.ranks[i + 1]
-        for j in range(beta):
-            for s in range(n0):
-                images.append(_hom_basis_vector(
-                    ring, beta_next, n0, j, s,
-                    [(c, d_next[j][c]) for c in range(beta_next)]))
-        allowed = _zero_hom_shifts(ring, beta_next, n0, b_cols)
-
-    # boundaries: the image of the dual of d_i, plus the zero homs
-    boundaries = _zero_hom_shifts(ring, beta, n0, b_cols)
-    if i >= 1:
-        d_cur = res.differential(i)
-        beta_prev = res.ranks[i - 1]
-        for jp in range(beta_prev):
-            for s in range(n0):
-                boundaries.append(_hom_basis_vector(
-                    ring, beta, n0, jp, s,
-                    [(j, d_cur[jp][j]) for j in range(beta)]))
-
-    cycles = minimal_kernel(ring, dom, images, allowed)
+    # the columns of a dual map are the rows of d; past the end of the
+    # resolution there is no map out, so every vector is a cycle
+    into, out = ([ModuleElement(ring.poly_ring, row) for row in res.differential(step)]
+                 if 1 <= step <= res.length else [] for step in (i, i + 1))
+    cycles, boundaries = _cohomology(ring, into, out, beta, N)
     return ExtModule(ring, cycles, boundaries, degree=i, beta=beta, target_rank=n0)
 
 
@@ -401,9 +394,11 @@ def default_corpus(ring: RingPresentation, seed: int = 0):
 class KoszulComplex:
     """K(f_1..f_l; M), cohomological, concentrated in degrees 0..l.
 
-    The degree-i term is M^(l choose i) with basis e_S over i-subsets S in
-    lexicographic order; the differential sends m e_S to the signed sum of
-    f_j m e_(S + j) over j outside S, the sign counting inversions.
+    The degree-i term is K^i(f; R) (x) M = M^(l choose i), with basis e_S
+    over i-subsets S in lexicographic order; the differential sends m e_S
+    to the signed sum of f_j m e_(S + j) over j outside S, the sign
+    counting inversions.  ``differential(i)`` gives that map on K(f; R)
+    alone, one R-level column per S, and ``_cohomology`` tensors it with M.
     """
 
     def __init__(self, ring: RingPresentation, sequence, module):
@@ -424,57 +419,36 @@ class KoszulComplex:
     def subsets(self, i: int):
         return list(combinations(range(self.length), i))
 
-    def module_rank(self, i: int) -> int:
-        if i < 0 or i > self.length:
-            return 0
-        return self.base.rank * len(self.subsets(i))
-
     def differential(self, i: int):
-        """Flattened matrix of K^i -> K^(i+1); rows are codomain slots."""
+        """Columns of K^i(f; R) -> K^(i+1)(f; R), one per i-subset S: +-f_j
+        at S + j for each j outside S; none outside degrees 0..l-1."""
         if i < 0 or i >= self.length:
-            return ()
-        ring = self.ring
-        n0 = self.base.rank
-        zero = ring.poly_ring.zero()
-        dom = self.subsets(i)
-        cod = self.subsets(i + 1)
-        cod_index = {S: t for t, S in enumerate(cod)}
-        rows = [[zero] * (n0 * len(dom)) for _ in range(n0 * len(cod))]
-        for a, S in enumerate(dom):
+            return []
+        pring = self.ring.poly_ring
+        fneg = pring.field.neg
+        cod_index = {T: t for t, T in enumerate(self.subsets(i + 1))}
+        cols = []
+        for S in self.subsets(i):
+            terms = []
             for j in range(self.length):
                 if j in S:
                     continue
-                T = tuple(sorted(S + (j,)))
-                sign = sum(1 for s in S if s < j) % 2
-                f = self.sequence[j]
-                entry = f.scale(ring.poly_ring.field.normalize(-1)) if sign else f
-                b = cod_index[T]
-                for s in range(n0):
-                    rows[b * n0 + s][a * n0 + s] = entry
-        return tuple(tuple(r) for r in rows)
-
-    def zero_hom_shifts(self, i: int):
-        """Relations of M copied into every basis block of K^i."""
-        n0 = self.base.rank
-        blocks = len(self.subsets(i))
-        return _zero_hom_shifts(self.ring, blocks, n0,
-                                self.base.relation_columns())
+                pos = cod_index[tuple(sorted(S + (j,)))]
+                odd = sum(1 for s in S if s < j) % 2
+                terms.extend((pos, m, fneg(k) if odd else k)
+                             for m, k in self.sequence[j].terms)
+            cols.append(ModuleElement.from_terms(pring, len(cod_index), terms))
+        return cols
 
     def cohomology_subquotient(self, i: int) -> Subquotient:
         if i < 0 or i > self.length:
             raise PreconditionError("Koszul degree out of range")
-        ring = self.ring
-        rank = self.module_rank(i)
-        if rank == 0:
+        ring, base, rank = self.ring, self.base, comb(self.length, i)
+        if base.rank == 0:
             return Subquotient(ring, 0, [], [])
-        # at the top degree the differential is empty, so every vector is a cycle
-        cycles = minimal_kernel(ring, rank,
-                                matrix_columns(ring, self.differential(i)),
-                                self.zero_hom_shifts(i + 1))
-        boundaries = self.zero_hom_shifts(i)
-        if i >= 1:
-            boundaries.extend(matrix_columns(ring, self.differential(i - 1)))
-        return Subquotient(ring, rank, cycles, boundaries)
+        cycles, boundaries = _cohomology(ring, self.differential(i - 1), self.differential(i),
+                                         rank, base)
+        return Subquotient(ring, rank * base.rank, cycles, boundaries)
 
 
 def koszul_complex(sequence, module: FinitelyPresentedModule) -> KoszulComplex:

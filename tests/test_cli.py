@@ -411,6 +411,15 @@ class TestCommandOutput:
                             "--sequence", "(x)", "--degree", "1")
         assert "rank 1" in out
 
+    @pytest.mark.parametrize("sequence, degree", [("(0)", 1), ("(0, x)", 2)])
+    def test_koszul_keeps_zeros_in_the_sequence(self, capsys, sequence, degree):
+        # H^1(0; R) = R, and H^2(0, x; R) = H^1(x; R) = R/(x)
+        code, out, err = run_cli(capsys, "koszul", "Q[x,y]", "R", "--sequence", sequence,
+                                 "--degree", str(degree), "--json")
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert (result["rank"], result["relations"]) == (1, degree - 1)
+
     def test_stable_ann(self, capsys):
         _, out, _ = run_cli(capsys, "stable-ann", RING_A, "k",
                             "--element", "x")

@@ -81,12 +81,24 @@ def test_parsers_raise_only_library_errors(ring_text, module_text):
     _library_errors_only(parse_module, module_text, parse_ring("Q[x,y]/(x^2, x*y)"))
 
 
+def sequence():
+    """`(f1, ...)` of up to three polynomials, zeros kept by the parser."""
+    entry = st.one_of(st.just("0"), polynomial(NAMES[:2]))
+    return st.lists(entry, max_size=3).map(lambda fs: f"({', '.join(fs)})")
+
+
 @settings(FUZZ_SETTINGS, max_examples=50)
-@given(mutated(presentation()), mutated(module()))
-def test_cli_exits_with_a_code_from_zero_to_three(ring_text, module_text):
+@given(mutated(presentation()), mutated(module()), mutated(module()), sequence(),
+       st.integers(0, 3))
+def test_cli_exits_with_a_code_from_zero_to_three(ring_text, module_text, target_text,
+                                                  sequence_text, degree):
     # "--" keeps a text that starts with "-" positional
     budgets = ["--max-steps", "2000", "--max-degree", "8"]
     for argv in (["dim", *budgets, "--", ring_text],
                  ["jac", *budgets, "--", ring_text],
-                 ["resolve", *budgets, "--length", "2", "--", ring_text, module_text]):
+                 ["resolve", *budgets, "--length", "2", "--", ring_text, module_text],
+                 ["ext", *budgets, "--degree", "1", "--", ring_text, module_text,
+                  target_text],
+                 ["koszul", *budgets, "--sequence", sequence_text, "--degree", str(degree),
+                  "--", ring_text, module_text]):
         assert main(argv) in (0, 1, 2, 3)

@@ -65,10 +65,18 @@ def test_package_imports_are_public_and_module_level(path):
 SYZYGY_CALLERS = {"ideal_ops.RingPresentation.kernel_into", "resolve.check_exactness"}
 
 # a corpus member's one resolution is the only source of its syzygy chain in
-# the report; the golden ledger's Betti check resolves its own modules
+# the report; the golden ledger's Betti and Ext^2 checks resolve their own
+# modules, once each
 REPORT_RESOLUTION_CALLERS = {"report._CorpusContext.resolution",
-                             "report.verify_paper_examples.betti_residue_family"}
+                             "report.verify_paper_examples.betti_residue_family",
+                             "report.verify_paper_examples.ext2_kill_family"}
 GROW_CALLERS = {"resolve.free_resolution", "report._CorpusContext.resolution"}
+
+# each resolution step, each presentation of a subquotient, and the one
+# builder that lays out Hom(F, N) and K(f; M) take a minimal kernel; a second
+# block layout would be a fourth caller
+MINIMAL_KERNEL_CALLERS = {"resolve.FreeResolution.grow", "homalg.Subquotient.to_module",
+                          "homalg._cohomology"}
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -136,3 +144,7 @@ def test_the_report_resolves_each_member_on_one_path():
     source = (PACKAGE_DIR / "report.py").read_text(encoding="utf-8")
     assert callers(source, "report", "free_resolution") == REPORT_RESOLUTION_CALLERS
     assert package_callers("grow") == GROW_CALLERS
+
+
+def test_one_builder_lays_out_every_cohomology():
+    assert package_callers("minimal_kernel") == MINIMAL_KERNEL_CALLERS
