@@ -127,24 +127,24 @@ def module_k_dimension(module: FinitelyPresentedModule):
     Counts standard module monomials against the combined leading-term
     module of the relations and the defining ideal, slot by slot; a slot
     whose count never reaches zero before the active budget scope's
-    max_degree makes the result None rather than a guess.
+    max_degree makes the result None rather than a guess.  The count is
+    the same for every presentation of the module.
     """
-    mod = minimal_presentation(module)
-    ring = mod.ring
-    if mod.rank == 0:
+    ring = module.ring
+    if module.rank == 0:
         return 0
     max_degree = active_meter().max_degree
     leads = {s: [g.lead_monomial() for g in ring.defining_basis().polynomials()]
-             for s in range(mod.rank)}
-    cols = mod.relation_columns()
+             for s in range(module.rank)}
+    cols = module.relation_columns()
     if cols:
-        gb = ring.module_basis(cols, mod.rank)
+        gb = ring.module_basis(cols, module.rank)
         for el in gb.elements:
             pos, mono, _ = el.lead()
             leads[pos].append(mono)
     nvars = ring.nvars
     total = 0
-    for s in range(mod.rank):
+    for s in range(module.rank):
         slot_leads = leads[s]
         d = 0
         while True:
@@ -168,16 +168,16 @@ def module_k_dimension(module: FinitelyPresentedModule):
 def module_annihilator(module: FinitelyPresentedModule) -> IdealHandle:
     """ann(M) for M = coker(B) of rank n: the r with r e_s in the span of
     B for every s, one colon of the diagonal vector (e_0 | ... | e_(n-1))
-    of R^(n*n) into B copied into each block."""
-    mod = minimal_presentation(module)
-    ring = mod.ring
+    of R^(n*n) into B copied into each block.  Any presentation of M gives
+    the same ideal; a minimal one gives the smallest colon."""
+    ring = module.ring
     pring = ring.poly_ring
-    n = mod.rank
+    n = module.rank
     if n == 0:
         return IdealHandle(ring, [pring.one()])
     diagonal = ModuleElement(pring, [pring.one() if t % (n + 1) == 0 else pring.zero()
                                      for t in range(n * n)])
-    allowed = _kron(_units(pring.one(), n), mod.relation_columns())
+    allowed = _kron(_units(pring.one(), n), module.relation_columns())
     return IdealHandle(ring, [v.coords[0] for v in ring.kernel_into(1, [diagonal], allowed)])
 
 
@@ -201,11 +201,11 @@ class ExtModule(Subquotient):
 def ext_module(M: FinitelyPresentedModule, N: FinitelyPresentedModule,
                i: int) -> ExtModule:
     """Ext^i_R(M, N): ``ext_from_resolution`` on the resolution of M out
-    to step i+1 and the minimal presentation of N."""
+    to step i, which reaches d_(i+1), and the minimal presentation of N."""
     if i < 0:
         raise PreconditionError("Ext degree must be nonnegative")
     Nmin = minimal_presentation(N)
-    return ext_from_resolution(free_resolution(M, i + 1, detect_periodicity=False), Nmin, i)
+    return ext_from_resolution(free_resolution(M, i, detect_periodicity=False), Nmin, i)
 
 
 def ext_from_resolution(res: FreeResolution, N: FinitelyPresentedModule,
@@ -214,25 +214,24 @@ def ext_from_resolution(res: FreeResolution, N: FinitelyPresentedModule,
 
     N must already be a minimal presentation: its rank is the block size
     of Hom(F_i, N), and it is not trimmed again here.  ``res`` must reach
-    step i+1 or be complete, as ``free_resolution(M, i + 1,
-    detect_periodicity=False)`` always is, so one resolution of M serves
+    step i, so that it determines d_(i+1), as ``free_resolution(M, i,
+    detect_periodicity=False)`` always does; one resolution of M serves
     every target N.
     """
     if i < 0:
         raise PreconditionError("Ext degree must be nonnegative")
     if res.ring != N.ring:
         raise StructuralError("Ext arguments must share one ring presentation")
-    if res.length <= i and not res.complete:
-        raise PreconditionError(f"resolution stops before step {i + 1}")
+    d_out = res.differential(i + 1)
     ring = res.ring
     n0 = N.rank
     if res.length < i or n0 == 0:
         return ExtModule(ring, [], [], degree=i, beta=0, target_rank=n0)
     beta = res.ranks[i]
-    # the columns of a dual map are the rows of d; past the end of the
-    # resolution there is no map out, so every vector is a cycle
-    into, out = ([ModuleElement(ring.poly_ring, row) for row in res.differential(step)]
-                 if 1 <= step <= res.length else [] for step in (i, i + 1))
+    # the columns of a dual map are the rows of d; a d with no columns ends
+    # a complete resolution, and then every vector is a cycle
+    into, out = ([ModuleElement(ring.poly_ring, row) for row in d if row]
+                 for d in (res.differential(i) if i else (), d_out))
     cycles, boundaries = _cohomology(ring, into, out, beta, N)
     return ExtModule(ring, cycles, boundaries, degree=i, beta=beta, target_rank=n0)
 
@@ -252,9 +251,9 @@ def annihilates_ext(r: Polynomial, M: FinitelyPresentedModule,
 def stable_annihilation_test(r: Polynomial, M: FinitelyPresentedModule) -> bool:
     """Does r * id_M factor through a projective?
 
-    Certified by r * Ext^1(M, Omega^1 M) = 0, with Omega^1 M read off the
-    resolution that Ext^1 is built from; a free module passes for every r
-    outright.
+    Certified by r * Ext^1(M, Omega^1 M) = 0 on one resolution of M out
+    to step 1, which also tells whether M is zero and gives Omega^1 M.
+    A free module, whose Omega^1 is zero, passes for every r outright.
 
     This is the shift-0 test.  In D_sg(R) a module is isomorphic to a
     shift of its syzygy Omega^s M, so r may annihilate M there while
@@ -263,17 +262,12 @@ def stable_annihilation_test(r: Polynomial, M: FinitelyPresentedModule) -> bool:
     since Hom(R/(y^2), R) = (x) and y is not in (x) + (y^2), but passes on
     Omega^1(R/m^2) = (y^2), which is R/(x).
     """
-    Mmin = minimal_presentation(M)
-    if Mmin.is_zero_presentation():
-        raise PreconditionError("the zero module has no stable identity")
-    if Mmin.is_free_presentation():
-        return True
-    res = free_resolution(M, 2, detect_periodicity=False)
-    omega = res.syzygy(1)
-    if omega.is_zero_presentation():
-        return True
     _check_element(r, M.ring)
-    return ext_from_resolution(res, minimal_presentation(omega), 1).annihilated_by(r)
+    res = free_resolution(M, 1, detect_periodicity=False)
+    if res.ranks[0] == 0:
+        raise PreconditionError("the zero module has no stable identity")
+    omega = res.syzygy(1)
+    return omega.is_zero_presentation() or ext_from_resolution(res, omega, 1).annihilated_by(r)
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +295,13 @@ class CaWitnessReport:
 def ca_witness(r: Polynomial, n: int, corpus, *,
                pair_budget: Budget | None = None) -> CaWitnessReport:
     """``ca_witness_from_resolutions`` over all pairs of ``corpus``, on each
-    source's resolution out to step n+1 and each target's minimal
+    source's resolution out to step n and each target's minimal
     presentation, each taken in a ``pair_budget`` scope of its own."""
     corpus = list(corpus)
     for M in corpus:
         _check_element(r, M.ring)
     resolutions = [
-        guarded(pair_budget, lambda: free_resolution(M, n + 1, detect_periodicity=False))
+        guarded(pair_budget, lambda: free_resolution(M, n, detect_periodicity=False))
         for M in corpus]
     targets = [guarded(pair_budget, lambda: minimal_presentation(N)) for N in corpus]
     return ca_witness_from_resolutions(r, n, resolutions, targets, pair_budget=pair_budget)
@@ -320,8 +314,8 @@ def ca_witness_from_resolutions(r: Polynomial, n: int, resolutions, targets, *,
     A single failing pair proves r is not an annihilator at this degree;
     a clean sweep is evidence only, since the quantifier runs over all
     finitely generated modules.  ``resolutions`` holds a resolution of
-    each source that reaches step n+1 or is complete, ``targets`` the
-    minimal presentation of each target; a None in either, left by a step
+    each source that reaches step n, which determines d_(n+1), ``targets``
+    the minimal presentation of each target; a None in either, left by a step
     that ran out, makes each of its pairs budget-exhausted.  A pair only
     builds Ext^n(M, N) and tests r on it, in a ``pair_budget`` scope of
     its own.  Running out of that scope, or of a limit that names no
@@ -464,7 +458,7 @@ def koszul_cohomology(sequence, module: FinitelyPresentedModule,
 def koszul_support_check(sequence, module: FinitelyPresentedModule) -> bool:
     """ann(M) + (f) lands in the radical of ann(H^i) for every i."""
     complex_ = koszul_complex(sequence, module)
-    ann_m = module_annihilator(module)
+    ann_m = module_annihilator(complex_.base)
     probes = list(ann_m.reduced_generators()) + [
         f for f in complex_.sequence if not f.is_zero()
     ]

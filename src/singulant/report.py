@@ -114,14 +114,14 @@ def _shift_label(label: str, s: int) -> str:
 class _CorpusContext:
     """Lazy per-member caches shared by every candidate in one sweep.
 
-    Each corpus member M has one minimal presentation and one resolution,
-    grown in place as far as a candidate needs it.  Link s of M's syzygy
-    chain is Omega^s M, read off that resolution, and so is the stable
-    test's Ext^1(Omega^s M, Omega^(s+1) M), as Ext^(s+1)(M, Omega^(s+1) M);
-    the socle sweep's pairs share both objects.  Links, annihilators and
-    Ext groups are memoised per (member, s).  Each heavy step, down to one
-    resolution step, runs in its own ``cap`` scope and degrades to
-    "inconclusive" when that cap is hit.
+    Each corpus member M has one resolution, started at length 0 (M's
+    minimal presentation) and grown in place as far as a candidate needs
+    it.  Link s of M's syzygy chain, Omega^s M, is read off it at length s,
+    and the stable test's Ext^1(Omega^s M, Omega^(s+1) M), as Ext^(s+1)(M,
+    Omega^(s+1) M), at length s+1; the socle sweep's pairs share both
+    objects.  Links, annihilators and Ext groups are memoised per (member,
+    s).  Each heavy step, down to one resolution step, runs in its own
+    ``cap`` scope and degrades to "inconclusive" when that cap is hit.
     """
 
     def __init__(self, ring: RingPresentation, seed: int):
@@ -144,9 +144,8 @@ class _CorpusContext:
         """Member idx's resolution reaching step ``length`` or complete, grown
         one step per cap scope; None once its presentation, or a step it
         needs, ran out.  A step that ran out is not tried again."""
-        pres = self.omega(idx, 0)
-        res = None if pres is None else self._cached(("res", idx), lambda: guarded(
-            self.cap, lambda: free_resolution(pres, 0, detect_periodicity=False)))
+        res = self._cached(("res", idx), lambda: guarded(
+            self.cap, lambda: free_resolution(self.members[idx], 0, detect_periodicity=False)))
         while res is not None and res.length < length and not res.complete:
             if idx in self._stuck or guarded(self.cap, lambda: res.grow(res.length + 1)) is None:
                 self._stuck.add(idx)
@@ -156,12 +155,11 @@ class _CorpusContext:
     def omega(self, idx: int, s: int):
         """Link s of member idx's syzygy chain; None once the chain breaks."""
         def link():
-            if s == 0:
-                return guarded(self.cap, lambda: minimal_presentation(self.members[idx]))
-            prev = self.omega(idx, s - 1)
-            if prev is None or _presentation_size(prev) > _SYZ_SIZE_CAP:
-                return None
-            res = self.resolution(idx, s + 1)
+            if s:
+                prev = self.omega(idx, s - 1)
+                if prev is None or _presentation_size(prev) > _SYZ_SIZE_CAP:
+                    return None
+            res = self.resolution(idx, s)
             return None if res is None else res.syzygy(s)
         return self._cached(("omega", idx, s), link)
 
@@ -181,7 +179,7 @@ class _CorpusContext:
             mod, om = self.omega(idx, s), self.omega(idx, s + 1)
             if om is None or mod.n_relations * om.rank > _HOM_COLUMNS_CAP:
                 return None
-            res = self.resolution(idx, s + 2)
+            res = self.resolution(idx, s + 1)
             return guarded(self.cap, lambda: ext_from_resolution(res, om, s + 1))
         return self._cached(("ext", idx, s), ext)
 
@@ -363,7 +361,7 @@ def _certify_socle_element(ctx, g, certificates, exclusions,
                            inconclusive) -> bool:
     members = range(len(ctx.members))
     report = ca_witness_from_resolutions(
-        g, _CA_DEGREE, [ctx.resolution(i, _CA_DEGREE + 1) for i in members],
+        g, _CA_DEGREE, [ctx.resolution(i, _CA_DEGREE) for i in members],
         [ctx.omega(i, 0) for i in members], pair_budget=ctx.cap)
     if report.verdict == "evidence-in":
         certificates.append(Certificate(
@@ -796,7 +794,7 @@ def verify_paper_examples(fld=None):
         )]
         for n in (1, 2, 3):
             module = FinitelyPresentedModule.cyclic(A, [ax, ay ** n])
-            res = free_resolution(module, 3, detect_periodicity=False)
+            res = free_resolution(module, 2, detect_periodicity=False)
             for N in targets:
                 if not ext_from_resolution(res, N, 2).annihilated_by(ay):
                     return False, f"y fails on Ext^2(R/(x,y^{n}), -)"

@@ -249,6 +249,10 @@ class FreeResolution:
     found zero, certifying pd = L.  ``periodic`` records a detected
     repetition (step, period) of differentials, certifying infinite
     projective dimension; ``pending`` is then None.
+
+    So a resolution of length L determines d_1..d_(L+1), hence Omega^0 to
+    Omega^L and Ext^0 to Ext^L, and every later step once it is complete,
+    but only d_1..d_L when ``pending`` is None.  ``differential`` applies this.
     """
 
     ring: RingPresentation
@@ -265,8 +269,15 @@ class FreeResolution:
         return len(self.ranks) - 1
 
     def differential(self, i: int):
-        """d_i as a row-major matrix (1-indexed, matching the subscripts)."""
-        return self.differentials[i - 1]
+        """d_i as a row-major matrix (1-indexed, matching the subscripts);
+        zero past the end of a complete resolution, refused past its reach."""
+        if i < 1:
+            raise PreconditionError("resolution steps are numbered from 1")
+        if i <= self.length:
+            return self.differentials[i - 1]
+        if self.pending is None or (i > self.length + 1 and not self.complete):
+            raise PreconditionError(f"resolution stops before step {i}")
+        return columns_to_rows(self.ranks[-1], self.pending) if i == self.length + 1 else ()
 
     def betti(self):
         return list(self.ranks)
@@ -287,19 +298,11 @@ class FreeResolution:
         )
 
     def syzygy(self, n: int) -> FinitelyPresentedModule:
-        """Omega^n of the resolved module: coker of d_(n+1) on F_n.
-
-        Needs d_(n+1) or a complete resolution, past whose end every
-        syzygy is free or zero; a truncated or periodic-shortcut
-        resolution that stops before step n+1 does not determine Omega^n.
-        """
-        if n < 0:
-            raise PreconditionError("syzygy index must be nonnegative")
-        if self.length <= n and not self.complete:
-            raise PreconditionError(f"resolution stops before step {n + 1}")
-        if self.length < n:
+        """Omega^n of the resolved module: coker of d_(n+1) on F_n, so any
+        n up to the length, and zero past the end of a complete resolution."""
+        rows = self.differential(n + 1)
+        if n > self.length:
             return FinitelyPresentedModule(self.ring, 0)
-        rows = self.differential(n + 1) if self.length > n else ()
         return FinitelyPresentedModule(self.ring, self.ranks[n], rows, self.shifts[n])
 
     def grow(self, length: int, *, detect_periodicity: bool = False) -> FreeResolution:
@@ -337,7 +340,8 @@ class FreeResolution:
 def free_resolution(module: FinitelyPresentedModule, length: int, *,
                     detect_periodicity: bool = True) -> FreeResolution:
     """Resolution of coker(presentation) out to homological degree ``length``:
-    its minimal presentation, carried on by ``FreeResolution.grow``."""
+    its minimal presentation, carried on by ``FreeResolution.grow``.  It
+    determines d_(length+1), so Omega^length and Ext^length are read off it."""
     if length < 0:
         raise PreconditionError("resolution length must be nonnegative")
     mod = minimal_presentation(module)
@@ -404,19 +408,17 @@ def check_exactness(res: FreeResolution) -> bool:
 
 
 def syzygy_module(module: FinitelyPresentedModule, n: int) -> FinitelyPresentedModule:
-    """The n-th syzygy in the minimal resolution: ``FreeResolution.syzygy``.
+    """The n-th syzygy in the minimal resolution: ``FreeResolution.syzygy``
+    of the resolution out to step n, which reaches d_(n+1); Omega^0 is the
+    minimal presentation.
 
     Periodicity detection is switched off so the resolution is always
-    carried honestly out to step n+1 (or until it stops by itself).  A
+    carried honestly out to step n (or until it stops by itself).  A
     caller that also needs the resolution, say for Ext^n(module, -), or
     more syzygies, keeps one resolution, reads each syzygy off it and
     carries it on with ``FreeResolution.grow``.
     """
-    if n < 0:
-        raise PreconditionError("syzygy index must be nonnegative")
-    if n == 0:
-        return minimal_presentation(module)
-    return free_resolution(module, n + 1, detect_periodicity=False).syzygy(n)
+    return free_resolution(module, n, detect_periodicity=False).syzygy(n)
 
 
 def restrict_to_ambient(module: FinitelyPresentedModule) -> FinitelyPresentedModule:

@@ -233,11 +233,12 @@ class TestExtModule:
             ext_module(k, k, -1)
         with pytest.raises(StructuralError):
             ext_module(k, kF, 1)
-        # Ext^1 needs d_2, which a resolution cut at step 1 lacks
+        # Ext^1 needs d_2: a resolution of length 1 holds it in ``pending``,
+        # one of length 0 lacks it
         with pytest.raises(PreconditionError):
-            ext_from_resolution(free_resolution(k, 1), k, 1)
+            ext_from_resolution(free_resolution(k, 0), k, 1)
         with pytest.raises(StructuralError):
-            ext_from_resolution(free_resolution(k, 2), kF, 1)
+            ext_from_resolution(free_resolution(k, 1), kF, 1)
 
     def test_one_resolution_serves_every_target(self):
         """All 49 corpus pairs at degree 2: one resolution per source and one
@@ -253,6 +254,34 @@ class TestExtModule:
                 fresh = ext_module(M, N, 2)
                 assert shared.cycles == fresh.cycles, (a, b)
                 assert shared.boundaries == fresh.boundaries, (a, b)
+
+    @pytest.mark.parametrize("ring", [
+        embedded_point_ring(),
+        presentation(QQ, ("x", "y", "z"), lambda x, y, z: [x ** 3 + y ** 3 + z ** 3]),
+    ], ids=["A", "cubic"])
+    def test_length_L_reaches_omega_L_and_ext_L(self, ring):
+        """A resolution of length L gives the same Omega^L, and the same
+        Ext^L cycles and boundaries against every minimal corpus target,
+        as the resolution grown one step further; before that step it
+        refuses Omega^(L+1) and Ext^(L+1)."""
+        corpus = default_corpus(ring, 0)
+        targets = [minimal_presentation(N) for N in corpus]
+
+        def read(res, L):
+            exts = [ext_from_resolution(res, N, L) for N in targets]
+            return res.syzygy(L), [(e.cycles, e.boundaries, e.beta) for e in exts]
+
+        for a, M in enumerate(corpus):
+            res = free_resolution(M, 0, detect_periodicity=False)
+            for L in range(4):
+                assert res.length == L or res.complete, (a, L)
+                short = read(res, L)
+                if not res.complete:
+                    with pytest.raises(PreconditionError):
+                        res.syzygy(L + 1)
+                    with pytest.raises(PreconditionError):
+                        ext_from_resolution(res, targets[0], L + 1)
+                assert read(res.grow(L + 1), L) == short, (a, L)
 
     def test_dimensions_match_brute_force_oracle(self):
         R = embedded_point_ring()
@@ -347,6 +376,16 @@ class TestStableAnnihilation:
         with pytest.raises(PreconditionError):
             stable_annihilation_test(R.variable(0), zero)
 
+    def test_element_from_another_ring_rejected(self):
+        """r is checked before any shortcut: R is free and Omega^1 k is not
+        zero, and both refuse an element of Q[x,y,z]."""
+        R = embedded_point_ring()
+        z = presentation(QQ, ("x", "y", "z")).variable(2)
+        for M in (FinitelyPresentedModule.cyclic(R, []),
+                  FinitelyPresentedModule.residue_field(R)):
+            with pytest.raises(StructuralError):
+                stable_annihilation_test(z, M)
+
     def test_fail_ring_y_squared_is_excluded_by_r_mod_x(self):
         F = fail_ring()
         x, y = F.variable(0), F.variable(1)
@@ -400,16 +439,19 @@ class TestCaWitness:
         ca_witness(R.variable(0), 2, corpus)
         assert [args[0] for args in calls] == corpus
 
-    # over Q[x,y]/(x^2, xy), with r = x at degree 2: resolving k to step 3
-    # takes 128 steps and R/(y) 53; presenting k takes 8 and the seeded
-    # cokernel 18; the pair (R/(y), k) takes 65 once both are given
+    # over Q[x,y]/(x^2, xy), with r = x at degree 2: resolving k to step 2
+    # takes 68 steps and R/(y) 30; presenting k takes 8 and the seeded
+    # cokernel 18; the pair (R/(y), k) takes 65 once both are given, the
+    # pairs (k, k) 170 and (k, R/(y)) 115
     @pytest.mark.parametrize("members, max_steps, outcomes", [
-        # k's row runs out on its resolution; R/(y)'s row fits, though
-        # resolution, presentation and pair together (126) would not
+        # k's resolution fits but both its pairs run out; R/(y)'s row fits,
+        # though resolution, presentation and pair together (103) would not
         (("k", "R/(y)"), 100, ["budget-exhausted"] * 2 + ["pass"] * 2),
         # the cokernel's column runs out on its presentation, and its row
         # on its resolution; the free module's pair with itself takes none
         (("R", "coker(2x3 seeded)"), 10, ["pass"] + ["budget-exhausted"] * 3),
+        # k's row runs out on its resolution; R/(y)'s row still fits
+        (("k", "R/(y)"), 66, ["budget-exhausted"] * 2 + ["pass"] * 2),
     ])
     def test_exhausted_source_or_target_marks_its_pairs(self, members, max_steps,
                                                         outcomes):
@@ -516,6 +558,20 @@ class TestModuleAnnihilator:
                 for pos in range(Mmin.rank):
                     probe = ModuleElement.unit(R.poly_ring, Mmin.rank, pos, g)
                     assert normal_form(probe, gb).is_zero()
+
+    def test_invariants_of_a_presentation_that_is_not_minimal(self):
+        """coker [[1, x], [0, y]] is R/(y): the first relation kills e_0 and
+        the second then reads y e_1.  Over Q[x,y]/(x^2, xy) that is
+        Q[x]/(x^2), with ann (y) and basis 1, x, read off this presentation
+        as off R/(y) itself."""
+        R = embedded_point_ring()
+        x, y = R.variable(0), R.variable(1)
+        one, zero = R.poly_ring.one(), R.poly_ring.zero()
+        M = FinitelyPresentedModule(R, 2, ((one, x), (zero, y)))
+        Ry = FinitelyPresentedModule.cyclic(R, [y])
+        for module in (M, Ry):
+            assert module_annihilator(module).same_ideal(IdealHandle(R, [y]))
+            assert module_k_dimension(module) == 2
 
     def test_k_dimension_counting(self):
         R = embedded_point_ring()

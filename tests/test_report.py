@@ -321,26 +321,23 @@ class TestSweepBudgets:
 
 
 def test_sweep_reuses_resolutions(monkeypatch, ring_a):
-    """One resolution per corpus member the sweep reaches past its
-    presentation, plus default_corpus's own syzygy_module(k, 1).  On ring
-    A the socle sweep reaches all seven members: 8 calls (59 when every
-    pair and every stable Ext test resolved its source afresh, 15 when
-    each chain link had a resolution of its own).  Over the cubic cone R
-    is free and every candidate annihilates k and R/m^2 on their
-    presentations, so the sweep resolves five members: 6 calls."""
-    cases = [
-        (ring_a, corpus_labels(ring_a)),
-        (parse_ring(SNAPSHOT_RINGS["cubic"]),
-         ["R/(y)", "R/(z)", "syz1(k)", "coker(2x3 seeded)", "R/(x)"]),
-    ]
-    for ring, resolved in cases:
-        members = dict(zip(corpus_labels(ring), default_corpus(ring, 0)))
+    """One resolution per corpus member, started at length 0 on the raw
+    member (its presentation is that resolution's scope) and grown in
+    place, plus default_corpus's own syzygy_module(k, 1), a length-1
+    resolution of k.  On ring A the socle sweep reaches every member in
+    corpus order: 1 + 7 = 8 calls (59 when every pair and every stable Ext
+    test resolved its source afresh, 15 when each chain link had a
+    resolution of its own).  Over the cubic cone the socle is zero and the
+    first Jacobian candidate's stable test visits every member in corpus
+    order at link 0: 1 + 8 = 9 calls (6 when a member was presented apart
+    and resolved only past its presentation)."""
+    for ring in (ring_a, parse_ring(SNAPSHOT_RINGS["cubic"])):
+        corpus = default_corpus(ring, 0)
         gens = jacobian_ideal(ring).reduced_generators()
         calls = count_calls(monkeypatch, free_resolution)
         annihilator_bounds(ring, extra_elements=gens)
         monkeypatch.undo()
-        assert [args[0] for args in calls] == [members["k"]] + [
-            minimal_presentation(members[label]) for label in resolved]
+        assert calls == [(corpus[0], 1)] + [(M, 0) for M in corpus]
 
 
 def test_report_computes_depth_once(monkeypatch, ring_a):

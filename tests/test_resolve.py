@@ -419,19 +419,39 @@ class TestSyzygyModules:
             syzygy_module(k, -1)
 
     def test_syzygy_past_a_truncated_resolution_is_refused(self):
-        """Omega^n needs d_(n+1): a resolution cut short by its length or
-        by the periodicity shortcut does not determine it."""
+        """Omega^n needs d_(n+1), which a resolution of length n holds in
+        ``pending``: one that stops before step n, by its length or by the
+        periodicity shortcut, does not determine it."""
         R = embedded_point_ring()
         k = FinitelyPresentedModule.residue_field(R)
         res = free_resolution(k, 1)
         assert res.syzygy(0) == minimal_presentation(k)
+        assert res.syzygy(1) == free_resolution(k, 2).syzygy(1)
         with pytest.raises(PreconditionError):
-            res.syzygy(1)
+            res.syzygy(2)
+        with pytest.raises(PreconditionError):
+            res.differential(3)
         F = fail_ring()
         periodic = free_resolution(FinitelyPresentedModule.cyclic(F, [F.variable(0)]), 6)
         assert periodic.periodic is not None and periodic.length < 6
+        assert periodic.pending is None
+        periodic.syzygy(periodic.length - 1)
         with pytest.raises(PreconditionError):
             periodic.syzygy(periodic.length)
+
+    def test_complete_resolution_reaches_every_step(self):
+        """Past the end of a complete resolution every differential and
+        every syzygy is zero; Omega^pd is the last free module."""
+        P = RingPresentation(QQ, ("x", "y"))
+        x, y = P.variable(0), P.variable(1)
+        res = free_resolution(FinitelyPresentedModule.cyclic(P, [x * x, x * y]), 4)
+        assert res.complete and res.ranks == [1, 2, 1]
+        assert res.differential(3) == ((),)
+        assert res.differential(5) == ()
+        assert res.syzygy(2) == FinitelyPresentedModule.free(P, 1)
+        assert res.syzygy(5).is_zero_presentation()
+        with pytest.raises(PreconditionError):
+            res.differential(0)
 
     def test_x_annihilates_first_syzygies(self):
         """Multiplication by x lands in the relation span of each syzygy."""
