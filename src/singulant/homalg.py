@@ -42,18 +42,16 @@ from .resolve import (  # noqa: F401
 class Subquotient:
     """Z/B for submodules B <= Z <= R^rank, kept as generator lists.
 
-    Cycles are kept as given: nonzero and in normal form, as minimal_kernel
-    returns them.  Boundaries are normalized here and zero ones dropped.
+    Both are kept as given, in normal form: cycles as minimal_kernel
+    returns them, boundaries as ``_cohomology`` builds them, from
+    normal-form entries times units.  Zero boundaries are dropped.
     """
 
     def __init__(self, ring: RingPresentation, rank: int, cycles, boundaries):
         self.ring = ring
         self.rank = rank
         self.cycles = list(cycles)
-        self.boundaries = [
-            el for el in (ring.normal_form_element(b) for b in boundaries)
-            if not el.is_zero()
-        ]
+        self.boundaries = [b for b in boundaries if not b.is_zero()]
         self._boundary_gb = None
 
     def boundary_gb(self):
@@ -62,13 +60,14 @@ class Subquotient:
         return self._boundary_gb
 
     def is_boundary(self, el: ModuleElement) -> bool:
-        el = self.ring.normal_form_element(el)
-        if el.is_zero():
-            return True
-        gb = self.boundary_gb()
-        if gb is None:
-            return False
-        return normal_form(el, gb).is_zero()
+        """Reduction against the boundaries' basis, which holds I * R^rank.
+        Until that basis is built, el is first reduced modulo I alone: an
+        element that is zero there needs no basis."""
+        if self._boundary_gb is None:
+            el = self.ring.normal_form_element(el)
+            if el.is_zero() or not self.boundaries:
+                return el.is_zero()
+        return normal_form(el, self.boundary_gb()).is_zero()
 
     def is_zero(self) -> bool:
         return all(self.is_boundary(z) for z in self.cycles)
@@ -393,6 +392,8 @@ class KoszulComplex:
     to the signed sum of f_j m e_(S + j) over j outside S, the sign
     counting inversions.  ``differential(i)`` gives that map on K(f; R)
     alone, one R-level column per S, and ``_cohomology`` tensors it with M.
+    The sequence is kept in normal form, as the boundaries built from it
+    must be.
     """
 
     def __init__(self, ring: RingPresentation, sequence, module):
@@ -403,7 +404,7 @@ class KoszulComplex:
         if module.ring != ring:
             raise StructuralError("Koszul module over another ring")
         self.ring = ring
-        self.sequence = sequence
+        self.sequence = [ring.normal_form(f) for f in sequence]
         self.base = minimal_presentation(module)
 
     @property

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 
 from .errors import (
     Budget,
@@ -26,7 +27,6 @@ from .errors import (
     guarded,
 )
 from .homalg import (
-    ca_witness,
     ca_witness_from_resolutions,
     corpus_labels,
     default_corpus,
@@ -35,7 +35,6 @@ from .homalg import (
     koszul_cohomology,
     koszul_support_check,
     module_annihilator,
-    stable_annihilation_test,
 )
 from .ideal_ops import (
     IdealHandle,
@@ -108,11 +107,11 @@ def _shift_label(label: str, s: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# certification context: one resolution per corpus member, shared by the sweep
+# certification context: one per ring and command, shared by every sweep
 
 
 class _CorpusContext:
-    """Lazy per-member caches shared by every candidate in one sweep.
+    """A ring's corpus work, kept for every sweep over it in one command.
 
     Each corpus member M has one resolution, started at length 0 (M's
     minimal presentation) and grown in place as far as a candidate needs
@@ -120,12 +119,15 @@ class _CorpusContext:
     and the stable test's Ext^1(Omega^s M, Omega^(s+1) M), as Ext^(s+1)(M,
     Omega^(s+1) M), at length s+1; the socle sweep's pairs share both
     objects.  Links, annihilators and Ext groups are memoised per (member,
-    s).  Each heavy step, down to one resolution step, runs in its own
-    ``cap`` scope and degrades to "inconclusive" when that cap is hit.
+    s), and each candidate's outcome per candidate, so a second sweep only
+    certifies the candidates the first did not.  Each heavy step, down to
+    one resolution step, runs in its own ``cap`` scope and degrades to
+    "inconclusive" when that cap is hit.
     """
 
     def __init__(self, ring: RingPresentation, seed: int):
         self.ring = ring
+        self.seed = seed
         self.cap = Budget(max_degree=active_meter().max_degree,
                           max_steps=_CERT_MAX_STEPS)
         self.labels = corpus_labels(ring)
@@ -184,6 +186,15 @@ class _CorpusContext:
         return self._cached(("ext", idx, s), ext)
 
     # -- per-candidate certification -------------------------------------------
+
+    def ca_witness(self, r: Polynomial, n: int):
+        """``ca_witness_from_resolutions`` at Ext degree n over every pair of
+        members: each member's one resolution as source, its link 0 as
+        target, each pair in a ``cap`` scope."""
+        members = range(len(self.members))
+        return ca_witness_from_resolutions(
+            r, n, [self.resolution(i, n) for i in members],
+            [self.omega(i, 0) for i in members], pair_budget=self.cap)
 
     def certify(self, idx: int, r: Polynomial):
         """Outcome of the stable-annihilation certificate on one member.
@@ -282,7 +293,8 @@ class AnnihilatorBounds:
 
     ``lower`` is generated exactly by the certified elements; the upper
     side is reported as the exclusion list (elements with a failing Ext
-    witness), never as an ideal.
+    witness), never as an ideal.  ``context`` is the corpus context the
+    sweep ran in, which a later sweep over the same ring reuses.
     """
 
     ring: RingPresentation
@@ -292,6 +304,7 @@ class AnnihilatorBounds:
     inconclusive: list   # (element, [module labels]) pairs
     corpus: list
     seed: int
+    context: _CorpusContext | None = field(default=None, repr=False, compare=False)
 
     def payload(self) -> dict:
         ring = self.ring
@@ -321,98 +334,75 @@ def annihilator_bounds(ring: RingPresentation, extra_elements=(), *,
     recorded as inconclusive; running out of the enclosing budget scope
     aborts.
     """
-    ctx = _CorpusContext(ring, seed)
-    candidates = []
-    seen = set()
-    for g in socle(ring).reduced_generators():
-        candidates.append((g, "socle"))
-        seen.add(g)
+    return _sweep(_CorpusContext(ring, seed), extra_elements)
+
+
+def _sweep(ctx: _CorpusContext, extra_elements) -> AnnihilatorBounds:
+    """The socle generators, then each new nonzero normal form among
+    extra_elements, certified in ctx; a candidate ctx already decided is
+    read from its memo."""
+    ring = ctx.ring
+    socle_gens = ctx._cached("socle", lambda: socle(ring).reduced_generators())
+    candidates = dict.fromkeys(socle_gens, _certify_socle_element)
     for g in extra_elements:
         if not isinstance(g, Polynomial) or g.ring != ring.poly_ring:
             raise StructuralError("candidate from another ring")
         nf = ring.normal_form(g)
-        if nf.is_zero() or nf in seen:
-            continue
-        seen.add(nf)
-        candidates.append((nf, "given"))
-
-    certificates, exclusions, inconclusive, lower_gens = [], [], [], []
-    for g, origin in candidates:
-        if origin == "socle":
-            ok = _certify_socle_element(ctx, g, certificates, exclusions,
-                                        inconclusive)
-        else:
-            ok = _certify_stable_element(ctx, g,
-                                         certificates, exclusions, inconclusive)
-        if ok:
-            lower_gens.append(g)
+        if not nf.is_zero():
+            candidates.setdefault(nf, _certify_stable_element)
+    found = {"certificate": [], "exclusion": [], "inconclusive": []}
+    for g, certify in candidates.items():
+        kind, item = ctx._cached(("candidate", g), lambda: certify(ctx, g))
+        found[kind].append(item)
     return AnnihilatorBounds(
         ring=ring,
-        lower=IdealHandle(ring, lower_gens),
-        certificates=certificates,
-        exclusions=exclusions,
-        inconclusive=inconclusive,
+        lower=IdealHandle(ring, [c.element for c in found["certificate"]]),
+        certificates=found["certificate"],
+        exclusions=found["exclusion"],
+        inconclusive=found["inconclusive"],
         corpus=ctx.labels,
-        seed=seed,
+        seed=ctx.seed,
+        context=ctx,
     )
 
 
-def _certify_socle_element(ctx, g, certificates, exclusions,
-                           inconclusive) -> bool:
-    members = range(len(ctx.members))
-    report = ca_witness_from_resolutions(
-        g, _CA_DEGREE, [ctx.resolution(i, _CA_DEGREE) for i in members],
-        [ctx.omega(i, 0) for i in members], pair_budget=ctx.cap)
+def _certify_socle_element(ctx: _CorpusContext, g):
+    """("certificate" | "exclusion" | "inconclusive", item) for socle
+    generator g: its ca_witness sweep, or the stable certificate when the
+    sweep ran out of budget."""
+    report = ctx.ca_witness(g, _CA_DEGREE)
     if report.verdict == "evidence-in":
-        certificates.append(Certificate(
+        return "certificate", Certificate(
             element=g, method="socle-ca-witness",
             detail={"ext_degree": _CA_DEGREE, "pairs": len(report.entries)},
-        ))
-        return True
+        )
     if report.verdict == "proved-not-in":
         bad = report.failures()[0]
-        exclusions.append(Exclusion(
-            element=g,
-            module=ctx.labels[bad.source_index],
-            target=ctx.labels[bad.target_index],
-            ext_degree=_CA_DEGREE,
-        ))
-        return False
+        return "exclusion", Exclusion(element=g, module=ctx.labels[bad.source_index],
+                                      target=ctx.labels[bad.target_index],
+                                      ext_degree=_CA_DEGREE)
     # budget-exhausted sweep: fall back to the stable certificate, which the
     # socle always satisfies when it completes (socle * Omega^1 M = 0)
-    return _certify_stable_element(ctx, g, certificates, exclusions,
-                                   inconclusive)
+    return _certify_stable_element(ctx, g)
 
 
-def _certify_stable_element(ctx, g, certificates, exclusions,
-                            inconclusive) -> bool:
-    outcomes = []
-    first_failure = None
-    undecided = []
+def _certify_stable_element(ctx: _CorpusContext, g):
+    """(kind, item) as above for g's stable certificate on every member;
+    the first failing member excludes g."""
+    outcomes, undecided = [], []
     for idx, label in enumerate(ctx.labels):
         status, route, shift, fails = ctx.certify(idx, g)
-        outcomes.append(MemberOutcome(label, status, route, shift))
         if status == "failed":
             s = fails[0]
-            first_failure = Exclusion(
-                element=g,
-                module=_shift_label(label, s),
-                target=_shift_label(label, s + 1),
-                ext_degree=1,
-            )
-            break
+            return "exclusion", Exclusion(element=g, module=_shift_label(label, s),
+                                          target=_shift_label(label, s + 1), ext_degree=1)
+        outcomes.append(MemberOutcome(label, status, route, shift))
         if status == "inconclusive":
             undecided.append(label)
-    if first_failure is not None:
-        exclusions.append(first_failure)
-        return False
     if undecided:
-        inconclusive.append((g, undecided))
-        return False
-    certificates.append(Certificate(
-        element=g, method="stable-annihilation", outcomes=outcomes,
-    ))
-    return True
+        return "inconclusive", (g, undecided)
+    return "certificate", Certificate(element=g, method="stable-annihilation",
+                                      outcomes=outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +611,13 @@ def build_report(ring: RingPresentation, *, bound_ideal: IdealHandle | None = No
         ideal = bound_ideal if bound_ideal is not None else cert.ideal
         try:
             if is_m_primary(ideal):
-                reuse = bounds if bound_ideal is None else None
+                # the generators of I join the comparison's candidates in its
+                # context, so those it already decided are not swept again
                 result = generation_time_bound(
                     ring, ideal,
-                    assume_annihilates=assume_annihilates,
-                    seed=seed, bounds=reuse,
+                    assume_annihilates=assume_annihilates, seed=seed,
+                    bounds=None if assume_annihilates else _sweep(
+                        bounds.context, ideal.reduced_generators()),
                 )
                 bound_doc = result.payload()
                 if result.assumed:
@@ -806,15 +798,19 @@ def verify_paper_examples(fld=None):
         unit_ok = not ext.annihilated_by(A.poly_ring.one())
         return dim == 3 and unit_ok, f"dim_k Ext^2(k,k) = {dim}; 1 does not kill it"
 
+    # one corpus context per golden ring, shared by every entry that sweeps it
+    context = cache(lambda ring: _CorpusContext(ring, 0))
+
     def stable_socle_element():
-        corpus = default_corpus(A, 0)
-        bad = [lbl for lbl, M in zip(corpus_labels(A), corpus)
-               if not stable_annihilation_test(ax, M)]
+        ctx = context(A)
+        outcomes = [ctx.certify(idx, ax) for idx in range(len(ctx.members))]
+        bad = [lbl for lbl, (status, _, shift, _) in zip(ctx.labels, outcomes)
+               if (status, shift) != ("certified", 0)]
         return not bad, ("x certifies on every corpus module" if not bad
                          else f"x fails on {bad}")
 
     def ca3_y_evidence():
-        report = ca_witness(ay, 3, default_corpus(A, 0))
+        report = context(A).ca_witness(ay, 3)
         return report.verdict == "evidence-in", f"verdict = {report.verdict}"
 
     def socle_embedded_point():
@@ -831,22 +827,16 @@ def verify_paper_examples(fld=None):
         ok = iso.verdict is None and primes == ["(x, z, w)"]
         return ok, f"isolated = {iso.verdict}, witness primes = {primes}"
 
-    bounds_cache = {}
-
-    def _bounds(ring):
-        if ring.names not in bounds_cache:
-            gens = singular_locus_certificate(ring).ideal.reduced_generators()
-            bounds_cache[ring.names] = annihilator_bounds(
-                ring, extra_elements=gens
-            )
-        return bounds_cache[ring.names]
+    def jac_bounds(ring):
+        jac = singular_locus_certificate(ring).ideal
+        return _sweep(context(ring), jac.reduced_generators())
 
     def radical_embedded_point():
-        comparison = radical_comparison_report(A, bounds=_bounds(A))
+        comparison = radical_comparison_report(A, bounds=jac_bounds(A))
         return comparison.verdict == "equal", f"verdict = {comparison.verdict}"
 
     def radical_plane_line():
-        comparison = radical_comparison_report(B, bounds=_bounds(B))
+        comparison = radical_comparison_report(B, bounds=jac_bounds(B))
         hit = [f for f in comparison.failures
                if f["prime"] == ["x", "z", "w"]]
         ok = not comparison.jac_in_lower and bool(hit)
@@ -855,7 +845,8 @@ def verify_paper_examples(fld=None):
                     "at prime (x, z, w)")
 
     def bound_maximal_ideal():
-        result = generation_time_bound(A, A.maximal_ideal(), bounds=_bounds(A))
+        m = A.maximal_ideal()
+        result = generation_time_bound(A, m, bounds=_sweep(context(A), m.reduced_generators()))
         got = (result.nu, result.loewy, result.depth,
                result.bound, result.dim_bound)
         return got == (2, 1, 0, 3, 2), f"(nu, loewy, depth, bound, dim) = {got}"

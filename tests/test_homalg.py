@@ -441,11 +441,10 @@ class TestCaWitness:
 
     # over Q[x,y]/(x^2, xy), with r = x at degree 2: resolving k to step 2
     # takes 68 steps and R/(y) 30; presenting k takes 8 and the seeded
-    # cokernel 18; the pair (R/(y), k) takes 65 once both are given, the
-    # pairs (k, k) 170 and (k, R/(y)) 115
+    # cokernel 18; the pair (R/(y), k) takes 62 once both are given, the
+    # pairs (k, k) 159 and (k, R/(y)) 109
     @pytest.mark.parametrize("members, max_steps, outcomes", [
-        # k's resolution fits but both its pairs run out; R/(y)'s row fits,
-        # though resolution, presentation and pair together (103) would not
+        # k's resolution fits but both its pairs run out; R/(y)'s row fits
         (("k", "R/(y)"), 100, ["budget-exhausted"] * 2 + ["pass"] * 2),
         # the cokernel's column runs out on its presentation, and its row
         # on its resolution; the free module's pair with itself takes none
@@ -698,6 +697,22 @@ class TestKoszul:
         P = RingPresentation(QQ, ("x", "y"))
         pfree = FinitelyPresentedModule.cyclic(P, [])
         assert koszul_support_check([P.variable(0), P.variable(1)], pfree)
+
+    def test_sequence_outside_normal_form(self):
+        # x^2 = 0 in R = Q[x,y]/(x^2, xy), so x + x^2 is x there: the complex
+        # keeps the normal form, and H^0 = ann(x) = (x, y), on generators x
+        # and y with relations x*x, y*x and x*y, and H^1 = R/(x)
+        R = embedded_point_ring()
+        x = R.variable(0)
+        free = FinitelyPresentedModule.cyclic(R, [])
+        assert koszul_complex([x + x * x], free).sequence == [x]
+        for i in (0, 1):
+            h = koszul_cohomology([x + x * x], free, i)
+            assert h.rows == koszul_cohomology([x], free, i).rows, i
+        assert rows_str(koszul_cohomology([x + x * x], free, 0).rows) == [
+            ["x0", "x1", "0"], ["0", "0", "x0"]]
+        assert rows_str(koszul_cohomology([x + x * x], free, 1).rows) == [["x0"]]
+        assert koszul_support_check([x + x * x], free)
 
     def test_sequence_ring_validation(self):
         R = embedded_point_ring()

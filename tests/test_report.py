@@ -13,7 +13,12 @@ from singulant.errors import (
     StructuralError,
     budget_scope,
 )
-from singulant.homalg import corpus_labels, default_corpus, stable_annihilation_test
+from singulant.homalg import (
+    ca_witness_from_resolutions,
+    corpus_labels,
+    default_corpus,
+    stable_annihilation_test,
+)
 from singulant.ideal_ops import IdealHandle, RingPresentation, socle
 from singulant.jacobian import jacobian_ideal
 from singulant.poly import QQ, PrimeField
@@ -338,6 +343,40 @@ def test_sweep_reuses_resolutions(monkeypatch, ring_a):
         annihilator_bounds(ring, extra_elements=gens)
         monkeypatch.undo()
         assert calls == [(corpus[0], 1)] + [(M, 0) for M in corpus]
+
+
+def test_bound_ideal_reuses_the_comparison_sweep(monkeypatch, ring_a):
+    """The bound block certifies the generators of I in the radical
+    comparison's corpus context.  On ring A, I = m = (x, y) = jac, so every
+    candidate was decided there: build_report(A, bound_ideal=m) makes the
+    same resolutions as build_report(A) and one socle sweep, for the one
+    socle generator x (two, with 8 more resolutions, when the bound block
+    swept a fresh context)."""
+    seen = []
+    for bound_ideal in (None, ring_a.maximal_ideal()):
+        resolutions = count_calls(monkeypatch, free_resolution)
+        socle_sweeps = count_calls(monkeypatch, ca_witness_from_resolutions)
+        doc = build_report(ring_a, bound_ideal=bound_ideal)
+        monkeypatch.undo()
+        assert doc["bound"]["I_gens"] == ["x", "y"]
+        seen.append((resolutions, len(socle_sweeps)))
+    assert seen[0] == seen[1]
+    assert seen[1][1] == 1
+
+
+def test_ledger_shares_one_context_per_ring(monkeypatch):
+    """verify_paper_examples over Q: each golden ring's corpus is resolved
+    once, by its one context.  Derived by hand: ring A's context makes
+    1 + 7 free_resolution calls (default_corpus's syzygy_module(k, 1), then
+    each member once), the plane-line union's 1 + 9, the Betti family 3,
+    the Ext^2-kill family 3, Ext^2(k, k) 1, and ring_depth 2 (the
+    dim-depth entry and the bound): 27 (43 when the stable, ca^3 and
+    comparison entries each resolved the corpus again)."""
+    calls = count_calls(monkeypatch, free_resolution)
+    entries = verify_paper_examples()
+    monkeypatch.undo()
+    assert all(e.status == "pass" for e in entries)
+    assert len(calls) <= 27
 
 
 def test_report_computes_depth_once(monkeypatch, ring_a):

@@ -75,6 +75,13 @@ GROW_CALLERS = {"resolve.free_resolution", "report._CorpusContext.resolution"}
 # only the Ext^2 check presents its own targets
 REPORT_PRESENTATION_CALLERS = {"report.verify_paper_examples.ext2_kill_family"}
 
+# one corpus context per ring and command: the sweep makes one, and the golden
+# ledger one per golden ring, which every entry that sweeps that ring shares
+CONTEXT_CONSTRUCTORS = {"report.annihilator_bounds", "report.verify_paper_examples"}
+# the report reaches every Ext group of its corpus through its contexts, never
+# through homalg's own corpus sweep or stable test, which resolve afresh
+REPORT_UNUSED_HOMALG = {"ca_witness", "stable_annihilation_test"}
+
 # each resolution step, each presentation of a subquotient, and the one
 # builder that lays out Hom(F, N) and K(f; M) take a minimal kernel; a second
 # block layout would be a fourth caller
@@ -152,3 +159,14 @@ def test_the_report_resolves_each_member_on_one_path():
 
 def test_one_builder_lays_out_every_cohomology():
     assert package_callers("minimal_kernel") == MINIMAL_KERNEL_CALLERS
+
+
+def imported_names(source: str):
+    return {alias.asname or alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_one_corpus_context_per_ring():
+    source = (PACKAGE_DIR / "report.py").read_text(encoding="utf-8")
+    assert callers(source, "report", "_CorpusContext") == CONTEXT_CONSTRUCTORS
+    assert not imported_names(source) & REPORT_UNUSED_HOMALG
