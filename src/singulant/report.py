@@ -74,9 +74,7 @@ _CERT_MAX_STEPS = 20_000
 _HOM_COLUMNS_CAP = 32
 _ANN_SIZE_CAP = 24
 _SYZ_SIZE_CAP = 48
-# socle candidates are swept with ca_witness at this Ext degree; every other
-# candidate may pass on any syzygy shift up to _MAX_SHIFT
-_CA_DEGREE = 2
+# a non-socle candidate may pass on any syzygy shift up to _MAX_SHIFT
 _MAX_SHIFT = 3
 
 
@@ -117,12 +115,11 @@ class _CorpusContext:
     minimal presentation) and grown in place as far as a candidate needs
     it.  Link s of M's syzygy chain, Omega^s M, is read off it at length s,
     and the stable test's Ext^1(Omega^s M, Omega^(s+1) M), as Ext^(s+1)(M,
-    Omega^(s+1) M), at length s+1; the socle sweep's pairs share both
-    objects.  Links, annihilators and Ext groups are memoised per (member,
-    s), and each candidate's outcome per candidate, so a second sweep only
-    certifies the candidates the first did not.  Each heavy step, down to
-    one resolution step, runs in its own ``cap`` scope and degrades to
-    "inconclusive" when that cap is hit.
+    Omega^(s+1) M), at length s+1.  Links, annihilators and Ext groups are
+    memoised per (member, s), and each candidate's outcome per candidate,
+    so a second sweep only certifies the candidates the first did not.
+    Each heavy step, down to one resolution step, runs in its own ``cap``
+    scope and degrades to "inconclusive" when that cap is hit.
     """
 
     def __init__(self, ring: RingPresentation, seed: int):
@@ -187,15 +184,6 @@ class _CorpusContext:
 
     # -- per-candidate certification -------------------------------------------
 
-    def ca_witness(self, r: Polynomial, n: int):
-        """``ca_witness_from_resolutions`` at Ext degree n over every pair of
-        members: each member's one resolution as source, its link 0 as
-        target, each pair in a ``cap`` scope."""
-        members = range(len(self.members))
-        return ca_witness_from_resolutions(
-            r, n, [self.resolution(i, n) for i in members],
-            [self.omega(i, 0) for i in members], pair_budget=self.cap)
-
     def certify(self, idx: int, r: Polynomial):
         """Outcome of the stable-annihilation certificate on one member.
 
@@ -256,14 +244,11 @@ class MemberOutcome:
 @dataclass
 class Certificate:
     element: Polynomial
-    method: str          # "socle-ca-witness" | "stable-annihilation" | "regular-ring"
-    detail: dict = field(default_factory=dict)
+    method: str          # "socle-kills-syzygy" | "stable-annihilation" | "regular-ring"
     outcomes: list = field(default_factory=list)
 
     def payload(self, ring: RingPresentation) -> dict:
         out = {"element": ring.format_element(self.element), "method": self.method}
-        if self.detail:
-            out["detail"] = dict(self.detail)
         if self.outcomes:
             out["modules"] = [o.payload() for o in self.outcomes]
         return out
@@ -271,19 +256,19 @@ class Certificate:
 
 @dataclass
 class Exclusion:
-    """A concrete Ext witness showing a candidate carries no certificate."""
+    """A concrete Ext witness showing a candidate carries no certificate:
+    the stable test's r * Ext^1(module, target) != 0."""
 
     element: Polynomial
     module: str
     target: str
-    ext_degree: int
 
     def payload(self, ring: RingPresentation) -> dict:
         return {
             "element": ring.format_element(self.element),
             "module": self.module,
             "target": self.target,
-            "ext_degree": self.ext_degree,
+            "ext_degree": 1,
         }
 
 
@@ -326,11 +311,11 @@ def annihilator_bounds(ring: RingPresentation, extra_elements=(), *,
                        seed: int = 0) -> AnnihilatorBounds:
     """Certify annihilator candidates over the default witness corpus.
 
-    Socle generators are swept with ca_witness at Ext degree _CA_DEGREE;
-    every other candidate runs the stable-annihilation certificate on each
-    corpus member, with syzygy shifts up to _MAX_SHIFT allowed (a pass on
-    Omega^s M still certifies M, since the shift is invertible in the
-    singularity category).  A guarded step that runs out of its own cap is
+    Socle generators are certified by ``_socle_kills_syzygy``, with no
+    corpus work; every other candidate runs the stable-annihilation
+    certificate on each corpus member, with syzygy shifts up to _MAX_SHIFT
+    allowed (a pass on Omega^s M still certifies M, since the shift is
+    invertible in the singularity category).  A guarded step that runs out of its own cap is
     recorded as inconclusive; running out of the enclosing budget scope
     aborts.
     """
@@ -338,12 +323,12 @@ def annihilator_bounds(ring: RingPresentation, extra_elements=(), *,
 
 
 def _sweep(ctx: _CorpusContext, extra_elements) -> AnnihilatorBounds:
-    """The socle generators, then each new nonzero normal form among
-    extra_elements, certified in ctx; a candidate ctx already decided is
-    read from its memo."""
+    """The socle generators, each certified outright, then each new nonzero
+    normal form among extra_elements, certified in ctx; a candidate ctx
+    already decided is read from its memo."""
     ring = ctx.ring
     socle_gens = ctx._cached("socle", lambda: socle(ring).reduced_generators())
-    candidates = dict.fromkeys(socle_gens, _certify_socle_element)
+    candidates = dict.fromkeys(socle_gens, _socle_kills_syzygy)
     for g in extra_elements:
         if not isinstance(g, Polynomial) or g.ring != ring.poly_ring:
             raise StructuralError("candidate from another ring")
@@ -366,24 +351,22 @@ def _sweep(ctx: _CorpusContext, extra_elements) -> AnnihilatorBounds:
     )
 
 
-def _certify_socle_element(ctx: _CorpusContext, g):
-    """("certificate" | "exclusion" | "inconclusive", item) for socle
-    generator g: its ca_witness sweep, or the stable certificate when the
-    sweep ran out of budget."""
-    report = ctx.ca_witness(g, _CA_DEGREE)
-    if report.verdict == "evidence-in":
-        return "certificate", Certificate(
-            element=g, method="socle-ca-witness",
-            detail={"ext_degree": _CA_DEGREE, "pairs": len(report.entries)},
-        )
-    if report.verdict == "proved-not-in":
-        bad = report.failures()[0]
-        return "exclusion", Exclusion(element=g, module=ctx.labels[bad.source_index],
-                                      target=ctx.labels[bad.target_index],
-                                      ext_degree=_CA_DEGREE)
-    # budget-exhausted sweep: fall back to the stable certificate, which the
-    # socle always satisfies when it completes (socle * Omega^1 M = 0)
-    return _certify_stable_element(ctx, g)
+def _socle_kills_syzygy(ctx: _CorpusContext, g):
+    """("certificate", item) for a generator g of soc R = (0 : m), where
+    m = (x_1..x_n)R, with no corpus work.
+
+    g annihilates D_sg(R), in every characteristic and graded or not:
+    - m is maximal or the unit ideal; in the unit case soc R = 0.
+    - At a prime p != m some x in m lies outside p, so x*g = 0 with x a
+      unit of R_p, and g = 0 in R_p.
+    - At m, (Omega^1 M)_m is the minimal syzygy plus a free summand, and the
+      minimal syzygy lies in m*F, so g kills it.
+    So g kills the finitely generated Ext^1(Omega^1 M, Omega^2 M) at every
+    localisation, hence globally: g * id on Omega^1 M factors through a
+    projective, and as M = Omega^1 M[1] in D_sg(R), g lies in ann D_sg(R)
+    (indeed in ca^2(R)).
+    """
+    return "certificate", Certificate(element=g, method="socle-kills-syzygy")
 
 
 def _certify_stable_element(ctx: _CorpusContext, g):
@@ -395,7 +378,7 @@ def _certify_stable_element(ctx: _CorpusContext, g):
         if status == "failed":
             s = fails[0]
             return "exclusion", Exclusion(element=g, module=_shift_label(label, s),
-                                          target=_shift_label(label, s + 1), ext_degree=1)
+                                          target=_shift_label(label, s + 1))
         outcomes.append(MemberOutcome(label, status, route, shift))
         if status == "inconclusive":
             undecided.append(label)
@@ -810,7 +793,11 @@ def verify_paper_examples(fld=None):
                          else f"x fails on {bad}")
 
     def ca3_y_evidence():
-        report = context(A).ca_witness(ay, 3)
+        ctx = context(A)
+        members = range(len(ctx.members))
+        report = ca_witness_from_resolutions(
+            ay, 3, [ctx.resolution(i, 3) for i in members],
+            [ctx.omega(i, 0) for i in members], pair_budget=ctx.cap)
         return report.verdict == "evidence-in", f"verdict = {report.verdict}"
 
     def socle_embedded_point():

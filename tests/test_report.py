@@ -14,6 +14,7 @@ from singulant.errors import (
     budget_scope,
 )
 from singulant.homalg import (
+    ca_witness,
     ca_witness_from_resolutions,
     corpus_labels,
     default_corpus,
@@ -38,6 +39,7 @@ from singulant.resolve import (
     syzygy_module,
 )
 
+import oracles
 from util import count_calls, fail_ring, ideal, presentation, embedded_point_ring
 
 
@@ -71,11 +73,14 @@ class TestAnnihilatorBounds:
         x, y = ring_a.variable(0), ring_a.variable(1)
         assert bounds_a.lower.same_ideal(IdealHandle(ring_a, [x, y]))
 
-    def test_socle_generator_certified_by_ca_witness(self, bounds_a):
-        methods = {bounds_a.ring.format_element(c.element): c.method
-                   for c in bounds_a.certificates}
-        assert methods["x"] == "socle-ca-witness"
-        assert methods["y"] == "stable-annihilation"
+    def test_socle_generator_certified_by_the_syzygy_argument(self, bounds_a):
+        # soc A = (x) by hand: x*x = x*y = 0, while y*y != 0; x needs no
+        # corpus work, so its certificate lists no member outcomes
+        certs = {bounds_a.ring.format_element(c.element): c
+                 for c in bounds_a.certificates}
+        assert certs["x"].method == "socle-kills-syzygy"
+        assert certs["x"].outcomes == []
+        assert certs["y"].method == "stable-annihilation"
 
     def test_shifted_certificate_recorded(self, bounds_a):
         # y needs one syzygy shift on R/m^2; the certificate names it
@@ -101,8 +106,8 @@ class TestAnnihilatorBounds:
         assert bounds_b.lower.is_zero()
 
     def test_fail_ring_exclusion_witness(self, ring_b, bounds_b):
-        witnesses = {(ring_b.format_element(e.element), e.module, e.target,
-                      e.ext_degree) for e in bounds_b.exclusions}
+        witnesses = {(w["element"], w["module"], w["target"], w["ext_degree"])
+                     for w in bounds_b.payload()["exclusions"]}
         assert ("y^2", "R/(x)", "syz1(R/(x))", 1) in witnesses
 
     def test_fail_ring_inconclusive_candidates(self, ring_b, bounds_b):
@@ -300,12 +305,12 @@ class TestSweepBudgets:
     def test_each_resolution_step_runs_in_a_scope_of_its_own(self, monkeypatch):
         """Under a 50-step cap, the resolution steps that fit one by one
         still serve every link that needs no more: only syz1(k) and the
-        seeded cokernel stay undecided, for x after its socle sweep ran
-        out and for y.  A scope per link or per whole growth lost more."""
+        seeded cokernel stay undecided, for y.  The socle generator x is
+        certified with no corpus work, so no cap reaches it.  A scope per
+        link or per whole growth lost more."""
         monkeypatch.setattr(rpt, "_CERT_MAX_STEPS", 50)
         doc = build_report(parse_ring(SNAPSHOT_RINGS["A"]))
         assert doc["ann_bounds"]["inconclusive"] == [
-            {"element": "x", "modules": ["syz1(k)", "coker(2x3 seeded)"]},
             {"element": "y", "modules": ["syz1(k)", "coker(2x3 seeded)"]},
         ]
 
@@ -329,7 +334,8 @@ def test_sweep_reuses_resolutions(monkeypatch, ring_a):
     """One resolution per corpus member, started at length 0 on the raw
     member (its presentation is that resolution's scope) and grown in
     place, plus default_corpus's own syzygy_module(k, 1), a length-1
-    resolution of k.  On ring A the socle sweep reaches every member in
+    resolution of k.  On ring A the socle generator x needs no member, and
+    the stable test of the Jacobian candidate y reaches every member in
     corpus order: 1 + 7 = 8 calls (59 when every pair and every stable Ext
     test resolved its source afresh, 15 when each chain link had a
     resolution of its own).  Over the cubic cone the socle is zero and the
@@ -349,9 +355,10 @@ def test_bound_ideal_reuses_the_comparison_sweep(monkeypatch, ring_a):
     """The bound block certifies the generators of I in the radical
     comparison's corpus context.  On ring A, I = m = (x, y) = jac, so every
     candidate was decided there: build_report(A, bound_ideal=m) makes the
-    same resolutions as build_report(A) and one socle sweep, for the one
-    socle generator x (two, with 8 more resolutions, when the bound block
-    swept a fresh context)."""
+    same resolutions as build_report(A) (8 more when the bound block swept
+    a fresh context).  Neither runs a ca_witness sweep: the socle generator
+    x is certified by the syzygy argument (one sweep per report when x was
+    swept over every pair of members)."""
     seen = []
     for bound_ideal in (None, ring_a.maximal_ideal()):
         resolutions = count_calls(monkeypatch, free_resolution)
@@ -359,9 +366,9 @@ def test_bound_ideal_reuses_the_comparison_sweep(monkeypatch, ring_a):
         doc = build_report(ring_a, bound_ideal=bound_ideal)
         monkeypatch.undo()
         assert doc["bound"]["I_gens"] == ["x", "y"]
-        seen.append((resolutions, len(socle_sweeps)))
+        assert socle_sweeps == []
+        seen.append(resolutions)
     assert seen[0] == seen[1]
-    assert seen[1][1] == 1
 
 
 def test_ledger_shares_one_context_per_ring(monkeypatch):
@@ -439,6 +446,38 @@ def test_syzygy_chain_is_read_off_one_resolution(key):
                 res.ranks[s:end + 1], res.differentials[s:end], res.shifts[s:end + 1])
             assert two.complete == (res.complete and res.length == end)
             link = minimal_presentation(two.syzygy(1))
+
+
+MONOMIAL_SNAPSHOTS = ("A", "B", "x2y2", "xy_yz_xz")
+
+
+@pytest.mark.parametrize("key", MONOMIAL_SNAPSHOTS)
+def test_socle_certificates_match_the_monomial_oracle(key):
+    """The syzygy argument's hypothesis, g in (0 : m), checked without
+    Groebner bases: on a monomial ring the socle-kills-syzygy elements are
+    the monomials of (I : m) outside I."""
+    ring = parse_ring(SNAPSHOT_RINGS[key])
+    defining = [g.lead_monomial().exps for g in ring.defining]
+    assert all(g.is_term() for g in ring.defining)
+    expected = {m for m in oracles.monomial_socle(defining, ring.nvars)
+                if not oracles.monomial_member(m, defining)}
+    certified = set()
+    for c in annihilator_bounds(ring).certificates:
+        assert c.method == "socle-kills-syzygy"
+        assert c.element.is_term() and c.element.lead_coeff() == 1
+        certified.add(c.element.lead_monomial().exps)
+    assert certified == expected
+
+
+@pytest.mark.parametrize("key", ("A", "x2y2"))
+def test_socle_generators_pass_an_independent_ca_witness_sweep(key):
+    """homalg's own ca_witness sweep at Ext degree 2 over every pair of
+    members, sharing no resolution with the report, backs each socle
+    generator; proved-not-in would refute the syzygy argument."""
+    ring = parse_ring(SNAPSHOT_RINGS[key])
+    corpus = default_corpus(ring, 0)
+    for g in socle(ring).reduced_generators():
+        assert ca_witness(g, 2, corpus).verdict == "evidence-in"
 
 
 @pytest.mark.parametrize("key", sorted(SNAPSHOT_RINGS))

@@ -81,6 +81,9 @@ CONTEXT_CONSTRUCTORS = {"report.annihilator_bounds", "report.verify_paper_exampl
 # the report reaches every Ext group of its corpus through its contexts, never
 # through homalg's own corpus sweep or stable test, which resolve afresh
 REPORT_UNUSED_HOMALG = {"ca_witness", "stable_annihilation_test"}
+# socle generators are certified by the syzygy argument, with no corpus work;
+# the golden ledger's ca^3 claim is the report's one ca_witness sweep
+CA_WITNESS_CALLERS = {"report.verify_paper_examples.ca3_y_evidence"}
 
 # each resolution step, each presentation of a subquotient, and the one
 # builder that lays out Hom(F, N) and K(f; M) take a minimal kernel; a second
@@ -170,3 +173,4 @@ def test_one_corpus_context_per_ring():
     source = (PACKAGE_DIR / "report.py").read_text(encoding="utf-8")
     assert callers(source, "report", "_CorpusContext") == CONTEXT_CONSTRUCTORS
     assert not imported_names(source) & REPORT_UNUSED_HOMALG
+    assert callers(source, "report", "ca_witness_from_resolutions") == CA_WITNESS_CALLERS
