@@ -10,6 +10,9 @@ id_b (x) B, the relations of N in every block, are part of every boundary
 module.  The cohomology is a subquotient cycles/boundaries of R^(b*n0),
 where membership of r * (cycle) in the boundary span decides whether r
 annihilates the cohomology class.
+
+The stable test, r * Ext^1(M, Omega^1 M) = 0, builds no Ext group:
+``StableSpan`` decides it by one membership test on a presentation of M.
 """
 from __future__ import annotations
 
@@ -248,11 +251,9 @@ def annihilates_ext(r: Polynomial, M: FinitelyPresentedModule,
 
 
 def stable_annihilation_test(r: Polynomial, M: FinitelyPresentedModule) -> bool:
-    """Does r * id_M factor through a projective?
-
-    Certified by r * Ext^1(M, Omega^1 M) = 0 on one resolution of M out
-    to step 1, which also tells whether M is zero and gives Omega^1 M.
-    A free module, whose Omega^1 is zero, passes for every r outright.
+    """Does r * id_M factor through a projective?  ``StableSpan`` decides
+    it on the minimal presentation of M, which also tells whether M is zero,
+    or free, when every r passes.
 
     This is the shift-0 test.  In D_sg(R) a module is isomorphic to a
     shift of its syzygy Omega^s M, so r may annihilate M there while
@@ -262,11 +263,34 @@ def stable_annihilation_test(r: Polynomial, M: FinitelyPresentedModule) -> bool:
     Omega^1(R/m^2) = (y^2), which is R/(x).
     """
     _check_element(r, M.ring)
-    res = free_resolution(M, 1, detect_periodicity=False)
-    if res.ranks[0] == 0:
+    mod = minimal_presentation(M)
+    if mod.is_zero_presentation():
         raise PreconditionError("the zero module has no stable identity")
-    omega = res.syzygy(1)
-    return omega.is_zero_presentation() or ext_from_resolution(res, omega, 1).annihilated_by(r)
+    return mod.is_free_presentation() or StableSpan(mod).factors(r)
+
+
+class StableSpan:
+    """The stable test on a presentation M = coker(d) with relations,
+    d: F_1 -> F_0 of size b0 x b1 over R = S/I.
+
+    r * id_M factors through a projective iff it factors through the cover
+    p: F_0 -> M, along which maps from projectives lift: iff p g = r * id
+    for a g: M -> F_0, induced by some G = r + d Phi on F_0 and well defined
+    iff (r + d Phi) d = 0.  So r passes iff r * d lies in the span of the
+    products d E_ji d = d[:, j] (x) d[i, :], plus I * R^(b0*b1), flattened
+    row by row: r * Ext^1(M, Omega^1 M) = 0 (Buchweitz 1986; Iyengar-
+    Takahashi 2016).  On a cyclic M = R/J it reads r in J + (0 : J).
+    """
+
+    def __init__(self, module: FinitelyPresentedModule):
+        pring = module.ring.poly_ring
+        self.d = ModuleElement(pring, [e for row in module.rows for e in row])
+        rows = [ModuleElement(pring, row) for row in module.rows]
+        self.basis = module.ring.module_basis(_kron(module.relation_columns(), rows), self.d.rank)
+
+    def factors(self, r: Polynomial) -> bool:
+        """Does r * d lie in the span, so r * id_M factor through F_0?"""
+        return normal_form(self.d.mul_poly(r), self.basis).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .errors import (
     guarded,
 )
 from .homalg import (
+    StableSpan,
     ca_witness_from_resolutions,
     corpus_labels,
     default_corpus,
@@ -34,7 +35,6 @@ from .homalg import (
     ext_module,
     koszul_cohomology,
     koszul_support_check,
-    module_annihilator,
 )
 from .ideal_ops import (
     IdealHandle,
@@ -52,6 +52,7 @@ from .ideal_ops import (
 )
 from .jacobian import (
     JACOBIAN_CRITERION,
+    SingularLocusCertificate,
     is_isolated_singularity,
     jacobian_ideal,
     singular_locus_certificate,
@@ -67,19 +68,13 @@ from .resolve import (
 )
 
 # each guarded step of a certification sweep runs in a budget scope of its own
-# capped at _CERT_MAX_STEPS steps, and structural size caps apply, so that a
-# single oversized Hom system or syzygy chain cannot stall the whole report;
-# blown caps surface as "inconclusive", never as wrong answers
+# capped at _CERT_MAX_STEPS steps, and a size cap bounds the syzygy chain, so
+# that a single oversized stable span or syzygy chain cannot stall the whole
+# report; blown caps surface as "inconclusive", never as wrong answers
 _CERT_MAX_STEPS = 20_000
-_HOM_COLUMNS_CAP = 32
-_ANN_SIZE_CAP = 24
 _SYZ_SIZE_CAP = 48
 # a non-socle candidate may pass on any syzygy shift up to _MAX_SHIFT
 _MAX_SHIFT = 3
-
-
-def _presentation_size(module) -> int:
-    return module.rank * max(1, module.n_relations)
 
 HYPOTHESIS_STRONG_GENERATOR = (
     "strong generation: the bounded derived category is assumed to admit a "
@@ -114,12 +109,12 @@ class _CorpusContext:
     Each corpus member M has one resolution, started at length 0 (M's
     minimal presentation) and grown in place as far as a candidate needs
     it.  Link s of M's syzygy chain, Omega^s M, is read off it at length s,
-    and the stable test's Ext^1(Omega^s M, Omega^(s+1) M), as Ext^(s+1)(M,
-    Omega^(s+1) M), at length s+1.  Links, annihilators and Ext groups are
+    which gives its presentation d_(s+1), and the stable test needs no
+    more: the ``StableSpan`` of that presentation.  Links and spans are
     memoised per (member, s), and each candidate's outcome per candidate,
     so a second sweep only certifies the candidates the first did not.
-    Each heavy step, down to one resolution step, runs in its own ``cap``
-    scope and degrades to "inconclusive" when that cap is hit.
+    Each heavy step, down to one resolution step or one span, runs in its
+    own ``cap`` scope and degrades to "inconclusive" when that cap is hit.
     """
 
     def __init__(self, ring: RingPresentation, seed: int):
@@ -136,6 +131,10 @@ class _CorpusContext:
         if key not in self._memo:
             self._memo[key] = thunk()
         return self._memo[key]
+
+    def socle(self):
+        """The reduced generators of soc R = (0 : m)."""
+        return self._cached("socle", lambda: socle(self.ring).reduced_generators())
 
     # -- chain construction ---------------------------------------------------
 
@@ -156,31 +155,11 @@ class _CorpusContext:
         def link():
             if s:
                 prev = self.omega(idx, s - 1)
-                if prev is None or _presentation_size(prev) > _SYZ_SIZE_CAP:
+                if prev is None or prev.rank * max(1, prev.n_relations) > _SYZ_SIZE_CAP:
                     return None
             res = self.resolution(idx, s)
             return None if res is None else res.syzygy(s)
         return self._cached(("omega", idx, s), link)
-
-    def _annihilator(self, idx: int, s: int):
-        def ann():
-            module = self.omega(idx, s)
-            if module.rank == 1:
-                return IdealHandle(self.ring, list(module.rows[0]) if module.rows else [])
-            if _presentation_size(module) > _ANN_SIZE_CAP:
-                return None
-            return guarded(self.cap, lambda: module_annihilator(module))
-        return self._cached(("ann", idx, s), ann)
-
-    def _ext(self, idx: int, s: int):
-        """Ext^1(Omega^s M, Omega^(s+1) M); None past a cap."""
-        def ext():
-            mod, om = self.omega(idx, s), self.omega(idx, s + 1)
-            if om is None or mod.n_relations * om.rank > _HOM_COLUMNS_CAP:
-                return None
-            res = self.resolution(idx, s + 1)
-            return guarded(self.cap, lambda: ext_from_resolution(res, om, s + 1))
-        return self._cached(("ext", idx, s), ext)
 
     # -- per-candidate certification -------------------------------------------
 
@@ -189,11 +168,13 @@ class _CorpusContext:
 
         Tries syzygy shifts 0.._MAX_SHIFT: a pass on Omega^s certifies the
         member (the shift is an isomorphism in the singularity category).
+        Omega^s passes outright when it is zero or free, and otherwise when
+        its ``StableSpan``, built once per link in a cap scope, admits r:
+        r * Ext^1(Omega^s M, Omega^(s+1) M) = 0, the "ext-vanishing" route.
         Returns (status, route, shift, failed_shifts) with status one of
         "certified" | "failed" | "inconclusive".
         """
-        fails = []
-        capped = False
+        fails, capped = [], False
         for s in range(_MAX_SHIFT + 1):
             mod = self.omega(idx, s)
             if mod is None:
@@ -201,22 +182,14 @@ class _CorpusContext:
                 break
             if mod.is_zero_presentation() or mod.is_free_presentation():
                 return "certified", "zero-or-free", s, fails
-            ann = self._annihilator(idx, s)
-            if ann is not None and ann.contains(r):
-                return "certified", "annihilates-module", s, fails
-            om = self.omega(idx, s + 1)
-            if om is not None and om.is_zero_presentation():
-                return "certified", "zero-syzygy", s, fails
-            om_ann = None if om is None else self._annihilator(idx, s + 1)
-            if om_ann is not None and om_ann.contains(r):
-                return "certified", "annihilates-syzygy", s, fails
-            ext = self._ext(idx, s)
-            if ext is None:
+            span = self._cached(("span", idx, s), lambda: guarded(
+                self.cap, lambda: StableSpan(mod)))
+            if span is None:
                 capped = True
-                continue
-            if ext.annihilated_by(r):
+            elif span.factors(r):
                 return "certified", "ext-vanishing", s, fails
-            fails.append(s)
+            else:
+                fails.append(s)
         if fails and not capped:
             return "failed", None, None, fails
         return "inconclusive", None, None, fails
@@ -230,7 +203,7 @@ class _CorpusContext:
 class MemberOutcome:
     module: str
     status: str          # "certified" | "failed" | "inconclusive"
-    route: str | None
+    route: str | None    # "zero-or-free" | "ext-vanishing"
     shift: int | None
 
     def payload(self) -> dict:
@@ -327,8 +300,7 @@ def _sweep(ctx: _CorpusContext, extra_elements) -> AnnihilatorBounds:
     normal form among extra_elements, certified in ctx; a candidate ctx
     already decided is read from its memo."""
     ring = ctx.ring
-    socle_gens = ctx._cached("socle", lambda: socle(ring).reduced_generators())
-    candidates = dict.fromkeys(socle_gens, _socle_kills_syzygy)
+    candidates = dict.fromkeys(ctx.socle(), _socle_kills_syzygy)
     for g in extra_elements:
         if not isinstance(g, Polynomial) or g.ring != ring.poly_ring:
             raise StructuralError("candidate from another ring")
@@ -490,19 +462,21 @@ _NOTE_REGULAR = (
 )
 
 
-def radical_comparison_report(ring: RingPresentation, *, seed: int = 0,
+def radical_comparison_report(cert: SingularLocusCertificate, *, seed: int = 0,
                               bounds: AnnihilatorBounds | None = None
                               ) -> RadicalComparison:
     """Compare the radical of jac(R) against the certified lower bound.
 
+    ``cert`` is R's ``singular_locus_certificate``, and ``bounds`` a sweep
+    over R covering the generators of jac(R), made here when not given.
     Regular presentations short-circuit: both sides are the unit ideal.
     When the Jacobian radical is not inside the lower bound's radical,
     each offending generator is reported together with a minimal prime of
     the defining ideal that contains the lower bound but misses the
     generator (computable for monomial presentations).
     """
-    cert = singular_locus_certificate(ring)
     jac = cert.ideal
+    ring = jac.ring
     if cert.valid == JACOBIAN_CRITERION and jac.is_unit():
         one = ring.poly_ring.one()
         regular_bounds = AnnihilatorBounds(
@@ -525,7 +499,8 @@ def radical_comparison_report(ring: RingPresentation, *, seed: int = 0,
         )
     jac_gens = jac.reduced_generators()
     lower_gens = bounds.lower.reduced_generators()
-    jac_in_lower = all(radical_membership(g, bounds.lower) for g in jac_gens)
+    outside = [g for g in jac_gens if not radical_membership(g, bounds.lower)]
+    jac_in_lower = not outside
     lower_in_jac = all(radical_membership(g, jac) for g in lower_gens)
     if jac_in_lower and lower_in_jac:
         verdict = "equal"
@@ -534,16 +509,14 @@ def radical_comparison_report(ring: RingPresentation, *, seed: int = 0,
     else:
         verdict = "incomparable-with-certificates"
     failures = []
-    if not jac_in_lower:
+    if outside:
         primes = []
         if ring.defining:
             try:
                 primes = minimal_primes_monomial(ring.defining_ideal())
             except UnsupportedInputError:
-                primes = []
-        for g in jac_gens:
-            if radical_membership(g, bounds.lower):
-                continue
+                pass
+        for g in outside:
             witness = None
             for p in primes:
                 handle = p.image_in(ring)
@@ -580,8 +553,10 @@ def build_report(ring: RingPresentation, *, bound_ideal: IdealHandle | None = No
         raise StructuralError("bound ideal lives in a different presentation")
     iso = is_isolated_singularity(ring)
     cert = iso.certificate
-    comparison = radical_comparison_report(ring, seed=seed)
+    comparison = radical_comparison_report(cert, seed=seed)
     bounds = comparison.bounds
+    ctx = bounds.context   # None on a regular presentation, which sweeps nothing
+    socle_gens = ctx.socle() if ctx is not None else socle(ring).reduced_generators()
 
     hypotheses = [HYPOTHESIS_STRONG_GENERATOR, HYPOTHESIS_CORPUS_EVIDENCE]
     if not ring.is_graded():
@@ -600,7 +575,7 @@ def build_report(ring: RingPresentation, *, bound_ideal: IdealHandle | None = No
                     ring, ideal,
                     assume_annihilates=assume_annihilates, seed=seed,
                     bounds=None if assume_annihilates else _sweep(
-                        bounds.context, ideal.reduced_generators()),
+                        ctx, ideal.reduced_generators()),
                 )
                 bound_doc = result.payload()
                 if result.assumed:
@@ -629,8 +604,7 @@ def build_report(ring: RingPresentation, *, bound_ideal: IdealHandle | None = No
         "equidimensional": cert.equidimensional,
         "isolated": iso.verdict,
         "regular": iso.regular,
-        "socle": {"gens": [ring.format_element(g)
-                           for g in socle(ring).reduced_generators()]},
+        "socle": {"gens": [ring.format_element(g) for g in socle_gens]},
         "ann_bounds": bounds.payload(),
         "radical_comparison": comparison.payload(),
         "singular_locus": {
@@ -814,16 +788,17 @@ def verify_paper_examples(fld=None):
         ok = iso.verdict is None and primes == ["(x, z, w)"]
         return ok, f"isolated = {iso.verdict}, witness primes = {primes}"
 
-    def jac_bounds(ring):
-        jac = singular_locus_certificate(ring).ideal
-        return _sweep(context(ring), jac.reduced_generators())
+    def compare(ring):
+        cert = singular_locus_certificate(ring)
+        return radical_comparison_report(
+            cert, bounds=_sweep(context(ring), cert.ideal.reduced_generators()))
 
     def radical_embedded_point():
-        comparison = radical_comparison_report(A, bounds=jac_bounds(A))
+        comparison = compare(A)
         return comparison.verdict == "equal", f"verdict = {comparison.verdict}"
 
     def radical_plane_line():
-        comparison = radical_comparison_report(B, bounds=jac_bounds(B))
+        comparison = compare(B)
         hit = [f for f in comparison.failures
                if f["prime"] == ["x", "z", "w"]]
         ok = not comparison.jac_in_lower and bool(hit)

@@ -13,6 +13,7 @@ from singulant.errors import (
 from singulant.groebner import ModuleElement, normal_form
 from singulant.homalg import (
     CaWitnessReport,
+    StableSpan,
     ca_witness,
     annihilates_ext,
     corpus_labels,
@@ -361,6 +362,19 @@ class TestStableAnnihilation:
     def test_identity_fails_on_k_for_a_singular_ring(self):
         R = presentation(QQ, ("x",), lambda x: [x * x])
         k = FinitelyPresentedModule.residue_field(R)
+        assert not stable_annihilation_test(R.poly_ring.one(), k)
+
+    def test_span_over_the_dual_numbers_is_zero(self):
+        """Over Q[x]/(x^2), k = coker(x): the one product d E d = x^2 is zero,
+        so the span is I alone.  x * d = x^2 lies in it and 1 * d = x does
+        not: x passes and 1 fails."""
+        R = presentation(QQ, ("x",), lambda x: [x * x])
+        x = R.variable(0)
+        k = FinitelyPresentedModule.residue_field(R)
+        span = StableSpan(k)
+        assert [el.coords for el in span.basis.elements] == [(x * x,)]
+        assert span.factors(x) and stable_annihilation_test(x, k)
+        assert not span.factors(R.poly_ring.one())
         assert not stable_annihilation_test(R.poly_ring.one(), k)
 
     def test_free_module_passes_everything(self):

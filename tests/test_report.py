@@ -12,16 +12,18 @@ from singulant.errors import (
     PreconditionError,
     StructuralError,
     budget_scope,
+    guarded,
 )
 from singulant.homalg import (
     ca_witness,
     ca_witness_from_resolutions,
     corpus_labels,
     default_corpus,
+    ext_from_resolution,
     stable_annihilation_test,
 )
 from singulant.ideal_ops import IdealHandle, RingPresentation, socle
-from singulant.jacobian import jacobian_ideal
+from singulant.jacobian import jacobian_ideal, singular_locus_certificate
 from singulant.poly import QQ, PrimeField
 from singulant.report import (
     annihilator_bounds,
@@ -102,8 +104,15 @@ class TestAnnihilatorBounds:
             for exc in bounds.exclusions:
                 assert not bounds.lower.contains(exc.element)
 
-    def test_fail_ring_lower_is_zero(self, bounds_b):
-        assert bounds_b.lower.is_zero()
+    def test_fail_ring_lower_bound(self, ring_b, bounds_b):
+        """soc B = 0, so every certificate is a stable one.  x*y, x*z and x*w
+        pass on every member; y^2 stays excluded.  By hand on the cyclic
+        members, where the stable test reads r in J + (0 : J) for R/J: on
+        R/(w), (0 : w) = (y), and x*y passes at shift 0 while x*z passes on
+        Omega^1 = wR = R/(y), where (0 : y) = (z, w)."""
+        x, y, z, w = (ring_b.variable(i) for i in range(4))
+        assert bounds_b.lower.same_ideal(IdealHandle(ring_b, [x * y, x * z, x * w]))
+        assert all(c.method == "stable-annihilation" for c in bounds_b.certificates)
 
     def test_fail_ring_exclusion_witness(self, ring_b, bounds_b):
         witnesses = {(w["element"], w["module"], w["target"], w["ext_degree"])
@@ -111,10 +120,9 @@ class TestAnnihilatorBounds:
         assert ("y^2", "R/(x)", "syz1(R/(x))", 1) in witnesses
 
     def test_fail_ring_inconclusive_candidates(self, ring_b, bounds_b):
-        undecided = {ring_b.format_element(g) for g, _ in bounds_b.inconclusive}
-        assert undecided == {"x*y", "x*z", "x*w"}
-        for _, modules in bounds_b.inconclusive:
-            assert modules == ["syz1(k)"]
+        """None: the stable span decides every candidate on every member,
+        syz1(k) included."""
+        assert bounds_b.inconclusive == []
 
     def test_socle_generators_pass_stable_test_on_full_corpus(self, ring_a):
         corpus = default_corpus(ring_a, 0)
@@ -128,7 +136,7 @@ class TestAnnihilatorBounds:
     def test_payload_is_json_ready(self, bounds_b):
         doc = bounds_b.payload()
         json.dumps(doc)
-        assert doc["lower_gens"] == []
+        assert doc["lower_gens"] == ["x*y", "x*z", "x*w"]
         assert doc["corpus"][0] == "k"
 
 
@@ -192,27 +200,30 @@ class TestGenerationTimeBound:
 
 class TestRadicalComparison:
     def test_two_variable_ring_equal(self, ring_a, bounds_a):
-        comparison = radical_comparison_report(ring_a, bounds=bounds_a)
+        comparison = radical_comparison_report(
+            singular_locus_certificate(ring_a), bounds=bounds_a)
         assert comparison.verdict == "equal"
         assert comparison.jac_in_lower and comparison.lower_in_jac
         assert comparison.failures == []
         assert "corpus-evidence" in comparison.note
 
     def test_fail_ring_strictly_smaller(self, ring_b, bounds_b):
-        comparison = radical_comparison_report(ring_b, bounds=bounds_b)
+        comparison = radical_comparison_report(
+            singular_locus_certificate(ring_b), bounds=bounds_b)
         assert comparison.verdict == "lower-strictly-smaller"
         assert not comparison.jac_in_lower
         assert comparison.lower_in_jac
 
     def test_fail_ring_failure_prime(self, ring_b, bounds_b):
-        comparison = radical_comparison_report(ring_b, bounds=bounds_b)
+        comparison = radical_comparison_report(
+            singular_locus_certificate(ring_b), bounds=bounds_b)
         assert comparison.failures == [
             {"element": "y^2", "prime": ["x", "z", "w"]}
         ]
 
     def test_regular_ring_both_unit(self):
         ring = presentation(QQ, ("x", "y"))
-        comparison = radical_comparison_report(ring)
+        comparison = radical_comparison_report(singular_locus_certificate(ring))
         assert comparison.verdict == "equal"
         assert comparison.jac.is_unit()
         assert comparison.bounds.lower.is_unit()
@@ -298,20 +309,26 @@ class TestBuildReport:
 
 class TestSweepBudgets:
     def test_lowered_step_cap_degrades_to_inconclusive(self, monkeypatch):
-        monkeypatch.setattr(rpt, "_CERT_MAX_STEPS", 200)
-        doc = build_report(parse_ring(SNAPSHOT_RINGS["A"]))
-        assert doc["ann_bounds"]["inconclusive"]
+        """On ring A, y's dearest guarded steps are the stable spans of
+        syz1(k) (41 steps) and the seeded cokernel (74): a 200-step cap
+        decides everything, and a 30-step cap leaves y undecided on both."""
+        for cap, inconclusive in ((200, []), (30, [
+                {"element": "y", "modules": ["syz1(k)", "coker(2x3 seeded)"]}])):
+            monkeypatch.setattr(rpt, "_CERT_MAX_STEPS", cap)
+            doc = build_report(parse_ring(SNAPSHOT_RINGS["A"]))
+            assert doc["ann_bounds"]["inconclusive"] == inconclusive
 
     def test_each_resolution_step_runs_in_a_scope_of_its_own(self, monkeypatch):
-        """Under a 50-step cap, the resolution steps that fit one by one
-        still serve every link that needs no more: only syz1(k) and the
-        seeded cokernel stay undecided, for y.  The socle generator x is
-        certified with no corpus work, so no cap reaches it.  A scope per
-        link or per whole growth lost more."""
+        """Under a 50-step cap, each guarded step that fits serves its link:
+        only the seeded cokernel, whose stable span takes 74 steps, stays
+        undecided, for y.  The span of syz1(k) takes 41 steps and its
+        presentation 12, so one scope for both would lose it too.  The
+        socle generator x is certified with no corpus work, so no cap
+        reaches it."""
         monkeypatch.setattr(rpt, "_CERT_MAX_STEPS", 50)
         doc = build_report(parse_ring(SNAPSHOT_RINGS["A"]))
         assert doc["ann_bounds"]["inconclusive"] == [
-            {"element": "y", "modules": ["syz1(k)", "coker(2x3 seeded)"]},
+            {"element": "y", "modules": ["coker(2x3 seeded)"]},
         ]
 
     def test_exhausted_command_budget_propagates_through_the_sweep(self):
@@ -394,12 +411,33 @@ def test_report_computes_depth_once(monkeypatch, ring_a):
     assert len(calls) == 1
 
 
+def test_report_computes_ring_facts_once(monkeypatch, ring_a):
+    """The radical comparison reads the certificate that the isolated
+    verdict made, and the socle field the one that the sweep's context
+    holds (2 calls each when both computed their own)."""
+    certs = count_calls(monkeypatch, singular_locus_certificate)
+    socles = count_calls(monkeypatch, socle)
+    doc = build_report(ring_a)
+    assert doc["socle"]["gens"] == ["x"]
+    assert (len(certs), len(socles)) == (1, 1)
+
+
+def test_a1_surface_certifies_the_jacobian():
+    """Q[x,y,z]/(x*y - z^2): jac = (y, x, -2z) = m over Q, and the sweep
+    certifies each variable on every member, R/m^2 included."""
+    doc = build_report(parse_ring("Q[x,y,z]/(x*y - z^2)"))
+    assert doc["jac"]["gens"] == ["x", "y", "z"]
+    assert doc["ann_bounds"]["lower_gens"] == ["x", "y", "z"]
+    assert doc["ann_bounds"]["inconclusive"] == []
+    assert doc["radical_comparison"]["verdict"] == "equal"
+
+
 # -- byte-identical report snapshots ------------------------------------------------
 
 # Each file in tests/data is report_json(build_report(parse_ring(text))) for
 # the ring below, written by the code it guards: a change meant to keep
 # behaviour must keep these bytes.  The cusp and cubic files are expected to
-# change when ROADMAP item 1 adds its equidimensionality certificates (their
+# change when ROADMAP item 3 adds its equidimensionality certificates (their
 # reports now lack the bound block).  A change that regenerates any file
 # explains the diff in CHANGES.md.
 SNAPSHOT_RINGS = {
@@ -446,6 +484,35 @@ def test_syzygy_chain_is_read_off_one_resolution(key):
                 res.ranks[s:end + 1], res.differentials[s:end], res.shifts[s:end + 1])
             assert two.complete == (res.complete and res.length == end)
             link = minimal_presentation(two.syzygy(1))
+
+
+@pytest.mark.parametrize("key", sorted(SNAPSHOT_RINGS))
+def test_stable_span_agrees_with_the_ext_group(key):
+    """The span test, r * d in the span of the products d E_ji d, against
+    the whole group Ext^1(Omega^s M, Omega^(s+1) M), read as
+    Ext^(s+1)(M, Omega^(s+1) M) off M's resolution.  Candidates are the
+    Jacobian generators and the variables, at shifts 0 and 1 of every
+    member.  A cell is skipped when its Hom system is large, n_relations *
+    rank Omega^(s+1) past 32, or when its Ext runs out of 20,000 steps."""
+    ring = parse_ring(SNAPSHOT_RINGS[key])
+    candidates = dict.fromkeys([*jacobian_ideal(ring).reduced_generators(),
+                                *(ring.variable(i) for i in range(ring.nvars))])
+    checked = 0
+    for M in default_corpus(ring, 0):
+        res = free_resolution(M, 2, detect_periodicity=False)
+        for s in (0, 1):
+            mod, omega = res.syzygy(s), res.syzygy(s + 1)
+            if mod.is_zero_presentation() or mod.n_relations * omega.rank > 32:
+                continue
+            ext = guarded(Budget(max_steps=20_000),
+                          lambda: ext_from_resolution(res, omega, s + 1))
+            if ext is None:
+                continue
+            for r in candidates:
+                assert ext.annihilated_by(r) == stable_annihilation_test(r, mod), (
+                    str(r), s, M)
+                checked += 1
+    assert checked
 
 
 MONOMIAL_SNAPSHOTS = ("A", "B", "x2y2", "xy_yz_xz")
