@@ -15,6 +15,16 @@ Bases are interreduced to the unique reduced form (monic leading
 coefficients, no leading term dividing another, tails fully reduced), so
 identical input always yields an identical basis regardless of internal
 scheduling.
+
+Inside the division kernel a term of P^rank is one int (``poly.Packing``),
+for every monomial order alike: a min-heap of ints pops the largest term,
+multiplying a term by a monomial is one addition, and lead divisibility is
+one subtraction and mask.  A divisor table packs each element once, and
+S-pairs are formed in the kernel's work dict from the two shifted packed
+tails.  The field width comes from a bound on the degree of every term a
+division can reach; a call that needs wider fields re-packs the table, so
+no field ever carries into the next.  Exponent tuples are decoded only for
+remainder terms.
 """
 from __future__ import annotations
 
@@ -22,7 +32,7 @@ import heapq
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import add
 
 from .errors import Meter, StructuralError, active_meter
 from .poly import Monomial, Polynomial, PolynomialRing
@@ -68,10 +78,10 @@ class ModuleElement:
             key = (t[0], t[1].exps)
             old = acc.get(key)
             acc[key] = t if old is None else (t[0], t[1], fadd(old[2], t[2]))
-        hkey = ring.order.heap_key()
+        key = ring.order.key
         return cls._trusted(ring, rank, tuple(sorted(
             (t for t in acc.values() if t[2] != zero),
-            key=lambda t: (t[0], hkey(t[1].exps, t[1].degree)))))
+            key=lambda t: (-t[0], key(t[1])), reverse=True)))
 
     @property
     def coords(self) -> tuple:
@@ -170,104 +180,207 @@ def lead_key(el: ModuleElement):
     return (-pos, el.ring.order.key(m))
 
 
-def _divisor_row(g: ModuleElement):
-    """``(position, row)`` of the monic element g for a divisor table.
+def _divisor_row(g: ModuleElement, packing) -> tuple:
+    """Divisor-table row of the monic element g, packed once.
 
-    The row is ``(lead exps, lead degree, den, tail)`` with g = G/den and G
-    integral: over Q, den is the lcm of g's denominators; over F_p, den is
-    1.  ``tail`` holds G's terms after the lead, whose coefficient is den,
-    as (position, exps, degree, integer coefficient).
+    The row is ``(lead exps, lead, den, tail)``: the lead's exponents packed
+    alone, the packed lead, and den with g = G/den and G integral (over Q
+    the lcm of g's denominators, over F_p 1).  ``tail`` holds G's terms
+    after the lead, whose coefficient is den, as (packed term, integer
+    coefficient).
     """
+    pack = packing.pack
     terms = g.terms
     pos, lm, _ = terms[0]
+    lead = pack(pos, lm.exps)
     if g.ring.field.characteristic:
         den = 1
-        tail = tuple((p, m.exps, m.degree, k) for p, m, k in islice(terms, 1, None))
+        tail = tuple((pack(p, m.exps), k) for p, m, k in islice(terms, 1, None))
     else:
         den = lcm(*(k.denominator for _, _, k in terms))
-        tail = tuple((p, m.exps, m.degree, k.numerator * (den // k.denominator))
+        tail = tuple((pack(p, m.exps), k.numerator * (den // k.denominator))
                      for p, m, k in islice(terms, 1, None))
-    return pos, (lm.exps, lm.degree, den, tail)
+    return (lead & packing.exps_mask, lead, den, tail)
 
 
-def _group_rows(rows) -> dict:
-    """Divisor table: position -> rows with their lead there, in input order."""
-    table = {}
-    for pos, row in rows:
-        table.setdefault(pos, []).append(row)
-    return table
+class _DivisorTable:
+    """Monic elements as packed divisor rows, in the order they were added.
+
+    ``rows[i]`` is ``_divisor_row(elements[i])`` and ``by_pos`` groups the
+    rows by lead position, keeping that order.  ``top`` is the largest
+    degree of any term of the elements and ``reach`` the largest degree
+    limit of a meter that divided by them.  A reduction pops only terms of
+    degree at most reach, and divides by one of the elements, so every term
+    it pushes, and every term of an S-pair, has degree at most top +
+    max(top, reach); ``fit`` re-packs every row when the packing cannot hold
+    that bound, so no field ever carries into the next.
+    """
+
+    __slots__ = ("ring", "elements", "rows", "by_pos", "top", "reach", "packing")
+
+    def __init__(self, ring: PolynomialRing, elements=(), reach: int = 0):
+        self.ring = ring
+        self.elements = []
+        self.rows = []
+        self.by_pos = {}
+        self.top = 0
+        self.reach = reach
+        self.packing = None
+        for g in elements:
+            self.add(g)
+
+    def add(self, g: ModuleElement):
+        """Append the monic element g."""
+        self.elements.append(g)
+        self.top = max(self.top, max(m.degree for _, m, _ in g.terms))
+        if not self.fit(self.reach):
+            self._append(_divisor_row(g, self.packing))
+
+    def _append(self, row):
+        self.rows.append(row)
+        self.by_pos.setdefault(row[1] >> self.packing.pos_shift, []).append(row)
+
+    def fit(self, reach: int, low: int = 0) -> bool:
+        """Raise ``reach``; re-pack if the bound, or ``low``, does not fit."""
+        if reach > self.reach:
+            self.reach = reach
+        bound = max(2 * self.top, self.top + self.reach, low)
+        if self.packing is not None and bound <= self.packing.capacity:
+            return False
+        self.packing = self.ring.order.packing(self.ring.nvars, bound)
+        self.rows, self.by_pos = [], {}
+        for g in self.elements:
+            self._append(_divisor_row(g, self.packing))
+        return True
+
+    def keep(self, indices) -> "_DivisorTable":
+        """A table of the elements at ``indices``, in that order, sharing
+        this table's rows and packing."""
+        sub = _DivisorTable(self.ring, reach=self.reach)
+        sub.top = self.top
+        sub.packing = self.packing
+        for i in indices:
+            sub.elements.append(self.elements[i])
+            sub._append(self.rows[i])
+        return sub
 
 
-def _divisor_table(basis) -> dict:
-    """Divisor table of the monic elements of basis, in basis order."""
-    return _group_rows(map(_divisor_row, basis))
-
-
-def _reduce(el: ModuleElement, table: dict, meter: Meter) -> ModuleElement:
+def _reduce(el: ModuleElement, table: _DivisorTable, meter: Meter) -> ModuleElement:
     """Full normal form of el against the divisors of ``table``.
 
-    ``table`` is a divisor table (``_divisor_table``) of monic elements;
-    ``PairLoop`` grows one as its basis grows and a ``GroebnerBasis`` builds
-    one on its first ``normal_form``.  Every term of the result is divisible
-    by no divisor's leading term.  The divisor chosen at each step is the
-    first match in table order; the end result is independent of that choice
-    once the divisors form a Groebner basis.
+    The table is first fitted to the meter's degree limit and to el's
+    degree (the width rule of ``_DivisorTable``); el's terms are then
+    packed once and divided by ``_divide``.
+    """
+    table.fit(meter.max_degree, max((m.degree for _, m, _ in el.terms), default=0))
+    pack = table.packing.pack
+    if el.ring.field.characteristic:
+        work = {pack(pos, m.exps): k for pos, m, k in el.terms}
+    else:
+        work = {pack(pos, m.exps): (k.numerator, k.denominator) for pos, m, k in el.terms}
+    return _divide(work, table, meter, el.rank)
 
-    Heap division (Monagan-Pearce): pending terms live in a dict keyed by
-    (position, exps) and a min-heap of order keys pops the largest first.
-    A cancelled term keeps its heap entry, which is skipped when popped;
-    no term equal to a popped one can appear later, as every term added
-    by a division step is smaller than the term it divides.
+
+def _reduce_spair(table: _DivisorTable, i: int, j: int, meter: Meter) -> ModuleElement:
+    """Full normal form of the S-pair of the elements i and j of ``table``,
+    whose leads share a position, formed inside the kernel: the work starts
+    as the two integral tails shifted onto the lcm of the leads, which
+    cancel and are never added."""
+    table.fit(meter.max_degree)
+    packing = table.packing
+    fexps, _, fden, ftail = table.rows[i]
+    gexps, _, gden, gtail = table.rows[j]
+    both = packing.lcm(fexps, gexps)
+    fshift, gshift = packing.lift(both - fexps), packing.lift(both - gexps)
+    p = table.ring.field.characteristic
+    if p:
+        work = {t + fshift: k for t, k in ftail}
+        for t, k in gtail:
+            t += gshift
+            s = (work.get(t, 0) - k) % p
+            if s:
+                work[t] = s
+            else:
+                del work[t]
+    else:
+        # f's terms all have denominator fden, and tail terms are distinct
+        work = {t + fshift: (k, fden) for t, k in ftail}
+        for t, k in gtail:
+            t += gshift
+            old = work.get(t)
+            if old is None:
+                work[t] = (-k, gden)
+                continue
+            s = old[0] * gden - k * fden
+            if s:
+                work[t] = (s, fden * gden)
+            else:
+                del work[t]
+    return _divide(work, table, meter, table.elements[i].rank)
+
+
+def _divide(work: dict, table: _DivisorTable, meter: Meter, rank: int) -> ModuleElement:
+    """Full normal form of the packed terms ``work`` against ``table``.
+
+    ``work`` maps packed terms to coefficients and ``table.fit`` has made
+    room for every term the division can reach.  Every term of the result
+    is divisible by no divisor's leading term.  The divisor chosen at each
+    step is the first match in table order; the end result is independent
+    of that choice once the divisors form a Groebner basis.
+
+    Heap division (Monagan-Pearce) on packed terms: a min-heap of the keys
+    of ``work`` pops the largest term first.  A cancelled term keeps its
+    heap entry, which is skipped when popped; no term equal to a popped one
+    can appear later, as every term added by a division step is smaller
+    than the term it divides.  A division step multiplies the divisor's
+    tail by the quotient monomial with one integer addition per term.
 
     Over Q a pending coefficient is an integer pair (numerator, positive
     denominator), not necessarily in lowest terms: a division step adds an
     integer multiple of the divisor's integral tail, and a pair is reduced
     only when popped.  Remainder terms are Fractions in lowest terms.
     """
-    ring = el.ring
+    ring = table.ring
     p = ring.field.characteristic
-    hkey = ring.order.heap_key()
+    packing = table.packing
+    by_pos, pos_shift, guards = table.by_pos, packing.pos_shift, packing.guards
+    cap, max_degree = packing.capacity, meter.max_degree
     heappush, heappop = heapq.heappush, heapq.heappop
-    if p:
-        work = {(pos, m.exps): k for pos, m, k in el.terms}
-    else:
-        work = {(pos, m.exps): (k.numerator, k.denominator) for pos, m, k in el.terms}
-    heap = [(pos, hkey(m.exps, m.degree), m.exps, m.degree) for pos, m, _ in el.terms]
+    heap = list(work)
     heapq.heapify(heap)
     remainder = []  # popped largest first, so already in term order
     while heap:
-        pos, _, exps, deg = heappop(heap)
-        coeff = work.pop((pos, exps), None)
+        t = heappop(heap)
+        coeff = work.pop(t, None)
         if coeff is None:
             continue
         meter.step()
-        meter.check_degree(deg)
-        for gexps, gdeg, gden, gtail in table.get(pos, ()):
-            if gdeg <= deg and all(map(le, gexps, exps)):
+        if t & cap > max_degree:
+            meter.check_degree(t & cap)
+        e = t | guards
+        for gexps, glead, gden, gtail in by_pos.get(t >> pos_shift, ()):
+            if (e - gexps) & guards == guards:
                 break
         else:
-            remainder.append((pos, Monomial._trusted(exps, deg),
-                              coeff if p else Fraction(*coeff)))
+            remainder.append((t, coeff))
             continue
         # subtract coeff * shift * G/den; its leading term cancels the
         # popped term and is not re-added
-        shift = tuple(map(sub, exps, gexps))
-        sdeg = deg - gdeg
+        shift = t - glead
         if p:
             c = p - coeff
-            for tpos, texps, tdeg, tk in gtail:
-                m = tuple(map(add, texps, shift))
-                key = (tpos, m)
-                old = work.get(key)
+            for m, tk in gtail:
+                m += shift
+                old = work.get(m)
                 if old is None:
-                    work[key] = tk * c % p
-                    heappush(heap, (tpos, hkey(m, tdeg + sdeg), m, tdeg + sdeg))
+                    work[m] = tk * c % p
+                    heappush(heap, m)
                 else:
                     s = (old + tk * c) % p
                     if s:
-                        work[key] = s
+                        work[m] = s
                     else:
-                        del work[key]
+                        del work[m]
             continue
         num, den = coeff
         h = gcd(num, den)
@@ -277,13 +390,12 @@ def _reduce(el: ModuleElement, table: dict, meter: Meter) -> ModuleElement:
         # one multiplier cnum/cden = -coeff/gden per step
         h = gcd(num, gden)
         cnum, cden = -num // h, den * (gden // h)
-        for tpos, texps, tdeg, tk in gtail:
-            m = tuple(map(add, texps, shift))
-            key = (tpos, m)
-            old = work.get(key)
+        for m, tk in gtail:
+            m += shift
+            old = work.get(m)
             if old is None:
-                work[key] = (cnum * tk, cden)
-                heappush(heap, (tpos, hkey(m, tdeg + sdeg), m, tdeg + sdeg))
+                work[m] = (cnum * tk, cden)
+                heappush(heap, m)
                 continue
             onum, oden = old
             if oden == cden:
@@ -298,20 +410,15 @@ def _reduce(el: ModuleElement, table: dict, meter: Meter) -> ModuleElement:
                 else:
                     s = onum + cnum * tk * q
             if s:
-                work[key] = (s, oden)
+                work[m] = (s, oden)
             else:
-                del work[key]
-    return ModuleElement._trusted(ring, el.rank, tuple(remainder))
-
-
-def _spair(f: ModuleElement, g: ModuleElement) -> ModuleElement:
-    fp, fm, _ = f.lead()
-    gp, gm, _ = g.lead()
-    if fp != gp:
-        raise StructuralError("s-pair needs equal leading positions")
-    lcm = fm.lcm(gm)
-    one = f.ring.field.one
-    return f.mul_term(lcm.divide(fm), one) - g.mul_term(lcm.divide(gm), one)
+                del work[m]
+    unpack, trusted = packing.unpack, Monomial._trusted
+    terms = []
+    for t, coeff in remainder:
+        pos, exps, deg = unpack(t)
+        terms.append((pos, trusted(exps, deg), coeff if p else Fraction(*coeff)))
+    return ModuleElement._trusted(ring, rank, tuple(terms))
 
 
 class GroebnerBasis:
@@ -384,80 +491,90 @@ def _as_elements(gens):
 class PairLoop:
     """Buchberger's pair loop as a state that can keep growing.
 
-    ``basis`` holds the monic elements added so far, ``table`` the same
-    elements as a divisor table that ``add`` appends to and ``reduce``
-    divides by, and ``flags`` marks the adjoined defining generators, whose
-    mutual pairs are skipped (sound because the defining list is itself a
-    Groebner basis).  Pair selection is minimal lcm degree first; the
-    coprime criterion applies in rank one and the chain criterion is
-    checked against pairs already off the queue.  After ``complete`` the
+    ``table`` holds the monic elements added so far as packed divisor rows,
+    ``basis`` is its list of elements, and ``flags`` marks the adjoined
+    defining generators, whose mutual pairs are skipped (sound because the
+    defining list is itself a Groebner basis).  Pair selection is minimal
+    lcm degree first, then the smaller lcm; the coprime criterion applies
+    in rank one and the chain criterion is checked against pairs already
+    off the queue.  The lcm, coprime and chain tests work on the packed
+    leads, and each S-pair is formed inside the division kernel
+    (``_reduce_spair``).  A queued pair's key holds its packed lcm, so when
+    the table re-packs the queue is keyed again.  After ``complete`` the
     basis is a Groebner basis of everything added, not interreduced, so a
     normal form against it is zero exactly for the members; later ``add``
     calls queue the new pairs for the next run.
     """
 
-    __slots__ = ("ring", "rank", "meter", "basis", "table", "flags", "heap", "pending")
+    __slots__ = ("rank", "meter", "basis", "table", "flags", "at", "heap", "pending",
+                 "keyed")
 
     def __init__(self, ring, rank, meter):
-        self.ring = ring
         self.rank = rank
         self.meter = meter
-        self.basis = []
-        self.table = {}
+        self.table = _DivisorTable(ring, reach=meter.max_degree)
+        self.basis = self.table.elements
         self.flags = []
+        self.at = {}  # lead position -> indices of the elements with it
         self.heap = []
         self.pending = set()
+        self.keyed = None  # the packing the queued keys were made in
 
     def reduce(self, el: ModuleElement) -> ModuleElement:
         return _reduce(el, self.table, self.meter)
+
+    def _pair(self, i: int, j: int) -> tuple:
+        """Queue entry of the pair (i, j): lcm degree, then the larger lcm
+        last."""
+        packing, rows = self.table.packing, self.table.rows
+        iexps, ilead = rows[i][0], rows[i][1]
+        both = ilead + packing.lift(packing.lcm(iexps, rows[j][0]) - iexps)
+        return (both & packing.capacity, -(both & packing.monomial_mask), i, j)
+
+    def _rekey(self):
+        if self.keyed is not self.table.packing:
+            self.heap[:] = [self._pair(i, j) for i, j in self.pending]
+            heapq.heapify(self.heap)
+            self.keyed = self.table.packing
 
     def add(self, el: ModuleElement, flag: bool):
         """Append ``el``, already reduced against the basis, unless zero."""
         if el.is_zero():
             return
-        basis = self.basis
-        basis.append(el.monic())
-        pos, row = _divisor_row(basis[-1])
-        self.table.setdefault(pos, []).append(row)
+        table = self.table
+        table.add(el.monic())
+        self._rekey()
         self.flags.append(flag)
-        j = len(basis) - 1
-        pj, mj, _ = basis[j].lead()
-        key = self.ring.order.key
-        for i in range(j):
+        j = len(self.basis) - 1
+        same = self.at.setdefault(el.terms[0][0], [])
+        for i in same:
             if flag and self.flags[i]:
                 continue
-            pi, mi, _ = basis[i].lead()
-            if pi != pj:
-                continue
-            lcm = mi.lcm(mj)
-            heapq.heappush(self.heap, (lcm.degree, key(lcm), i, j))
+            heapq.heappush(self.heap, self._pair(i, j))
             self.pending.add((i, j))
+        same.append(j)
 
     def complete(self):
         """Run the queued pairs until the basis is a Groebner basis."""
-        basis, heap, pending = self.basis, self.heap, self.pending
+        heap, pending, table = self.heap, self.pending, self.table
         while heap:
+            self._rekey()
             _, _, i, j = heapq.heappop(heap)
             if (i, j) not in pending:
                 continue
             pending.discard((i, j))
-            pi, mi, _ = basis[i].lead()
-            pj, mj, _ = basis[j].lead()
-            if pi != pj:
+            packing, rows = table.packing, table.rows
+            iexps, jexps = rows[i][0], rows[j][0]
+            if self.rank == 1 and packing.coprime(iexps, jexps):
                 continue
-            if self.rank == 1 and mi.is_coprime(mj):
-                continue
-            lcm = mi.lcm(mj)
-            for k in range(len(basis)):
-                if k in (i, j):
-                    continue
-                pk, mk, _ = basis[k].lead()
-                if (pk == pi and mk.divides(lcm)
-                        and (min(i, k), max(i, k)) not in pending
-                        and (min(j, k), max(j, k)) not in pending):
+            both = packing.lcm(iexps, jexps)
+            for k in self.at[self.basis[i].terms[0][0]]:
+                if (k != i and k != j and packing.divides(rows[k][0], both)
+                        and ((i, k) if i < k else (k, i)) not in pending
+                        and ((j, k) if j < k else (k, j)) not in pending):
                     break
             else:
-                self.add(self.reduce(_spair(basis[i], basis[j])), False)
+                self.add(_reduce_spair(table, i, j, self.meter), False)
 
 
 def _core(elements, ipart, ring, rank, meter):
@@ -469,22 +586,39 @@ def _core(elements, ipart, ring, rank, meter):
         nf = loop.reduce(el)
         loop.add(nf, flag and nf == el)
     loop.complete()
-    return _interreduce(loop.basis, meter)
+    return _interreduce(loop.table, meter)
 
 
-def _interreduce(basis, meter):
-    """Reduce to the unique reduced basis: minimal leads, reduced tails."""
+def _interreduce(table: _DivisorTable, meter: Meter) -> list:
+    """The unique reduced basis of the table's elements: minimal leads,
+    reduced tails.
+
+    Every kept element's tail is reduced against one table of all kept
+    elements.  In a global order a lead divides no term smaller than
+    itself, so an element's own row never matches while its tail reduces,
+    and the first match is the one a table of the others would give.  The
+    lead's step, which goes to the remainder untouched, is counted.
+    """
+    packing, rows = table.packing, table.rows
     kept = []
-    for g in sorted(basis, key=lead_key):
-        gp, gm, _ = g.lead()
-        if not any(hp == gp and hm.divides(gm) for hp, hm, _ in (h.lead() for h in kept)):
-            kept.append(g)
-    rows = [_divisor_row(g) for g in kept]
+    # largest packed lead first: smallest lead, last position first
+    for i in sorted(range(len(rows)), key=lambda i: rows[i][1], reverse=True):
+        pos = rows[i][1] >> packing.pos_shift
+        if not any(rows[k][1] >> packing.pos_shift == pos
+                   and packing.divides(rows[k][0], rows[i][0]) for k in kept):
+            kept.append(i)
+    table = table.keep(kept)
+    table.fit(meter.max_degree)
+    p = table.ring.field.characteristic
     final = []
-    for i, g in enumerate(kept):
-        table = _group_rows(rows[:i] + rows[i + 1 :])
-        final.append(_reduce(g, table, meter).monic())
-    final.sort(key=lead_key, reverse=True)
+    for g, (_, _, den, tail) in zip(table.elements, table.rows):
+        lead = g.terms[0]
+        meter.step()
+        meter.check_degree(lead[1].degree)
+        work = {t: k for t, k in tail} if p else {t: (k, den) for t, k in tail}
+        final.append(ModuleElement._trusted(
+            g.ring, g.rank, (lead,) + _divide(work, table, meter, g.rank).terms))
+    final.reverse()
     return final
 
 
@@ -542,7 +676,7 @@ def normal_form(f, gb: GroebnerBasis):
     """Canonical remainder of f modulo the basis (same type in, same out)."""
     meter = active_meter()
     if gb._table is None:
-        gb._table = _divisor_table(gb.elements)
+        gb._table = _DivisorTable(gb.ring, gb.elements, meter.max_degree)
     if isinstance(f, Polynomial):
         if gb.rank != 1:
             raise StructuralError("polynomial against a module basis")

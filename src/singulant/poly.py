@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, neg
+from operator import add, mul
 
 from .errors import StructuralError
 
@@ -233,31 +233,104 @@ class MonomialOrder:
             pieces.append((sum(bexps), tuple(-e for e in reversed(bexps))))
         return tuple(pieces)
 
-    def heap_key(self):
-        """``f(exps, degree)`` with f(a) < f(b) iff a > b in this order.
-
-        Works on raw exponent tuples, so a min-heap of these keys pops the
-        largest monomial first without building a Monomial.
-        """
+    def packing(self, nvars: int, bound: int) -> "Packing":
+        """The ``Packing`` of this order for terms of degree at most
+        ``bound``, with one spare bit per field so that a bound which less
+        than doubles later still fits."""
         if self.kind == "grevlex":
-            return lambda exps, degree: (-degree, exps[::-1])
-        if self.kind == "lex":
-            return lambda exps, degree: tuple(map(neg, exps))
-        blocks = self.blocks
-
-        def block_key(exps, degree):
-            pieces = []
-            for block in blocks:
-                bexps = [exps[i] for i in block]
-                pieces.append((-sum(bexps), bexps[::-1]))
-            return pieces
-
-        return block_key
+            blocks = (tuple(range(nvars)),)
+        elif self.kind == "lex":
+            blocks = tuple((i,) for i in range(nvars))
+        else:
+            blocks = self.blocks
+        return Packing(blocks, nvars, max(bound, 1).bit_length() + 1)
 
     def name(self) -> str:
         if self.kind == "block":
             return "block" + "".join(f"[{','.join(map(str, b))}]" for b in self.blocks)
         return self.kind
+
+
+class Packing:
+    """Terms of P^rank as one int each, for one order, variable count and
+    field width.
+
+    The int is a row of fields of ``width + 1`` bits; the top bit of each
+    is a guard, clear in every packed term.  From the most significant end:
+    the position (unbounded); then, for each block of the order in turn,
+    ``capacity - d`` for the term's degree d in the block followed by the
+    block's exponents, last variable first; and at the bottom the total
+    degree.  Grevlex is one block of all variables, lex one block per
+    variable, so each block compares by degree and then reverse
+    lexicographically, as ``MonomialOrder.key`` does.
+
+    While every degree is at most ``capacity`` (2^width - 1) no field
+    carries into the next, and:
+
+    - ``pack(a) < pack(b)`` iff a > b in position over term, position 0
+      largest, so a min-heap of packed terms pops the largest first;
+    - multiplying a term by a monomial m adds ``lift(e)``, e being m's
+      exponents packed alone (``pack(0, m) & exps_mask``);
+    - g's monomial divides t's iff ``((t | guards) - g) & guards == guards``
+      for g the divisor's exponents packed alone.
+    """
+
+    __slots__ = ("width", "capacity", "pos_shift", "base", "units", "offsets",
+                 "exps_mask", "guards", "ones", "monomial_mask")
+
+    def __init__(self, blocks, nvars: int, width: int):
+        size = width + 1
+        cap = (1 << width) - 1
+        offsets = [0] * nvars
+        units = [0] * nvars
+        base = 0
+        k = 1  # field 0 holds the total degree
+        for block in reversed(blocks):
+            for i in block:
+                offsets[i] = k * size
+                k += 1
+            for i in block:
+                units[i] = (1 << offsets[i]) - (1 << k * size) + 1
+            base += cap << k * size
+            k += 1
+        self.width = width
+        self.capacity = cap
+        self.pos_shift = k * size
+        self.base = base
+        self.units = tuple(units)
+        self.offsets = tuple(offsets)
+        self.exps_mask = sum(cap << o for o in offsets)
+        self.guards = sum(1 << o + width for o in offsets)
+        self.ones = sum(1 << o for o in offsets)
+        self.monomial_mask = (1 << self.pos_shift) - 1  # all but the position
+
+    def pack(self, pos: int, exps: tuple) -> int:
+        return (pos << self.pos_shift) + self.base + sum(map(mul, exps, self.units))
+
+    def unpack(self, t: int):
+        """(position, exponent tuple, degree) of a packed term."""
+        cap = self.capacity
+        return t >> self.pos_shift, tuple([(t >> o) & cap for o in self.offsets]), t & cap
+
+    def lift(self, e: int) -> int:
+        """What multiplying by the monomial with packed exponents e adds."""
+        cap = self.capacity
+        return sum([((e >> o) & cap) * u for o, u in zip(self.offsets, self.units)])
+
+    def divides(self, g: int, e: int) -> bool:
+        """Do the packed exponents g divide the packed exponents e?"""
+        guards = self.guards
+        return ((e | guards) - g) & guards == guards
+
+    def lcm(self, a: int, b: int) -> int:
+        """Fieldwise maximum of packed exponents."""
+        ge = ((a | self.guards) - b) & self.guards  # guard bit where a_i >= b_i
+        return b ^ ((a ^ b) & (ge - (ge >> self.width)))
+
+    def coprime(self, a: int, b: int) -> bool:
+        """Do the packed exponents a and b share no variable?"""
+        guards, ones = self.guards, self.ones
+        return not ((a | guards) - ones) & ((b | guards) - ones) & guards
 
 
 GREVLEX = MonomialOrder("grevlex")

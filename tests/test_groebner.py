@@ -17,8 +17,9 @@ from singulant.groebner import (
     GroebnerBasis,
     ModuleElement,
     PairLoop,
-    _divisor_table,
+    _DivisorTable,
     _reduce,
+    _reduce_spair,
     buchberger,
     normal_form,
     syzygies,
@@ -250,7 +251,7 @@ def test_terms_stay_in_position_over_term_order(order, field):
         results = [a + b, a - b, a - a, -a, a.scale(rand_coeff(rng, field)),
                    a.mul_term(mono, rand_coeff(rng, field)),
                    a.mul_poly(rand_poly(rng, P, 2, 3)),
-                   _reduce(a, _divisor_table(gb.elements), Meter())]
+                   _reduce(a, _DivisorTable(P, gb.elements), Meter())]
         for el in results:
             _assert_canonical(el)
     pair = [x * y + z, y * z - x * x, x * z]
@@ -358,7 +359,7 @@ def _division_inputs(rng, P, rank, large=False):
 def _both_ways(el, divisors, budget=None):
     """(remainder, steps) of heap division and of the max-scan rule."""
     heap_meter, scan_meter = Meter(budget), Meter(budget)
-    heap = _reduce(el, _divisor_table(divisors), heap_meter)
+    heap = _reduce(el, _DivisorTable(el.ring, divisors), heap_meter)
     scan = _reduce_by_max_scan(el, divisors, scan_meter)
     return (heap, heap_meter.steps), (scan, scan_meter.steps)
 
@@ -374,8 +375,7 @@ def test_heap_division_matches_max_scan_rule(order, rank, field, large):
     P = PolynomialRing(field, 3, order)
     divisor_lists, elements, members = _division_inputs(rng, P, rank, large)
     if large:
-        dens = [row[2] for rows in _divisor_table(divisor_lists[0]).values()
-                for row in rows]
+        dens = [row[2] for row in _DivisorTable(P, divisor_lists[0]).rows]
         assert len(set(dens)) == len(dens) and min(dens) > 2 ** 64
     first_match_mattered = False
     for el in elements:
@@ -393,7 +393,7 @@ def test_heap_division_matches_max_scan_rule(order, rank, field, large):
                     assert gcd(k.numerator, k.denominator) == 1
             results.append(heap[0])
         # against the reduced basis the remainder is reduced, and zero on members
-        assert _reduce(results[2], _divisor_table(divisor_lists[2]), Meter()) == results[2]
+        assert _reduce(results[2], _DivisorTable(P, divisor_lists[2]), Meter()) == results[2]
         if el in members:
             assert results[2].is_zero()
         first_match_mattered |= results[0] != results[1]
@@ -422,7 +422,7 @@ def test_heap_division_hits_budgets_where_max_scan_does():
     for el, divisors, budget in cases:
         heap_meter, scan_meter = Meter(budget), Meter(budget)
         with pytest.raises(BudgetExceededError) as heap_error:
-            _reduce(el, _divisor_table(divisors), heap_meter)
+            _reduce(el, _DivisorTable(el.ring, divisors), heap_meter)
         with pytest.raises(BudgetExceededError) as scan_error:
             _reduce_by_max_scan(el, divisors, scan_meter)
         assert str(heap_error.value) == str(scan_error.value)
@@ -432,7 +432,104 @@ def test_heap_division_hits_budgets_where_max_scan_does():
     assert steps[:2] == [3, 3]
 
 
+def _spair_by_hand(f, g):
+    """S-pair of two monic elements whose leads share a position, built
+    from term products and a subtraction."""
+    (_, fm, _), (_, gm, _) = f.lead(), g.lead()
+    both = Monomial(tuple(map(max, fm.exps, gm.exps)))
+    return f.mul_term(both.divide(fm), 1) - g.mul_term(both.divide(gm), 1)
+
+
+@pytest.mark.parametrize("field, large", [(QQ, False), (QQ, True), (PrimeField(7), False)],
+                         ids=["Q", "Q-large", "F7"])
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize("order", DIVISION_ORDERS, ids=DIVISION_ORDER_IDS)
+def test_kernel_spairs_match_max_scan_of_the_built_spair(order, rank, field, large):
+    rng = random.Random(41 * rank + field.characteristic + large)
+    P = PolynomialRing(field, 3, order)
+    checked = 0
+    for _ in range(6):
+        divisor_lists, _, _ = _division_inputs(rng, P, rank, large)
+        for divisors in divisor_lists:
+            for i in range(len(divisors)):
+                for j in range(i + 1, len(divisors)):
+                    if divisors[i].lead()[0] != divisors[j].lead()[0]:
+                        continue
+                    kernel_meter, scan_meter = Meter(), Meter()
+                    kernel = _reduce_spair(_DivisorTable(P, divisors), i, j, kernel_meter)
+                    scan = _reduce_by_max_scan(_spair_by_hand(divisors[i], divisors[j]),
+                                               divisors, scan_meter)
+                    assert kernel == scan
+                    assert kernel_meter.steps == scan_meter.steps
+                    checked += 1
+    assert checked >= 20
+
+
+def test_exponents_past_the_first_field_width_repack_the_table():
+    wide = Budget(max_degree=2 ** 17)
+    n = 2 ** 16
+    cases = []
+    for order in (GREVLEX, LEX):
+        P = PolynomialRing(QQ, 2, order)
+        x, y = P.variables()
+        cases.append((x ** n, [x ** (n - 1) - y]))
+        # a table of degree two first packs narrow fields; x^n*y re-packs it
+        cases.append((x ** n * y, [x * y - P.one()]))
+    # under lex every step pushes a term of higher degree than it pops:
+    # x^3, x^2*y^(n/2), x*y^n, y^(3n/2)
+    P = PolynomialRing(QQ, 2, LEX)
+    x, y = P.variables()
+    cases.append((x ** 3, [x - y ** (n // 2)]))
+    for f, divisors in cases:
+        el = ModuleElement.wrap(f)
+        divisors = [ModuleElement.wrap(g) for g in divisors]
+        (heap, heap_steps), (scan, scan_steps) = _both_ways(el, divisors, wide)
+        assert heap == scan and heap_steps == scan_steps
+        assert not heap.is_zero()
+    assert max(m.degree for _, m, _ in heap.terms) == 3 * n // 2
+    # an S-pair whose lcm and tail cross the width: y*f - x^(n-1)*g
+    for order in (GREVLEX, LEX):
+        P = PolynomialRing(PrimeField(7), 2, order)
+        x, y = P.variables()
+        divisors = [ModuleElement.wrap(x ** n - y), ModuleElement.wrap(x * y - P.one())]
+        kernel_meter, scan_meter = Meter(wide), Meter(wide)
+        kernel = _reduce_spair(_DivisorTable(P, divisors), 0, 1, kernel_meter)
+        scan = _reduce_by_max_scan(_spair_by_hand(*divisors), divisors, scan_meter)
+        assert kernel == scan and kernel_meter.steps == scan_meter.steps
+        assert kernel == ModuleElement.wrap(x ** (n - 1) - y ** 2)
+
+
 # -- divisor tables kept across divisions ---------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_loop_keys_its_queue_again_when_the_table_repacks(seed):
+    # w^20 is added unreduced, past the degree limit the table was packed
+    # for, while pairs of the other generators wait; it is coprime to every
+    # lead, so the run stays inside the limit
+    rng = random.Random(seed)
+    P = PolynomialRing(QQ, 4, GREVLEX)
+    slots = [exps + (0,) for exps in oracles.monomials_of_degree(3, 2)]
+    gens = [ModuleElement.wrap(Polynomial(P, [(exps, rand_coeff(rng, QQ))
+                                              for exps in rng.sample(slots, 3)]))
+            for _ in range(4)]
+    runs = []
+    for wide in (False, True):
+        meter = Meter(Budget(max_degree=8))
+        loop = PairLoop(P, 1, meter)
+        if wide:
+            loop.table.fit(meter.max_degree, 64)
+        for g in gens[:2]:
+            loop.add(loop.reduce(g), False)
+        first = loop.table.packing
+        loop.add(ModuleElement.wrap(P.variable(3) ** 20), False)
+        for g in gens[2:]:
+            loop.add(loop.reduce(g), False)
+        loop.complete()
+        runs.append((loop.basis, meter.steps, loop.table.packing is first))
+    (narrow, steps, kept), (wide, wide_steps, wide_kept) = runs
+    assert not kept and wide_kept
+    assert narrow == wide and steps == wide_steps
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])

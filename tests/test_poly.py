@@ -21,7 +21,7 @@ from singulant.poly import (
     format_polynomial,
 )
 
-from util import fring, qring, rand_poly
+from util import fring, qring, rand_monomial, rand_poly
 
 
 # -- fields -------------------------------------------------------------------
@@ -147,6 +147,29 @@ def test_elimination_order_front_block_dominates():
 def test_block_order_requires_partition():
     with pytest.raises(StructuralError):
         PolynomialRing(QQ, 3, MonomialOrder("block", ((0,), (0, 1, 2))))
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, elimination_order((3, 1), (0, 2))],
+                         ids=["grevlex", "lex", "block"])
+def test_packing_follows_the_order_and_monomial_arithmetic(order):
+    rng = random.Random(43)
+    bound = 12
+    packing = order.packing(4, bound)
+    assert packing.capacity >= bound
+    terms = [(rng.randrange(3), rand_monomial(rng, 4, bound // 2)) for _ in range(60)]
+    packed = [packing.pack(pos, m.exps) for pos, m in terms]
+    for (pos, m), t in zip(terms, packed):
+        assert packing.unpack(t) == (pos, m.exps, m.degree)
+    for (ap, a), at in zip(terms, packed):
+        ae = at & packing.exps_mask
+        for (bp, b), bt in zip(terms, packed):
+            be = bt & packing.exps_mask
+            # a min-heap of packed terms pops the largest in position over term
+            assert (at < bt) == ((-ap, order.key(a)) > (-bp, order.key(b)))
+            assert packing.divides(ae, be) == a.divides(b)
+            assert packing.lcm(ae, be) == packing.pack(0, a.lcm(b).exps) & packing.exps_mask
+            assert packing.coprime(ae, be) == a.is_coprime(b)
+            assert at + packing.lift(be) == packing.pack(ap, a.mul(b).exps)
 
 
 # -- polynomial arithmetic ----------------------------------------------------
