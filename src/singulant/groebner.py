@@ -25,12 +25,18 @@ tails.  The field width comes from a bound on the degree of every term a
 division can reach; a call that needs wider fields re-packs the table, so
 no field ever carries into the next.  Exponent tuples are decoded only for
 remainder terms.
+
+Over Q the kernel divides integers: the work holds one integer per term
+under a single running denominator, each divisor is stored as an integral
+element over its own denominator, and a step scales the pending integers
+by no more than that denominator (pseudo-division over Z, as Monagan and
+Pearce run it in the same heap).  A remainder term becomes a Fraction
+once, at the end.
 """
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm
 from operator import add
 
@@ -180,6 +186,20 @@ def lead_key(el: ModuleElement):
     return (-pos, el.ring.order.key(m))
 
 
+def _integral(terms, pack, p: int) -> tuple:
+    """(den, work) for the (position, monomial, coeff) ``terms``: ``work``
+    maps each packed term to an integer, and the true coefficient is that
+    integer over den.  Over Q den is the lcm of the denominators, over F_p
+    it is 1 and the integers are the coefficients."""
+    if p:
+        return 1, {pack(pos, m.exps): k for pos, m, k in terms}
+    den = lcm(*[k.denominator for _, _, k in terms])
+    if den == 1:
+        return 1, {pack(pos, m.exps): k.numerator for pos, m, k in terms}
+    return den, {pack(pos, m.exps): k.numerator * (den // k.denominator)
+                 for pos, m, k in terms}
+
+
 def _divisor_row(g: ModuleElement, packing) -> tuple:
     """Divisor-table row of the monic element g, packed once.
 
@@ -187,20 +207,14 @@ def _divisor_row(g: ModuleElement, packing) -> tuple:
     alone, the packed lead, and den with g = G/den and G integral (over Q
     the lcm of g's denominators, over F_p 1).  ``tail`` holds G's terms
     after the lead, whose coefficient is den, as (packed term, integer
-    coefficient).
+    coefficient).  That is the tail's integral work under den: a division
+    step adds a multiple of it, and ``_interreduce`` divides it as it is.
     """
-    pack = packing.pack
     terms = g.terms
     pos, lm, _ = terms[0]
-    lead = pack(pos, lm.exps)
-    if g.ring.field.characteristic:
-        den = 1
-        tail = tuple((pack(p, m.exps), k) for p, m, k in islice(terms, 1, None))
-    else:
-        den = lcm(*(k.denominator for _, _, k in terms))
-        tail = tuple((pack(p, m.exps), k.numerator * (den // k.denominator))
-                     for p, m, k in islice(terms, 1, None))
-    return (lead & packing.exps_mask, lead, den, tail)
+    lead = packing.pack(pos, lm.exps)
+    den, tail = _integral(terms[1:], packing.pack, g.ring.field.characteristic)
+    return (lead & packing.exps_mask, lead, den, tuple(tail.items()))
 
 
 class _DivisorTable:
@@ -270,22 +284,20 @@ def _reduce(el: ModuleElement, table: _DivisorTable, meter: Meter) -> ModuleElem
 
     The table is first fitted to the meter's degree limit and to el's
     degree (the width rule of ``_DivisorTable``); el's terms are then
-    packed once and divided by ``_divide``.
+    packed once, over Q as integers over the lcm of their denominators, and
+    divided by ``_divide``.
     """
     table.fit(meter.max_degree, max((m.degree for _, m, _ in el.terms), default=0))
-    pack = table.packing.pack
-    if el.ring.field.characteristic:
-        work = {pack(pos, m.exps): k for pos, m, k in el.terms}
-    else:
-        work = {pack(pos, m.exps): (k.numerator, k.denominator) for pos, m, k in el.terms}
-    return _divide(work, table, meter, el.rank)
+    den, work = _integral(el.terms, table.packing.pack, el.ring.field.characteristic)
+    return _divide(work, den, table, meter, el.rank)
 
 
 def _reduce_spair(table: _DivisorTable, i: int, j: int, meter: Meter) -> ModuleElement:
     """Full normal form of the S-pair of the elements i and j of ``table``,
     whose leads share a position, formed inside the kernel: the work starts
     as the two integral tails shifted onto the lcm of the leads, which
-    cancel and are never added."""
+    cancel and are never added, each scaled onto the common denominator
+    lcm(fden, gden)."""
     table.fit(meter.max_degree)
     packing = table.packing
     fexps, _, fden, ftail = table.rows[i]
@@ -293,36 +305,29 @@ def _reduce_spair(table: _DivisorTable, i: int, j: int, meter: Meter) -> ModuleE
     both = packing.lcm(fexps, gexps)
     fshift, gshift = packing.lift(both - fexps), packing.lift(both - gexps)
     p = table.ring.field.characteristic
-    if p:
-        work = {t + fshift: k for t, k in ftail}
-        for t, k in gtail:
-            t += gshift
-            s = (work.get(t, 0) - k) % p
-            if s:
-                work[t] = s
-            else:
-                del work[t]
-    else:
-        # f's terms all have denominator fden, and tail terms are distinct
-        work = {t + fshift: (k, fden) for t, k in ftail}
-        for t, k in gtail:
-            t += gshift
-            old = work.get(t)
-            if old is None:
-                work[t] = (-k, gden)
-                continue
-            s = old[0] * gden - k * fden
-            if s:
-                work[t] = (s, fden * gden)
-            else:
-                del work[t]
-    return _divide(work, table, meter, table.elements[i].rank)
+    den = lcm(fden, gden)  # 1 over F_p
+    fs, gs = den // fden, den // gden
+    # tail terms are distinct, so only a g term can meet an f term
+    work = {t + fshift: k * fs for t, k in ftail}
+    for t, k in gtail:
+        t += gshift
+        s = work.get(t, 0) - k * gs
+        if p:
+            s %= p
+        if s:
+            work[t] = s
+        else:
+            del work[t]
+    return _divide(work, den, table, meter, table.elements[i].rank)
 
 
-def _divide(work: dict, table: _DivisorTable, meter: Meter, rank: int) -> ModuleElement:
-    """Full normal form of the packed terms ``work`` against ``table``.
+def _divide(work: dict, den: int, table: _DivisorTable, meter: Meter,
+            rank: int) -> ModuleElement:
+    """Full normal form of the packed terms ``work`` over ``den`` against
+    ``table``.
 
-    ``work`` maps packed terms to coefficients and ``table.fit`` has made
+    ``work`` maps packed terms to integers, the coefficient of a term being
+    its integer over den (den is 1 over F_p), and ``table.fit`` has made
     room for every term the division can reach.  Every term of the result
     is divisible by no divisor's leading term.  The divisor chosen at each
     step is the first match in table order; the end result is independent
@@ -335,10 +340,15 @@ def _divide(work: dict, table: _DivisorTable, meter: Meter, rank: int) -> Module
     than the term it divides.  A division step multiplies the divisor's
     tail by the quotient monomial with one integer addition per term.
 
-    Over Q a pending coefficient is an integer pair (numerator, positive
-    denominator), not necessarily in lowest terms: a division step adds an
-    integer multiple of the divisor's integral tail, and a pair is reduced
-    only when popped.  Remainder terms are Fractions in lowest terms.
+    Over Q the work is pseudo-division over Z under one running
+    denominator.  A step that pops the integer a divides by the row
+    (gexps, glead, gden, gtail), where g = G/gden and G's lead coefficient
+    is gden; it subtracts a/(den*gden) times the shifted G.  With h =
+    gcd(a, gden) and lam = gden // h, every pending integer and den are
+    multiplied by lam when lam != 1, and then -(a // h) times each tail
+    integer is added at its shifted term.  A remainder term keeps the den
+    of the moment it was popped and becomes a Fraction in lowest terms
+    once, at the end.
     """
     ring = table.ring
     p = ring.field.characteristic
@@ -362,9 +372,9 @@ def _divide(work: dict, table: _DivisorTable, meter: Meter, rank: int) -> Module
             if (e - gexps) & guards == guards:
                 break
         else:
-            remainder.append((t, coeff))
+            remainder.append((t, coeff, den))
             continue
-        # subtract coeff * shift * G/den; its leading term cancels the
+        # subtract coeff * shift * G/gden; its leading term cancels the
         # popped term and is not re-added
         shift = t - glead
         if p:
@@ -382,42 +392,29 @@ def _divide(work: dict, table: _DivisorTable, meter: Meter, rank: int) -> Module
                     else:
                         del work[m]
             continue
-        num, den = coeff
-        h = gcd(num, den)
-        if h != 1:
-            num //= h
-            den //= h
-        # one multiplier cnum/cden = -coeff/gden per step
-        h = gcd(num, gden)
-        cnum, cden = -num // h, den * (gden // h)
+        h = gcd(coeff, gden)
+        if h != gden:
+            lam = gden // h
+            den *= lam
+            work = {m: k * lam for m, k in work.items()}
+        c = -(coeff // h)
         for m, tk in gtail:
             m += shift
             old = work.get(m)
             if old is None:
-                work[m] = (cnum * tk, cden)
+                work[m] = c * tk
                 heappush(heap, m)
-                continue
-            onum, oden = old
-            if oden == cden:
-                s = onum + cnum * tk
             else:
-                # common denominator: oden itself when cden divides it
-                q, r = divmod(oden, cden)
-                if r:
-                    h = gcd(oden, cden)
-                    s = onum * (cden // h) + cnum * tk * (oden // h)
-                    oden = oden // h * cden
+                s = old + c * tk
+                if s:
+                    work[m] = s
                 else:
-                    s = onum + cnum * tk * q
-            if s:
-                work[m] = (s, oden)
-            else:
-                del work[m]
+                    del work[m]
     unpack, trusted = packing.unpack, Monomial._trusted
     terms = []
-    for t, coeff in remainder:
+    for t, coeff, d in remainder:
         pos, exps, deg = unpack(t)
-        terms.append((pos, trusted(exps, deg), coeff if p else Fraction(*coeff)))
+        terms.append((pos, trusted(exps, deg), coeff if p else Fraction(coeff, d)))
     return ModuleElement._trusted(ring, rank, tuple(terms))
 
 
@@ -601,23 +598,23 @@ def _interreduce(table: _DivisorTable, meter: Meter) -> list:
     """
     packing, rows = table.packing, table.rows
     kept = []
+    leads = {}  # lead position -> the kept leads' exponents there
     # largest packed lead first: smallest lead, last position first
     for i in sorted(range(len(rows)), key=lambda i: rows[i][1], reverse=True):
-        pos = rows[i][1] >> packing.pos_shift
-        if not any(rows[k][1] >> packing.pos_shift == pos
-                   and packing.divides(rows[k][0], rows[i][0]) for k in kept):
+        gexps = rows[i][0]
+        same = leads.setdefault(rows[i][1] >> packing.pos_shift, [])
+        if not any(packing.divides(k, gexps) for k in same):
             kept.append(i)
+            same.append(gexps)
     table = table.keep(kept)
     table.fit(meter.max_degree)
-    p = table.ring.field.characteristic
     final = []
     for g, (_, _, den, tail) in zip(table.elements, table.rows):
         lead = g.terms[0]
         meter.step()
         meter.check_degree(lead[1].degree)
-        work = {t: k for t, k in tail} if p else {t: (k, den) for t, k in tail}
         final.append(ModuleElement._trusted(
-            g.ring, g.rank, (lead,) + _divide(work, table, meter, g.rank).terms))
+            g.ring, g.rank, (lead,) + _divide(dict(tail), den, table, meter, g.rank).terms))
     final.reverse()
     return final
 

@@ -13,6 +13,7 @@ from singulant.errors import (
     StructuralError,
     budget_scope,
 )
+from singulant import groebner
 from singulant.groebner import (
     GroebnerBasis,
     ModuleElement,
@@ -430,6 +431,55 @@ def test_heap_division_hits_budgets_where_max_scan_does():
         steps.append(heap_meter.steps)
     # both budgets stop the third step: x*y^8 has degree 9
     assert steps[:2] == [3, 3]
+
+
+def _hand_division(case, P):
+    """(f, divisors, remainder, steps, integer and running denominator of
+    each remainder term) of the hand-derived Q divisions, under grevlex."""
+    x, y = P.variables()
+    c = P.constant
+    if case == "lowest-terms":
+        # x^2y^2 -> xy^2/2 -> y^2/4 -> y/6 -> 1/9, and the remainder's step:
+        # the denominator picks up 2, 2, 3, 3 and the numerator 2 * 2, so
+        # 4/36 is brought to lowest terms once, at the end
+        return (x ** 2 * y ** 2, [x - c(Fraction(1, 2)), y - c(Fraction(2, 3))],
+                c(Fraction(1, 9)), 5, [(4, 36)])
+    if case == "partial-gcd":
+        # 2x^2 by 6x - 1 over 6: gcd(2, 6) = 2 leaves a factor 3 (x/3);
+        # then gcd(1, 6) = 1 and the factor is 6 (1/18)
+        return (c(2) * x ** 2, [x - c(Fraction(1, 6))], c(Fraction(1, 18)), 3, [(1, 18)])
+    if case == "pending-scaled":
+        # x^2 + y -> x/2 + y -> y + 1/4: each step doubles the denominator,
+        # and y, pending throughout, with it
+        return (x ** 2 + y, [x - c(Fraction(1, 2))], y + c(Fraction(1, 4)), 4,
+                [(4, 4), (1, 4)])
+    # every divisor is integral: x^3 + xy^2/2 -> 3xy + xy^2/2 -> 3xy + x^2 -
+    # 5x/2 -> 3xy - 5x/2 + 3y, and the three remainder steps; the running
+    # denominator stays the input's 2
+    return (x ** 3 + c(Fraction(1, 2)) * x * y ** 2,
+            [x ** 2 - c(3) * y, y ** 2 - c(2) * x + c(5)],
+            c(3) * x * y - c(Fraction(5, 2)) * x + c(3) * y, 6, [(6, 2), (-5, 2), (6, 2)])
+
+
+@pytest.mark.parametrize("case", ["lowest-terms", "partial-gcd", "pending-scaled",
+                                  "integral"])
+def test_q_division_under_one_running_denominator_by_hand(case, monkeypatch):
+    P = qring(2)
+    f, divisors, remainder, steps, popped = _hand_division(case, P)
+    el, divisors = ModuleElement.wrap(f), [ModuleElement.wrap(g) for g in divisors]
+    seen = []
+
+    def fraction(a, d):
+        seen.append((a, d))
+        return Fraction(a, d)
+
+    # the kernel hands each remainder term's integer and the running
+    # denominator of its pop to Fraction
+    monkeypatch.setattr(groebner, "Fraction", fraction)
+    (heap, heap_steps), (scan, scan_steps) = _both_ways(el, divisors)
+    assert heap == scan == ModuleElement.wrap(remainder)
+    assert heap_steps == scan_steps == steps
+    assert seen == popped
 
 
 def _spair_by_hand(f, g):
