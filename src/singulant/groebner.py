@@ -27,18 +27,20 @@ no field ever carries into the next.  Exponent tuples are decoded only for
 remainder terms.
 
 Over Q the kernel divides integers: the work holds one integer per term
-under a single running denominator, each divisor is stored as an integral
-element over its own denominator, and a step scales the pending integers
-by no more than that denominator (pseudo-division over Z, as Monagan and
-Pearce run it in the same heap).  A remainder term becomes a Fraction
-once, at the end.
+under a single running denominator, each divisor is stored as its
+primitive integer vector, whose positive lead coefficient is the row's
+denominator, and a step scales the pending integers by no more than that
+denominator (pseudo-division over Z, as Monagan and Pearce run it in the
+same heap).  A remainder term becomes a Fraction once, at the end.  The
+divisor row is the one place a basis element is normalized: elements are
+added as they come out of a division, and only the reduced basis is
+emitted monic.
 """
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 
 from .errors import Meter, StructuralError, active_meter
 from .poly import Monomial, Polynomial, PolynomialRing
@@ -125,56 +127,12 @@ class ModuleElement:
     def __hash__(self):
         return hash((self.rank, self.terms))
 
-    def __add__(self, other):
-        if self.ring != other.ring or self.rank != other.rank:
-            raise StructuralError("module elements from different ambients")
-        return ModuleElement.from_terms(self.ring, self.rank, self.terms + other.terms)
-
-    def __neg__(self):
-        fneg = self.ring.field.neg
-        return ModuleElement._trusted(
-            self.ring, self.rank, tuple((p, m, fneg(k)) for p, m, k in self.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    # a field has no zero divisors and a monomial order is multiplicative, so
-    # scaling by a nonzero constant or multiplying by a term keeps the order
-
-    def scale(self, c) -> "ModuleElement":
-        ring = self.ring
-        c = ring.field.normalize(c)
-        if c == ring.field.zero:
-            return ModuleElement._trusted(ring, self.rank, ())
-        mul = ring.field.mul
-        return ModuleElement._trusted(
-            ring, self.rank, tuple((p, m, mul(k, c)) for p, m, k in self.terms))
-
-    def mul_term(self, mono: Monomial, coeff) -> "ModuleElement":
-        ring = self.ring
-        if not isinstance(mono, Monomial) or len(mono.exps) != ring.nvars:
-            raise StructuralError(f"{mono!r} is not a monomial of a {ring.nvars}-variable ring")
-        c = ring.field.normalize(coeff)
-        if c == ring.field.zero:
-            return ModuleElement._trusted(ring, self.rank, ())
-        mul, exps, degree, trusted = ring.field.mul, mono.exps, mono.degree, Monomial._trusted
-        return ModuleElement._trusted(ring, self.rank, tuple(
-            (p, trusted(tuple(map(add, m.exps, exps)), m.degree + degree), mul(k, c))
-            for p, m, k in self.terms))
-
     def mul_poly(self, q: Polynomial) -> "ModuleElement":
         if q.ring != self.ring:
             raise StructuralError("module coordinates must share one ring")
         mul = self.ring.field.mul
         return ModuleElement.from_terms(self.ring, self.rank, [
             (p, m.mul(qm), mul(k, qk)) for qm, qk in q.terms for p, m, k in self.terms])
-
-    def monic(self) -> "ModuleElement":
-        lead = self.lead()
-        field = self.ring.field
-        if lead is None or lead[2] == field.one:
-            return self
-        return self.scale(field.invert(lead[2]))
 
     def __repr__(self):
         return "(" + ", ".join(repr(c) for c in self.coords) + ")"
@@ -201,24 +159,37 @@ def _integral(terms, pack, p: int) -> tuple:
 
 
 def _divisor_row(g: ModuleElement, packing) -> tuple:
-    """Divisor-table row of the monic element g, packed once.
+    """Divisor-table row of the nonzero element g, packed once.
 
     The row is ``(lead exps, lead, den, tail)``: the lead's exponents packed
-    alone, the packed lead, and den with g = G/den and G integral (over Q
-    the lcm of g's denominators, over F_p 1).  ``tail`` holds G's terms
-    after the lead, whose coefficient is den, as (packed term, integer
-    coefficient).  That is the tail's integral work under den: a division
-    step adds a multiple of it, and ``_interreduce`` divides it as it is.
+    alone, the packed lead, and den, the lead coefficient of an integral G
+    with G/den = g made monic.  Over Q, G is g's primitive integer vector:
+    the coefficients are brought onto the lcm of their denominators, their
+    content is divided out, and the sign makes den positive.  Over F_p, G is
+    g times the inverse of its lead coefficient, so den is 1.  Every nonzero
+    multiple of g thus gets the same row.  ``tail`` holds G's terms after
+    the lead as (packed term, integer coefficient).  That is the tail's
+    integral work under den: a division step adds a multiple of it, and
+    ``_interreduce`` divides it as it is.
     """
     terms = g.terms
-    pos, lm, _ = terms[0]
+    pos, lm, lc = terms[0]
     lead = packing.pack(pos, lm.exps)
-    den, tail = _integral(terms[1:], packing.pack, g.ring.field.characteristic)
-    return (lead & packing.exps_mask, lead, den, tuple(tail.items()))
+    p = g.ring.field.characteristic
+    if p:
+        inv = pow(lc, -1, p)
+        return (lead & packing.exps_mask, lead, 1,
+                tuple((packing.pack(q, m.exps), k * inv % p) for q, m, k in terms[1:]))
+    _, work = _integral(terms, packing.pack, 0)
+    content = gcd(*work.values())
+    if lc < 0:
+        content = -content
+    row = tuple((t, k // content) for t, k in work.items())
+    return (lead & packing.exps_mask, lead, row[0][1], row[1:])
 
 
 class _DivisorTable:
-    """Monic elements as packed divisor rows, in the order they were added.
+    """Nonzero elements as packed divisor rows, in the order they were added.
 
     ``rows[i]`` is ``_divisor_row(elements[i])`` and ``by_pos`` groups the
     rows by lead position, keeping that order.  ``top`` is the largest
@@ -244,7 +215,7 @@ class _DivisorTable:
             self.add(g)
 
     def add(self, g: ModuleElement):
-        """Append the monic element g."""
+        """Append the nonzero element g."""
         self.elements.append(g)
         self.top = max(self.top, max(m.degree for _, m, _ in g.terms))
         if not self.fit(self.reach):
@@ -488,8 +459,9 @@ def _as_elements(gens):
 class PairLoop:
     """Buchberger's pair loop as a state that can keep growing.
 
-    ``table`` holds the monic elements added so far as packed divisor rows,
-    ``basis`` is its list of elements, and ``flags`` marks the adjoined
+    ``table`` holds the elements added so far as packed divisor rows, each
+    normalized there once (``_divisor_row``), ``basis`` is its list of the
+    elements as they were added, and ``flags`` marks the adjoined
     defining generators, whose mutual pairs are skipped (sound because the
     defining list is itself a Groebner basis).  Pair selection is minimal
     lcm degree first, then the smaller lcm; the coprime criterion applies
@@ -538,8 +510,7 @@ class PairLoop:
         """Append ``el``, already reduced against the basis, unless zero."""
         if el.is_zero():
             return
-        table = self.table
-        table.add(el.monic())
+        self.table.add(el)
         self._rekey()
         self.flags.append(flag)
         j = len(self.basis) - 1
@@ -594,7 +565,9 @@ def _interreduce(table: _DivisorTable, meter: Meter) -> list:
     elements.  In a global order a lead divides no term smaller than
     itself, so an element's own row never matches while its tail reduces,
     and the first match is the one a table of the others would give.  The
-    lead's step, which goes to the remainder untouched, is counted.
+    row's tail over its den is the monic element's tail, and the lead is
+    emitted with coefficient one; its step, which would go to the remainder
+    untouched, is counted.
     """
     packing, rows = table.packing, table.rows
     kept = []
@@ -608,11 +581,13 @@ def _interreduce(table: _DivisorTable, meter: Meter) -> list:
             same.append(gexps)
     table = table.keep(kept)
     table.fit(meter.max_degree)
+    one = table.ring.field.one
     final = []
     for g, (_, _, den, tail) in zip(table.elements, table.rows):
-        lead = g.terms[0]
+        pos, lm, _ = g.terms[0]
+        lead = (pos, lm, one)
         meter.step()
-        meter.check_degree(lead[1].degree)
+        meter.check_degree(lm.degree)
         final.append(ModuleElement._trusted(
             g.ring, g.rank, (lead,) + _divide(dict(tail), den, table, meter, g.rank).terms))
     final.reverse()

@@ -461,12 +461,9 @@ def loewy_length(ring: RingPresentation, ideal: IdealHandle) -> int:
         raise StructuralError("ideal lives in a different presentation")
     if ideal.is_unit():
         raise PreconditionError("ideal is the unit ideal, so it is not m-primary")
-    if not is_m_primary(ideal):
-        missing = [
-            ring.names[i]
-            for i in range(ring.nvars)
-            if not radical_membership(ring.variable(i), ideal)
-        ]
+    missing = [ring.names[i] for i in range(ring.nvars)
+               if not radical_membership(ring.variable(i), ideal)]
+    if missing:
         raise PreconditionError(
             f"ideal is not m-primary: variable(s) {', '.join(missing)} escape the radical"
         )

@@ -394,18 +394,14 @@ def generation_time_bound(ring: RingPresentation, ideal: IdealHandle, *,
                           ) -> GenerationTimeBound:
     """(nu(I) - depth(R) + 1) * loewy(R/I), with dim bound one less.
 
-    Preconditions checked separately: I must be m-primary, and every
-    generator must lie in the certified annihilator lower bound — unless
-    the caller overrides with assume_annihilates, which is then recorded
-    in the result.
+    Preconditions checked separately: I must be m-primary, which
+    ``loewy_length`` checks before any sweep, and every generator must lie
+    in the certified annihilator lower bound — unless the caller overrides
+    with assume_annihilates, which is then recorded in the result.
     """
     if ideal.ring != ring:
         raise StructuralError("ideal lives in a different presentation")
-    if not is_m_primary(ideal):
-        raise PreconditionError(
-            f"generation-time bound needs an m-primary ideal; {ideal.format()} "
-            "is not m-primary"
-        )
+    ell = loewy_length(ring, ideal)
     gens = ideal.reduced_generators()
     assumed = bool(assume_annihilates)
     if not assumed:
@@ -419,7 +415,6 @@ def generation_time_bound(ring: RingPresentation, ideal: IdealHandle, *,
                 "record the hypothesis instead"
             )
     nu = minimal_generators(ideal)
-    ell = loewy_length(ring, ideal)
     dep = ring_depth(ring)
     bound = (nu - dep + 1) * ell
     return GenerationTimeBound(
@@ -568,7 +563,8 @@ def build_report(ring: RingPresentation, *, bound_ideal: IdealHandle | None = No
     if iso.verdict is True:
         ideal = bound_ideal if bound_ideal is not None else cert.ideal
         try:
-            if is_m_primary(ideal):
+            # a true isolated verdict has already found jac m-primary
+            if bound_ideal is None or is_m_primary(ideal):
                 # the generators of I join the comparison's candidates in its
                 # context, so those it already decided are not swept again
                 result = generation_time_bound(

@@ -168,9 +168,7 @@ def test_membership_matches_linear_algebra_oracle(build):
 def test_module_basis_position_over_term():
     P = qring(2)
     x, y = P.variables()
-    e_xy = ModuleElement.unit(P, 2, 0, x)
-    e_y1 = ModuleElement.unit(P, 2, 1, y)
-    el = e_xy + e_y1  # x*e0 + y*e1
+    el = ModuleElement(P, [x, y])  # x*e0 + y*e1
     pos, mono, coeff = el.lead()
     assert pos == 0 and mono.exps == (1, 0)
 
@@ -180,6 +178,16 @@ def test_module_basis_position_over_term():
     y_e0 = ModuleElement.unit(P, 2, 0, y)
     y2_e1 = ModuleElement.unit(P, 2, 1, y * y)
     assert list(gb.elements) == [x_e0_y_e1, y_e0, y2_e1]
+
+
+def _combination(*parts):
+    """The sum of coeff * mono * el over the (coeff, mono, el) parts, built
+    term by term with ``from_terms``; mono None stands for 1."""
+    el = parts[0][2]
+    field = el.ring.field
+    return ModuleElement.from_terms(el.ring, el.rank, [
+        (p, m if mono is None else m.mul(mono), field.mul(k, field.normalize(c)))
+        for c, mono, g in parts for p, m, k in g.terms])
 
 
 def _lead_by_scan(el):
@@ -209,12 +217,14 @@ def test_cached_lead_matches_scan_over_all_terms(order):
         a = ModuleElement(P, coords)
         b = ModuleElement(P, [rand_poly(rng, P, 2, 2), P.zero(), P.zero()])
         mono = Monomial([rng.randint(0, 2) for _ in range(3)])
-        for el in (a, a + b, a - a, a.scale(Fraction(-3, 2)),
-                   a.mul_term(mono, 5),
+        monic = a if a.is_zero() else _combination((1 / a.lead()[2], None, a))
+        for el in (a, _combination((1, None, a), (1, None, b)),
+                   _combination((1, None, a), (-1, None, a)),
+                   _combination((Fraction(-3, 2), None, a)), _combination((5, mono, a)),
                    # leading and trailing zero coordinates
                    ModuleElement(P, [P.zero()] + coords[1:]),
                    ModuleElement(P, coords[1:] + [P.zero()] * 2),
-                   ModuleElement.unit(P, 3, 2, coords[0]), a.monic()):
+                   ModuleElement.unit(P, 3, 2, coords[0]), monic):
             first = el.lead()
             assert first == _lead_by_scan(el)
             assert el.lead() is first
@@ -249,8 +259,11 @@ def test_terms_stay_in_position_over_term_order(order, field):
                               for _ in range(3)])
         b = ModuleElement(P, [rand_poly(rng, P, 2, 3) for _ in range(3)])
         mono = rand_monomial(rng, 3, 2)
-        results = [a + b, a - b, a - a, -a, a.scale(rand_coeff(rng, field)),
-                   a.mul_term(mono, rand_coeff(rng, field)),
+        results = [_combination((1, None, a), (1, None, b)),
+                   _combination((1, None, a), (-1, None, b)),
+                   _combination((1, None, a), (-1, None, a)), _combination((-1, None, a)),
+                   _combination((rand_coeff(rng, field), None, a)),
+                   _combination((rand_coeff(rng, field), mono, a)),
                    a.mul_poly(rand_poly(rng, P, 2, 3)),
                    _reduce(a, _DivisorTable(P, gb.elements), Meter())]
         for el in results:
@@ -272,7 +285,8 @@ def test_terms_stay_in_position_over_term_order(order, field):
 
 def _reduce_by_max_scan(el, basis, meter):
     """Division as it was before the heap: every step rescans all pending
-    terms for the largest and subtracts the whole divisor, lead included."""
+    terms for the largest and subtracts the whole divisor, lead included,
+    times the popped coefficient over the divisor's lead coefficient."""
     ring = el.ring
     order = ring.order
     field = ring.field
@@ -288,20 +302,21 @@ def _reduce_by_max_scan(el, basis, meter):
         meter.step()
         meter.check_degree(mono.degree)
         hit = None
-        for g, (gp, gm, _) in zip(basis, leads):
+        for g, (gp, gm, gk) in zip(basis, leads):
             if gp == pos and gm.divides(mono):
-                hit = (g, gm)
+                hit = (g, gm, gk)
                 break
         if hit is None:
             del work[(pos, mono)]
             remainder[(pos, mono)] = coeff
             continue
-        g, gm = hit
+        g, gm, gk = hit
         shift = mono.divide(gm)
+        factor = field.mul(coeff, field.invert(gk))
         for gpos, gc in enumerate(g.coords):
             for m2, k2 in gc.terms:
                 key = (gpos, m2.mul(shift))
-                s = field.add(work.get(key, field.zero), field.neg(field.mul(k2, coeff)))
+                s = field.add(work.get(key, field.zero), field.neg(field.mul(k2, factor)))
                 if s == field.zero:
                     work.pop(key, None)
                 else:
@@ -327,7 +342,7 @@ def _large(rng, el):
 def _division_inputs(rng, P, rank, large=False):
     """Divisor lists, elements to divide, and the members among them.
 
-    The divisors are random monic elements, which form no Groebner basis,
+    The divisors are random elements, neither monic nor a Groebner basis,
     the same list reversed, and the reduced basis they generate.  In rank 3
     the first coordinate is the original one and the last two are witness
     coordinates, one unit per generator, as ``syzygies`` sets them up.
@@ -344,16 +359,14 @@ def _division_inputs(rng, P, rank, large=False):
                                       rand_poly(rng, P, 2, 2)]))
     if large:
         gens = [_large(rng, g) for g in gens]
-    gens = [g.monic() for g in gens if not g.is_zero()]
+    gens = [g for g in gens if not g.is_zero()]
     divisor_lists = [gens, gens[::-1], list(buchberger(gens).elements)]
     elements, members = [], []
     for _ in range(8):
         el = ModuleElement(P, [rand_poly(rng, P, 5, 6) for _ in range(rank)])
         elements.append(_large(rng, el) if large else el)
-        combo = ModuleElement(P, [P.zero()] * rank)
-        for g in gens:
-            combo = combo + g.mul_poly(rand_poly(rng, P, 2, 2))
-        members.append(combo)
+        members.append(ModuleElement.from_terms(P, rank, [
+            t for g in gens for t in g.mul_poly(rand_poly(rng, P, 2, 2)).terms]))
     return divisor_lists, elements + members, members
 
 
@@ -482,12 +495,52 @@ def test_q_division_under_one_running_denominator_by_hand(case, monkeypatch):
     assert seen == popped
 
 
+def _scaled_rows(case):
+    """(multiples of one element, den, tail integers) of the hand-derived
+    divisor rows, under grevlex."""
+    if case == "F7":
+        P = fring(7, 2)
+        x, _ = P.variables()
+        # 3x + 1 times 3^-1 = 5 is x + 5
+        return [P.constant(3) * x + P.one(), x + P.constant(5)], 1, [5]
+    P = qring(2)
+    x, y = P.variables()
+    c = P.constant
+    if case == "linear":
+        # the primitive vector of each is 2x - 1
+        return [c(2) * x - c(1), x - c(Fraction(1, 2)), c(-4) * x + c(2)], 2, [-1]
+    # content 2 out of 6x^2 + 4xy - 2, and the lead x^2 made positive
+    f = c(6) * x ** 2 + c(4) * x * y - c(2)
+    return [f, -f, x ** 2 + c(Fraction(2, 3)) * x * y - c(Fraction(1, 3))], 3, [2, -1]
+
+
+@pytest.mark.parametrize("case", ["linear", "quadric", "F7"])
+def test_divisor_rows_do_not_depend_on_scaling(case):
+    multiples, den, tail = _scaled_rows(case)
+    els = [ModuleElement.wrap(f) for f in multiples]
+    table = _DivisorTable(els[0].ring, els)
+    # one packing, as every multiple has the same terms
+    assert len(set(table.rows)) == 1
+    _, lead, row_den, row_tail = table.rows[0]
+    assert lead == table.packing.pack(0, els[0].lead()[1].exps)
+    assert (row_den, [k for _, k in row_tail]) == (den, tail)
+    assert [t for t, _ in row_tail] == [table.packing.pack(0, m.exps)
+                                        for _, m, _ in els[0].terms[1:]]
+    # dividing by any of them is dividing by the monic element
+    probe = ModuleElement.wrap(multiples[0].ring.variable(0) ** 3)
+    for g in els:
+        (heap, heap_steps), (scan, scan_steps) = _both_ways(probe, [g])
+        assert heap == scan and heap_steps == scan_steps
+
+
 def _spair_by_hand(f, g):
-    """S-pair of two monic elements whose leads share a position, built
-    from term products and a subtraction."""
-    (_, fm, _), (_, gm, _) = f.lead(), g.lead()
+    """S-pair of two elements whose leads share a position, each made monic,
+    built term by term."""
+    (_, fm, fk), (_, gm, gk) = f.lead(), g.lead()
     both = Monomial(tuple(map(max, fm.exps, gm.exps)))
-    return f.mul_term(both.divide(fm), 1) - g.mul_term(both.divide(gm), 1)
+    field = f.ring.field
+    return _combination((field.invert(fk), both.divide(fm), f),
+                        (field.neg(field.invert(gk)), both.divide(gm), g))
 
 
 @pytest.mark.parametrize("field, large", [(QQ, False), (QQ, True), (PrimeField(7), False)],
@@ -663,15 +716,6 @@ def test_term_products_reject_a_monomial_of_another_ring():
             wrong.mul(Monomial((0, 1, 0)))
     with pytest.raises(StructuralError):
         p.mul_term((1, 0, 0), 1)
-
-
-def test_monic_keeps_an_element_whose_lead_is_already_one():
-    P = qring(2)
-    x, y = P.variables()
-    el = ModuleElement(P, [P.zero(), x + P.constant(2)])
-    assert el.monic() is el
-    scaled = ModuleElement(P, [P.zero(), x.scale(3) + y])
-    assert scaled.monic() == ModuleElement(P, [P.zero(), x + y.scale(Fraction(1, 3))])
 
 
 # -- differential test against sympy ----------------------------------------------

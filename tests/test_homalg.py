@@ -650,9 +650,9 @@ class TestKoszul:
             for col in a:
                 # push each column of d_i through d_(i+1)
                 assert col.rank == len(b) and not col.is_zero()
-                out = ModuleElement(P.poly_ring, [P.poly_ring.zero()] * b[0].rank)
-                for entry, image in zip(col.coords, b):
-                    out = out + image.mul_poly(entry)
+                out = ModuleElement.from_terms(P.poly_ring, b[0].rank, [
+                    t for entry, image in zip(col.coords, b)
+                    for t in image.mul_poly(entry).terms])
                 assert out.is_zero(), i
         assert K.differential(K.length) == [] and K.differential(-1) == []
 

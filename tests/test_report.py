@@ -22,7 +22,13 @@ from singulant.homalg import (
     ext_from_resolution,
     stable_annihilation_test,
 )
-from singulant.ideal_ops import IdealHandle, RingPresentation, socle
+from singulant.ideal_ops import (
+    IdealHandle,
+    RingPresentation,
+    is_m_primary,
+    radical_membership,
+    socle,
+)
 from singulant.jacobian import jacobian_ideal, singular_locus_certificate
 from singulant.poly import QQ, PrimeField
 from singulant.report import (
@@ -414,12 +420,21 @@ def test_report_computes_depth_once(monkeypatch, ring_a):
 def test_report_computes_ring_facts_once(monkeypatch, ring_a):
     """The radical comparison reads the certificate that the isolated
     verdict made, and the socle field the one that the sweep's context
-    holds (2 calls each when both computed their own)."""
+    holds (2 calls each when both computed their own).  The isolated
+    verdict decides that jac is m-primary, the bound block checks it
+    again only through loewy_length's one pass over the variables:
+    radical memberships are 2 for the verdict, 2 for that gate and 4 in
+    the radical comparison (4 is_m_primary and 12 radical_membership
+    calls when each layer checked again)."""
     certs = count_calls(monkeypatch, singular_locus_certificate)
     socles = count_calls(monkeypatch, socle)
+    primary = count_calls(monkeypatch, is_m_primary)
+    radical = count_calls(monkeypatch, radical_membership)
     doc = build_report(ring_a)
     assert doc["socle"]["gens"] == ["x"]
+    assert doc["bound"]["generation_time"] == 3
     assert (len(certs), len(socles)) == (1, 1)
+    assert (len(primary), len(radical)) == (1, 8)
 
 
 def test_a1_surface_certifies_the_jacobian():
@@ -558,8 +573,12 @@ def test_report_matches_snapshot(key):
 
 
 class TestVerifyPaperExamples:
-    def test_fresh_run_all_pass(self):
-        entries = verify_paper_examples()
+    # over F_p each divisor row is scaled by the inverse of its lead
+    # coefficient, and every entry runs through such rows
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(32003)],
+                             ids=["Q", "F3", "F32003"])
+    def test_fresh_run_all_pass(self, field):
+        entries = verify_paper_examples(field)
         assert ledger_passed(entries)
         assert all(e.status == "pass" for e in entries)
         assert len(entries) == 18

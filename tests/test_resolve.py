@@ -285,10 +285,8 @@ class TestIncrementalTrim:
         cols = M.relation_columns()
         combos = []
         for _ in range(3):
-            acc = ModuleElement(P, [P.zero(), P.zero()])
-            for c in cols:
-                acc = acc + c.mul_poly(linear_form())
-            combos.append(acc)
+            combos.append(ModuleElement.from_terms(P, 2, [
+                t for c in cols for t in c.mul_poly(linear_form()).terms]))
         kept = trim_generators(R, cols + combos, 2)
         assert kept == cols
         assert kept == _trim_from_scratch(R, cols + combos, 2, (0, 0))
