@@ -55,7 +55,7 @@ from .ideal_ops import (
     ring_dimension,
     socle,
 )
-from .jacobian import is_isolated_singularity, jacobian_ideal
+from .jacobian import jacobian_ideal, singular_locus_certificate
 from .poly import GREVLEX, LEX, QQ, PrimeField
 from .report import (
     build_report,
@@ -502,13 +502,13 @@ def _minimal_primes(args, ring):
 
 @_command("isolated", "isolated-singularity certificate", _RING)
 def _isolated(args, ring):
-    iso = is_isolated_singularity(ring)
-    lines = [_verdict_text(iso.verdict)]
+    cert = singular_locus_certificate(ring)
+    lines = [_verdict_text(cert.isolated)]
     witnesses = [[ring.format_element(v) for v in p.generators]
-                 for p in iso.witness_primes]
+                 for p in cert.witness_primes]
     for names in witnesses:
         lines.append(f"witness prime: ({', '.join(names)})")
-    result = {"verdict": iso.verdict, "regular": iso.regular,
+    result = {"verdict": cert.isolated, "regular": cert.regular,
               "witness_primes": witnesses}
     return 0, "\n".join(lines), result
 

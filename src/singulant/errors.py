@@ -42,15 +42,12 @@ class ParseError(SingulantError, ValueError):
 class BudgetExceededError(SingulantError, RuntimeError):
     """Degree or reduction-step budget exhausted.
 
-    ``partial`` holds whatever partial result the aborted computation could
-    salvage (for resolutions, the differentials built so far).  ``scope`` is
-    the Meter of the ``budget_scope`` whose step limit ran out, and None for
-    degree and other limits and for unscoped calls.
+    ``scope`` is the Meter of the ``budget_scope`` whose step limit ran
+    out, and None for degree and other limits and for unscoped calls.
     """
 
-    def __init__(self, message: str, partial=None, scope=None):
+    def __init__(self, message: str, scope=None):
         super().__init__(message)
-        self.partial = partial
         self.scope = scope
 
     def escapes(self, meter=None) -> bool:

@@ -75,9 +75,6 @@ class RingPresentation:
     def nvars(self) -> int:
         return len(self.names)
 
-    def is_quotient(self) -> bool:
-        return bool(self.defining)
-
     def is_graded(self) -> bool:
         return all(g.is_homogeneous() for g in self.defining)
 
@@ -297,14 +294,6 @@ def radical_membership(f: Polynomial, ideal: IdealHandle) -> bool:
     gens += [lift(g) for g in ring.defining_basis().polynomials()]
     gens.append(ext.one() - ext.variable(n) * lift(f))
     return buchberger(gens, ring=ext).is_unit_ideal()
-
-
-def radical_equal(i: IdealHandle, j: IdealHandle) -> bool:
-    if i.ring != j.ring:
-        raise StructuralError("ideals live in different presentations")
-    return all(radical_membership(g, j) for g in i.generators) and all(
-        radical_membership(g, i) for g in j.generators
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
-"""Jacobian matrices, minors, the Jacobian ideal, and singularity certificates.
+"""Jacobian matrices, minors, the Jacobian ideal, and the singular-locus certificate.
 
 The Jacobian ideal of R = P/(f_1..f_c) is generated by the h x h minors of
 the matrix (df_i/dx_j), where h is the height of the defining ideal.  Over
 a perfect field and an equidimensional ring this ideal cuts out the
-singular locus; outside that hypothesis the certificate is downgraded to
-"unknown" and, for monomial defining ideals, the minimal primes missed by
-the Jacobian ideal are reported as explicit witnesses.
+singular locus.  ``singular_locus_certificate`` is the one record of it:
+jac, whether the criterion holds, and the isolated-singularity verdict read
+from them.  Outside the criterion's hypothesis the verdict is "unknown"
+and, for monomial defining ideals, the minimal primes missed by the
+Jacobian ideal are reported as explicit witnesses.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .ideal_ops import (
@@ -89,39 +91,21 @@ def minors(matrix, size: int):
     return out
 
 
-@dataclass
-class JacobianData:
-    matrix: list
-    h: int
-    minors: list
-    jac_ideal: IdealHandle
-    warnings: list = field(default_factory=list)
+def jacobian_ideal(ring: RingPresentation) -> IdealHandle:
+    """The h x h minors of the Jacobian matrix, h the height of the
+    defining ideal; the unit ideal when R is a polynomial ring.
 
-
-def jacobian_data(ring: RingPresentation) -> JacobianData:
-    matrix = jacobian_matrix(ring)
+    The minors always exist.  ``RingPresentation`` rejects zero
+    generators, and the unit ideal raises here before its height is taken,
+    so the defining ideal is proper and nonzero on c generators, and
+    Krull's height theorem gives 1 <= h <= min(c, nvars).
+    """
     if not ring.defining:
-        return JacobianData(matrix, 0, [], IdealHandle(ring, [ring.poly_ring.one()]))
+        return IdealHandle(ring, [ring.poly_ring.one()])
     defining = ring.defining_ideal()
     if defining.is_unit():
         raise PreconditionError("defining ideal is the unit ideal (zero ring)")
-    h = height(defining)
-    if h == 0:
-        # only the zero ideal has height 0; empty minors are 1 by convention
-        return JacobianData(matrix, 0, [], IdealHandle(ring, [ring.poly_ring.one()]))
-    warnings = []
-    if h > min(len(ring.defining), ring.nvars):
-        warnings.append(
-            f"height {h} exceeds the matrix size; no minors exist — "
-            "reporting the zero ideal"
-        )
-        return JacobianData(matrix, h, [], IdealHandle(ring, []), warnings)
-    mins = minors(matrix, h)
-    return JacobianData(matrix, h, mins, IdealHandle(ring, mins), warnings)
-
-
-def jacobian_ideal(ring: RingPresentation) -> IdealHandle:
-    return jacobian_data(ring).jac_ideal
+    return IdealHandle(ring, minors(jacobian_matrix(ring), height(defining)))
 
 
 @dataclass
@@ -130,54 +114,35 @@ class SingularLocusCertificate:
     valid: str  # JACOBIAN_CRITERION or UNKNOWN
     equidimensional: object  # True | False | None
     characteristic: int
-    warnings: list = field(default_factory=list)
-
-
-def singular_locus_certificate(ring: RingPresentation) -> SingularLocusCertificate:
-    """jac(R) plus a flag stating whether V(jac) provably equals Sing(R).
-
-    The fields accepted here (Q, F_p) are perfect, so the criterion's only
-    extra hypothesis is equidimensionality; when that is false or
-    undecided, the flag is "unknown".
-    """
-    data = jacobian_data(ring)
-    equi = is_equidimensional(ring)
-    valid = JACOBIAN_CRITERION if equi is True else UNKNOWN
-    return SingularLocusCertificate(
-        data.jac_ideal,
-        valid,
-        equi,
-        ring.field.characteristic,
-        data.warnings,
-    )
-
-
-@dataclass
-class IsolatedVerdict:
-    verdict: object  # True | False | None (unknown)
+    isolated: object  # True | False | None (unknown)
     regular: bool
-    certificate: SingularLocusCertificate
     witness_primes: list  # minimal primes the Jacobian ideal misses
 
 
-def is_isolated_singularity(ring: RingPresentation) -> IsolatedVerdict:
-    """Three-valued isolated-singularity certificate.
+def singular_locus_certificate(ring: RingPresentation) -> SingularLocusCertificate:
+    """jac(R), a flag stating whether V(jac) provably equals Sing(R), and
+    the three-valued isolated-singularity verdict read from them.
 
-    With a valid Jacobian criterion: regular rings answer False (flagged
-    regular), otherwise m-primariness of jac decides.  Without a valid
-    criterion the answer is unknown; for monomial defining ideals the
-    minimal primes not containing jac are attached — at such primes the
-    Jacobian ideal claims regularity the criterion cannot back.
+    The fields accepted here (Q, F_p) are perfect, so the criterion's only
+    extra hypothesis is equidimensionality; when that is false or
+    undecided, the flag is "unknown".  With a valid criterion, regular
+    rings answer False (flagged regular), otherwise m-primariness of jac
+    decides.  Without one the verdict is unknown; for monomial defining
+    ideals the minimal primes not containing jac are attached — at such
+    primes the Jacobian ideal claims regularity the criterion cannot back.
     """
-    cert = singular_locus_certificate(ring)
-    if cert.valid == JACOBIAN_CRITERION:
-        if cert.ideal.is_unit():
-            return IsolatedVerdict(False, True, cert, [])
-        return IsolatedVerdict(is_m_primary(cert.ideal), False, cert, [])
+    jac = jacobian_ideal(ring)
+    equi = is_equidimensional(ring)
+    char = ring.field.characteristic
+    if equi is True:
+        regular = jac.is_unit()
+        isolated = False if regular else is_m_primary(jac)
+        return SingularLocusCertificate(
+            jac, JACOBIAN_CRITERION, equi, char, isolated, regular, [])
     witnesses = []
     if ring.defining and all(g.is_term() for g in ring.defining):
         for prime in minimal_primes_monomial(ring.defining_ideal()):
             handle = prime.image_in(ring)
-            if not all(handle.contains(g) for g in cert.ideal.generators):
+            if not all(handle.contains(g) for g in jac.generators):
                 witnesses.append(handle)
-    return IsolatedVerdict(None, False, cert, witnesses)
+    return SingularLocusCertificate(jac, UNKNOWN, equi, char, None, False, witnesses)

@@ -364,9 +364,6 @@ class PolynomialRing:
 
     # -- constructors -------------------------------------------------------
 
-    def polynomial(self, terms) -> "Polynomial":
-        return Polynomial(self, terms)
-
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
 

@@ -448,8 +448,7 @@ def projective_dimension_over_ambient(module: FinitelyPresentedModule) -> int:
     if not res.complete:
         raise BudgetExceededError(
             "resolution over the polynomial ring did not terminate within "
-            f"{bound} steps", partial=res,
-        )
+            f"{bound} steps")
     return res.length
 
 

@@ -32,7 +32,7 @@ from singulant.ideal_ops import (
     minimal_primes_monomial,
     ring_dimension,
 )
-from singulant.jacobian import is_isolated_singularity, jacobian_ideal
+from singulant.jacobian import jacobian_ideal, singular_locus_certificate
 from singulant.poly import QQ
 from singulant.report import generation_time_bound
 from singulant.resolve import (
@@ -199,15 +199,15 @@ def test_criterion_7_generation_time_bound():
 def test_criterion_8_isolated_certificates():
     with criterion(8, "isolated verdicts with the singular witness prime"):
         ring_a = embedded_point_ring()
-        iso_a = is_isolated_singularity(ring_a)
-        assert iso_a.verdict is True
+        cert_a = singular_locus_certificate(ring_a)
+        assert cert_a.isolated is True
         assert is_m_primary(jacobian_ideal(ring_a))
         ring_b = fail_ring()
-        iso_b = is_isolated_singularity(ring_b)
-        assert iso_b.verdict is None
-        witnesses = [p.format() for p in iso_b.witness_primes]
+        cert_b = singular_locus_certificate(ring_b)
+        assert cert_b.isolated is None
+        witnesses = [p.format() for p in cert_b.witness_primes]
         assert witnesses == ["(x, z, w)"]
-        prime = iso_b.witness_primes[0]
+        prime = cert_b.witness_primes[0]
         jac_b = jacobian_ideal(ring_b)
         assert not all(prime.contains(g) for g in jac_b.reduced_generators())
 

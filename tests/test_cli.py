@@ -54,7 +54,7 @@ class TestParseRing:
 
     def test_regular_ring_without_quotient(self):
         ring = parse_ring("ring Q[x]")
-        assert not ring.is_quotient()
+        assert not ring.defining
 
     def test_prime_field(self):
         ring = parse_ring("ring F2[x,y] / (x^2)")

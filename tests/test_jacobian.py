@@ -11,7 +11,6 @@ from singulant.jacobian import (
     JACOBIAN_CRITERION,
     UNKNOWN,
     determinant,
-    is_isolated_singularity,
     jacobian_ideal,
     jacobian_matrix,
     minors,
@@ -163,14 +162,14 @@ def test_certificate_flags():
 
 
 def test_isolated_singularity_verdicts():
-    v = is_isolated_singularity(embedded_point_ring())
-    assert v.verdict is True and not v.regular
+    v = singular_locus_certificate(embedded_point_ring())
+    assert v.isolated is True and not v.regular
 
-    reg = is_isolated_singularity(presentation(QQ, ("x", "y"), None))
-    assert reg.verdict is False and reg.regular
+    reg = singular_locus_certificate(presentation(QQ, ("x", "y"), None))
+    assert reg.isolated is False and reg.regular
 
-    unknown = is_isolated_singularity(fail_ring())
-    assert unknown.verdict is None
+    unknown = singular_locus_certificate(fail_ring())
+    assert unknown.isolated is None
     assert len(unknown.witness_primes) == 1
     witness = unknown.witness_primes[0]
     F = fail_ring()
@@ -181,8 +180,8 @@ def test_isolated_singularity_verdicts():
 def test_isolated_non_isolated_example():
     # a curve of singularities: R = Q[x,y]/(x^2); jac = (2x) = (x), not m-primary
     R = presentation(QQ, ("x", "y"), lambda x, y: [x * x])
-    v = is_isolated_singularity(R)
-    assert v.verdict is False and not v.regular
+    v = singular_locus_certificate(R)
+    assert v.isolated is False and not v.regular
     assert not is_m_primary(jacobian_ideal(R))
 
 

@@ -182,7 +182,7 @@ def test_constructor_merges_and_drops_zeros():
                        (Monomial((1, 0)), Fraction(-1)),
                        (Monomial((0, 1)), Fraction(2))])
     assert f == y.scale(Fraction(2))
-    assert P.polynomial([]).is_zero()
+    assert Polynomial(P, []).is_zero()
 
 
 def test_degree_conventions():

@@ -501,7 +501,7 @@ class TestAmbientAndDepth:
         R = embedded_point_ring()
         k = FinitelyPresentedModule.residue_field(R)
         kP = restrict_to_ambient(k)
-        assert not kP.ring.is_quotient()
+        assert not kP.ring.defining
         # x^2 and x*y are redundant next to x and y, so the matrix is [x y]
         assert minimal_presentation(kP).n_relations == 2
 
