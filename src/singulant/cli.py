@@ -58,6 +58,7 @@ from .ideal_ops import (
 from .jacobian import jacobian_ideal, singular_locus_certificate
 from .poly import GREVLEX, LEX, QQ, PrimeField
 from .report import (
+    RingContext,
     build_report,
     format_ledger,
     generation_time_bound,
@@ -587,7 +588,7 @@ def _bound(args, ring):
     else:
         ideal = jacobian_ideal(ring)
     result = generation_time_bound(
-        ring, ideal, assume_annihilates=args.assume_annihilates, seed=args.seed
+        RingContext(ring, args.seed), ideal, assume_annihilates=args.assume_annihilates
     ).payload()
     lines = [f"I = ({', '.join(result['I_gens'])})"]
     for key in ("nu", "loewy", "depth", "generation_time", "dim_sg_bound"):

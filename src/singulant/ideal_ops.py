@@ -66,7 +66,7 @@ class RingPresentation:
             if g.is_zero():
                 raise StructuralError("zero defining generator rejected")
         self.defining = defining
-        self._defining_basis = None
+        self._defining_ideal = None
         self._ambient = None
 
     # -- basic views ---------------------------------------------------------
@@ -79,10 +79,8 @@ class RingPresentation:
         return all(g.is_homogeneous() for g in self.defining)
 
     def defining_basis(self) -> GroebnerBasis:
-        """Reduced Groebner basis of the defining ideal, computed once."""
-        if self._defining_basis is None:
-            self._defining_basis = buchberger(list(self.defining), ring=self.poly_ring)
-        return self._defining_basis
+        """Reduced Groebner basis of the defining ideal: its one handle's."""
+        return self.defining_ideal().groebner()
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Canonical representative of p modulo the defining ideal."""
@@ -170,8 +168,11 @@ class RingPresentation:
         return IdealHandle(self, gens)
 
     def defining_ideal(self) -> "IdealHandle":
-        """The defining ideal as an ideal of the ambient polynomial ring."""
-        return IdealHandle(self.ambient(), list(self.defining))
+        """The defining ideal as an ideal of the ambient polynomial ring;
+        one handle per presentation, so its basis is computed once."""
+        if self._defining_ideal is None:
+            self._defining_ideal = IdealHandle(self.ambient(), list(self.defining))
+        return self._defining_ideal
 
     def format_element(self, p: Polynomial) -> str:
         return format_polynomial(p, self.names)
@@ -205,10 +206,11 @@ class IdealHandle:
     def groebner(self) -> GroebnerBasis:
         """Reduced basis of the preimage (generators + defining) in P."""
         if self._gb is None:
-            self._gb = buchberger(
-                list(self.generators) + list(self.ring.defining_basis().polynomials()),
-                ring=self.ring.poly_ring,
-            )
+            # with no defining ideal, its basis is this method's own result
+            # on the empty ideal: asking for it would recurse
+            defining = self.ring.defining_basis().polynomials() if self.ring.defining else ()
+            self._gb = buchberger(list(self.generators) + list(defining),
+                                  ring=self.ring.poly_ring)
         return self._gb
 
     def basis_polynomials(self):

@@ -113,7 +113,6 @@ class SingularLocusCertificate:
     ideal: IdealHandle
     valid: str  # JACOBIAN_CRITERION or UNKNOWN
     equidimensional: object  # True | False | None
-    characteristic: int
     isolated: object  # True | False | None (unknown)
     regular: bool
     witness_primes: list  # minimal primes the Jacobian ideal misses
@@ -133,16 +132,15 @@ def singular_locus_certificate(ring: RingPresentation) -> SingularLocusCertifica
     """
     jac = jacobian_ideal(ring)
     equi = is_equidimensional(ring)
-    char = ring.field.characteristic
     if equi is True:
         regular = jac.is_unit()
         isolated = False if regular else is_m_primary(jac)
         return SingularLocusCertificate(
-            jac, JACOBIAN_CRITERION, equi, char, isolated, regular, [])
+            jac, JACOBIAN_CRITERION, equi, isolated, regular, [])
     witnesses = []
     if ring.defining and all(g.is_term() for g in ring.defining):
         for prime in minimal_primes_monomial(ring.defining_ideal()):
             handle = prime.image_in(ring)
             if not all(handle.contains(g) for g in jac.generators):
                 witnesses.append(handle)
-    return SingularLocusCertificate(jac, UNKNOWN, equi, char, None, False, witnesses)
+    return SingularLocusCertificate(jac, UNKNOWN, equi, None, False, witnesses)

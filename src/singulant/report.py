@@ -42,7 +42,6 @@ from .ideal_ops import (
     field_token,
     height,
     is_equidimensional,
-    is_m_primary,
     loewy_length,
     minimal_generators,
     minimal_primes_monomial,
@@ -98,30 +97,32 @@ def _shift_label(label: str, s: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# certification context: one per ring and command, shared by every sweep
+# ring context: one per ring and command, shared by every piece of the report
 
 
-class _CorpusContext:
-    """A ring's corpus work, kept for every sweep over it in one command.
+class RingContext:
+    """A ring's facts and corpus work, kept for every piece of one command.
 
-    Each corpus member M has one resolution, started at length 0 (M's
-    minimal presentation) and grown in place as far as a candidate needs
-    it.  Link s of M's syzygy chain, Omega^s M, is read off it at length s,
-    which gives its presentation d_(s+1), and the stable test needs no
-    more: the ``StableSpan`` of that presentation.  Links and spans are
-    memoised per (member, s), and each candidate's outcome per candidate,
-    so a second sweep only certifies the candidates the first did not.
-    Each heavy step, down to one resolution step or one span, runs in its
-    own ``cap`` scope and degrades to "inconclusive" when that cap is hit.
+    The facts, ``certificate`` (the singular-locus certificate),
+    ``socle``, ``dim`` and ``depth``, are each computed on first use.  So
+    is the corpus: each member M has one resolution, started at length 0
+    (M's minimal presentation) and grown in place as far as a candidate
+    needs it.  Link s of M's syzygy chain, Omega^s M, is read off it at
+    length s, which gives its presentation d_(s+1), and the stable test
+    needs no more: the ``StableSpan`` of that presentation.  Links and
+    spans are memoised per (member, s), and each candidate's outcome per
+    candidate, so a second sweep only certifies the candidates the first
+    did not.  Each heavy step, down to one resolution step or one span,
+    runs in its own ``cap`` scope and degrades to "inconclusive" when that
+    cap is hit; the corpus itself is built in the enclosing scope.
     """
 
-    def __init__(self, ring: RingPresentation, seed: int):
+    def __init__(self, ring: RingPresentation, seed: int = 0):
         self.ring = ring
         self.seed = seed
         self.cap = Budget(max_degree=active_meter().max_degree,
                           max_steps=_CERT_MAX_STEPS)
         self.labels = corpus_labels(ring)
-        self.members = default_corpus(ring, seed)
         self._memo = {}
         self._stuck = set()
 
@@ -130,18 +131,35 @@ class _CorpusContext:
             self._memo[key] = thunk()
         return self._memo[key]
 
+    # -- the ring's facts -----------------------------------------------------
+
+    def certificate(self) -> SingularLocusCertificate:
+        return self._cached("certificate", lambda: singular_locus_certificate(self.ring))
+
     def socle(self):
         """The reduced generators of soc R = (0 : m)."""
         return self._cached("socle", lambda: socle(self.ring).reduced_generators())
 
+    def dim(self) -> int:
+        return self._cached("dim", lambda: ring_dimension(self.ring))
+
+    def depth(self) -> int:
+        return self._cached("depth", lambda: ring_depth(self.ring))
+
     # -- chain construction ---------------------------------------------------
+
+    @property
+    def members(self):
+        """The default corpus at ``seed``, in ``labels`` order."""
+        return self._cached("members", lambda: default_corpus(self.ring, self.seed))
 
     def resolution(self, idx: int, length: int):
         """Member idx's resolution reaching step ``length`` or complete, grown
         one step per cap scope; None once its presentation, or a step it
         needs, ran out.  A step that ran out is not tried again."""
+        member = self.members[idx]
         res = self._cached(("res", idx), lambda: guarded(
-            self.cap, lambda: free_resolution(self.members[idx], 0, detect_periodicity=False)))
+            self.cap, lambda: free_resolution(member, 0, detect_periodicity=False)))
         while res is not None and res.length < length and not res.complete:
             if idx in self._stuck or guarded(self.cap, lambda: res.grow(res.length + 1)) is None:
                 self._stuck.add(idx)
@@ -249,8 +267,7 @@ class AnnihilatorBounds:
 
     ``lower`` is generated exactly by the certified elements; the upper
     side is reported as the exclusion list (elements with a failing Ext
-    witness), never as an ideal.  ``context`` is the corpus context the
-    sweep ran in, which a later sweep over the same ring reuses.
+    witness), never as an ideal.
     """
 
     ring: RingPresentation
@@ -260,7 +277,6 @@ class AnnihilatorBounds:
     inconclusive: list   # (element, [module labels]) pairs
     corpus: list
     seed: int
-    context: _CorpusContext | None = field(default=None, repr=False, compare=False)
 
     def payload(self) -> dict:
         ring = self.ring
@@ -278,25 +294,19 @@ class AnnihilatorBounds:
         }
 
 
-def annihilator_bounds(ring: RingPresentation, extra_elements=(), *,
-                       seed: int = 0) -> AnnihilatorBounds:
-    """Certify annihilator candidates over the default witness corpus.
+def annihilator_bounds(ctx: RingContext, extra_elements=()) -> AnnihilatorBounds:
+    """Certify annihilator candidates over ctx's witness corpus.
 
-    Socle generators are certified by ``_socle_kills_syzygy``, with no
-    corpus work; every other candidate runs the stable-annihilation
-    certificate on each corpus member, with syzygy shifts up to _MAX_SHIFT
-    allowed (a pass on Omega^s M still certifies M, since the shift is
-    invertible in the singularity category).  A guarded step that runs out of its own cap is
-    recorded as inconclusive; running out of the enclosing budget scope
-    aborts.
+    The candidates are the socle generators, each certified outright by
+    ``_socle_kills_syzygy`` with no corpus work, then each new nonzero
+    normal form among extra_elements.  Every other candidate runs the
+    stable-annihilation certificate on each corpus member, with syzygy
+    shifts up to _MAX_SHIFT allowed (a pass on Omega^s M still certifies
+    M, since the shift is invertible in the singularity category).  A
+    candidate ctx already decided is read from its memo.  A guarded step
+    that runs out of its own cap is recorded as inconclusive; running out
+    of the enclosing budget scope aborts.
     """
-    return _sweep(_CorpusContext(ring, seed), extra_elements)
-
-
-def _sweep(ctx: _CorpusContext, extra_elements) -> AnnihilatorBounds:
-    """The socle generators, each certified outright, then each new nonzero
-    normal form among extra_elements, certified in ctx; a candidate ctx
-    already decided is read from its memo."""
     ring = ctx.ring
     candidates = dict.fromkeys(ctx.socle(), _socle_kills_syzygy)
     for g in extra_elements:
@@ -317,11 +327,10 @@ def _sweep(ctx: _CorpusContext, extra_elements) -> AnnihilatorBounds:
         inconclusive=found["inconclusive"],
         corpus=ctx.labels,
         seed=ctx.seed,
-        context=ctx,
     )
 
 
-def _socle_kills_syzygy(ctx: _CorpusContext, g):
+def _socle_kills_syzygy(ctx: RingContext, g):
     """("certificate", item) for a generator g of soc R = (0 : m), where
     m = (x_1..x_n)R, with no corpus work.
 
@@ -339,7 +348,7 @@ def _socle_kills_syzygy(ctx: _CorpusContext, g):
     return "certificate", Certificate(element=g, method="socle-kills-syzygy")
 
 
-def _certify_stable_element(ctx: _CorpusContext, g):
+def _certify_stable_element(ctx: RingContext, g):
     """(kind, item) as above for g's stable certificate on every member;
     the first failing member excludes g."""
     outcomes, undecided = [], []
@@ -386,25 +395,25 @@ class GenerationTimeBound:
         }
 
 
-def generation_time_bound(ring: RingPresentation, ideal: IdealHandle, *,
-                          assume_annihilates: bool = False, seed: int = 0,
-                          bounds: AnnihilatorBounds | None = None
-                          ) -> GenerationTimeBound:
-    """(nu(I) - depth(R) + 1) * loewy(R/I), with dim bound one less.
+def generation_time_bound(ctx: RingContext, ideal: IdealHandle, *,
+                          assume_annihilates: bool = False) -> GenerationTimeBound:
+    """(nu(I) - depth(R) + 1) * loewy(R/I), with dim bound one less, for
+    an ideal I of ctx's ring R.
 
     Preconditions checked separately: I must be m-primary, which
     ``loewy_length`` checks before any sweep, and every generator must lie
-    in the certified annihilator lower bound — unless the caller overrides
-    with assume_annihilates, which is then recorded in the result.
+    in the certified annihilator lower bound of a sweep in ctx — unless
+    the caller overrides with assume_annihilates, which is then recorded
+    in the result.
     """
+    ring = ctx.ring
     if ideal.ring != ring:
         raise StructuralError("ideal lives in a different presentation")
     ell = loewy_length(ring, ideal)
     gens = ideal.reduced_generators()
     assumed = bool(assume_annihilates)
     if not assumed:
-        if bounds is None:
-            bounds = annihilator_bounds(ring, extra_elements=gens, seed=seed)
+        bounds = annihilator_bounds(ctx, gens)
         missing = [g for g in gens if not bounds.lower.contains(g)]
         if missing:
             raise PreconditionError(
@@ -413,7 +422,7 @@ def generation_time_bound(ring: RingPresentation, ideal: IdealHandle, *,
                 "record the hypothesis instead"
             )
     nu = minimal_generators(ideal)
-    dep = ring_depth(ring)
+    dep = ctx.depth()
     bound = (nu - dep + 1) * ell
     return GenerationTimeBound(
         ideal=ideal, nu=nu, loewy=ell, depth=dep,
@@ -455,21 +464,20 @@ _NOTE_REGULAR = (
 )
 
 
-def radical_comparison_report(cert: SingularLocusCertificate, *, seed: int = 0,
-                              bounds: AnnihilatorBounds | None = None
-                              ) -> RadicalComparison:
-    """Compare the radical of jac(R) against the certified lower bound.
+def radical_comparison_report(ctx: RingContext) -> RadicalComparison:
+    """Compare the radical of jac(R) against the certified lower bound of
+    a sweep in ctx over the generators of jac(R), read off ctx's
+    singular-locus certificate.
 
-    ``cert`` is R's ``singular_locus_certificate``, and ``bounds`` a sweep
-    over R covering the generators of jac(R), made here when not given.
     Regular presentations short-circuit: both sides are the unit ideal.
     When the Jacobian radical is not inside the lower bound's radical,
     each offending generator is reported together with a minimal prime of
     the defining ideal that contains the lower bound but misses the
     generator (computable for monomial presentations).
     """
+    cert = ctx.certificate()
     jac = cert.ideal
-    ring = jac.ring
+    ring = ctx.ring
     if cert.regular:
         one = ring.poly_ring.one()
         regular_bounds = AnnihilatorBounds(
@@ -479,18 +487,15 @@ def radical_comparison_report(cert: SingularLocusCertificate, *, seed: int = 0,
             exclusions=[],
             inconclusive=[],
             corpus=corpus_labels(ring),
-            seed=seed,
+            seed=ctx.seed,
         )
         return RadicalComparison(
             ring=ring, jac=jac, bounds=regular_bounds, verdict="equal",
             jac_in_lower=True, lower_in_jac=True, failures=[],
             note=_NOTE_REGULAR,
         )
-    if bounds is None:
-        bounds = annihilator_bounds(
-            ring, extra_elements=jac.reduced_generators(), seed=seed
-        )
     jac_gens = jac.reduced_generators()
+    bounds = annihilator_bounds(ctx, jac_gens)
     lower_gens = bounds.lower.reduced_generators()
     outside = [g for g in jac_gens if not radical_membership(g, bounds.lower)]
     jac_in_lower = not outside
@@ -537,18 +542,17 @@ def build_report(ring: RingPresentation, *, bound_ideal: IdealHandle | None = No
                  assume_annihilates: bool = False, seed: int = 0) -> dict:
     """Assemble the full singularity report as a JSON-ready dictionary.
 
-    The bound block appears only when the isolated verdict is true and the
-    chosen ideal (the Jacobian ideal by default) is m-primary; failures of
-    the certification precondition demote the block to a hypothesis line
-    rather than aborting the report.
+    Every piece reads the ring's facts from one ``RingContext``.  The
+    bound block appears only when the isolated verdict is true; a chosen
+    ideal (the Jacobian ideal by default) that is not m-primary, or a
+    failed certification precondition, demotes the block to a hypothesis
+    line rather than aborting the report.
     """
     if bound_ideal is not None and bound_ideal.ring != ring:
         raise StructuralError("bound ideal lives in a different presentation")
-    cert = singular_locus_certificate(ring)
-    comparison = radical_comparison_report(cert, seed=seed)
-    bounds = comparison.bounds
-    ctx = bounds.context   # None on a regular presentation, which sweeps nothing
-    socle_gens = ctx.socle() if ctx is not None else socle(ring).reduced_generators()
+    ctx = RingContext(ring, seed)
+    cert = ctx.certificate()
+    comparison = radical_comparison_report(ctx)
 
     hypotheses = [HYPOTHESIS_STRONG_GENERATOR, HYPOTHESIS_CORPUS_EVIDENCE]
     if not ring.is_graded():
@@ -560,25 +564,15 @@ def build_report(ring: RingPresentation, *, bound_ideal: IdealHandle | None = No
     if cert.isolated is True:
         ideal = bound_ideal if bound_ideal is not None else cert.ideal
         try:
-            # a true isolated verdict has already found jac m-primary
-            if bound_ideal is None or is_m_primary(ideal):
-                # the generators of I join the comparison's candidates in its
-                # context, so those it already decided are not swept again
-                result = generation_time_bound(
-                    ring, ideal,
-                    assume_annihilates=assume_annihilates, seed=seed,
-                    bounds=None if assume_annihilates else _sweep(
-                        ctx, ideal.reduced_generators()),
-                )
-                bound_doc = result.payload()
-                if result.assumed:
-                    hypotheses.append(
-                        "generation-time bound computed under the "
-                        f"assume-annihilates override for I = {ideal.format()}"
-                    )
-            else:
+            # the generators of I join the comparison's candidates in ctx,
+            # so those it already decided are not swept again
+            result = generation_time_bound(
+                ctx, ideal, assume_annihilates=assume_annihilates)
+            bound_doc = result.payload()
+            if result.assumed:
                 hypotheses.append(
-                    f"bound omitted: {ideal.format()} is not m-primary"
+                    "generation-time bound computed under the "
+                    f"assume-annihilates override for I = {ideal.format()}"
                 )
         except PreconditionError as exc:
             hypotheses.append(f"bound omitted: {exc}")
@@ -590,15 +584,15 @@ def build_report(ring: RingPresentation, *, bound_ideal: IdealHandle | None = No
     return {
         "ring": ring.format(),
         "field": field_token(ring.field),
-        "dim": ring_dimension(ring),
-        "depth": ring_depth(ring) if bound_doc is None else bound_doc["depth"],
+        "dim": ctx.dim(),
+        "depth": ctx.depth(),
         "jac": {"gens": [ring.format_element(g)
                          for g in cert.ideal.reduced_generators()]},
         "equidimensional": cert.equidimensional,
         "isolated": cert.isolated,
         "regular": cert.regular,
-        "socle": {"gens": [ring.format_element(g) for g in socle_gens]},
-        "ann_bounds": bounds.payload(),
+        "socle": {"gens": [ring.format_element(g) for g in ctx.socle()]},
+        "ann_bounds": comparison.bounds.payload(),
         "radical_comparison": comparison.payload(),
         "singular_locus": {
             "criterion": cert.valid,
@@ -686,6 +680,9 @@ def verify_paper_examples(fld=None):
     B = _plane_line_union(fld)
     bx, by, bz, bw = (B.variable(i) for i in range(4))
     k_A = FinitelyPresentedModule.residue_field(A)
+    # one context per golden ring, shared by every entry that reads its
+    # facts or sweeps its corpus
+    context = cache(lambda ring: RingContext(ring))
 
     def jac_plane_line():
         jac = jacobian_ideal(B)
@@ -699,12 +696,12 @@ def verify_paper_examples(fld=None):
 
     def height_dim_plane_line():
         h = height(B.defining_ideal())
-        d = ring_dimension(B)
+        d = context(B).dim()
         return (h, d) == (2, 2), f"height = {h}, dim = {d}"
 
     def dim_depth_embedded_point():
-        d = ring_dimension(A)
-        dep = ring_depth(A)
+        d = context(A).dim()
+        dep = context(A).depth()
         return (d, dep) == (1, 0), f"dim = {d}, depth = {dep}"
 
     def equidim_plane_line():
@@ -749,11 +746,6 @@ def verify_paper_examples(fld=None):
         unit_ok = not ext.annihilated_by(A.poly_ring.one())
         return dim == 3 and unit_ok, f"dim_k Ext^2(k,k) = {dim}; 1 does not kill it"
 
-    # one corpus context per golden ring, shared by every entry that sweeps
-    # it, and one singular-locus certificate, shared by every entry reading it
-    context = cache(lambda ring: _CorpusContext(ring, 0))
-    certificate = cache(singular_locus_certificate)
-
     def stable_socle_element():
         ctx = context(A)
         outcomes = [ctx.certify(idx, ax) for idx in range(len(ctx.members))]
@@ -775,26 +767,21 @@ def verify_paper_examples(fld=None):
         return soc.same_ideal(IdealHandle(A, [ax])), f"socle = {soc.format()}"
 
     def isolated_embedded_point():
-        verdict = certificate(A).isolated
+        verdict = context(A).certificate().isolated
         return verdict is True, f"isolated = {verdict}"
 
     def isolated_plane_line():
-        cert = certificate(B)
+        cert = context(B).certificate()
         primes = sorted(p.format() for p in cert.witness_primes)
         ok = cert.isolated is None and primes == ["(x, z, w)"]
         return ok, f"isolated = {cert.isolated}, witness primes = {primes}"
 
-    def compare(ring):
-        cert = certificate(ring)
-        return radical_comparison_report(
-            cert, bounds=_sweep(context(ring), cert.ideal.reduced_generators()))
-
     def radical_embedded_point():
-        comparison = compare(A)
+        comparison = radical_comparison_report(context(A))
         return comparison.verdict == "equal", f"verdict = {comparison.verdict}"
 
     def radical_plane_line():
-        comparison = compare(B)
+        comparison = radical_comparison_report(context(B))
         hit = [f for f in comparison.failures
                if f["prime"] == ["x", "z", "w"]]
         ok = not comparison.jac_in_lower and bool(hit)
@@ -803,8 +790,7 @@ def verify_paper_examples(fld=None):
                     "at prime (x, z, w)")
 
     def bound_maximal_ideal():
-        m = A.maximal_ideal()
-        result = generation_time_bound(A, m, bounds=_sweep(context(A), m.reduced_generators()))
+        result = generation_time_bound(context(A), A.maximal_ideal())
         got = (result.nu, result.loewy, result.depth,
                result.bound, result.dim_bound)
         return got == (2, 1, 0, 3, 2), f"(nu, loewy, depth, bound, dim) = {got}"

@@ -34,7 +34,7 @@ from singulant.ideal_ops import (
 )
 from singulant.jacobian import jacobian_ideal, singular_locus_certificate
 from singulant.poly import QQ
-from singulant.report import generation_time_bound
+from singulant.report import RingContext, generation_time_bound
 from singulant.resolve import (
     FinitelyPresentedModule,
     check_complex,
@@ -191,7 +191,7 @@ def test_criterion_6_stable_annihilation():
 def test_criterion_7_generation_time_bound():
     with criterion(7, "generation-time bound 3, dimension bound 2"):
         ring = embedded_point_ring()
-        result = generation_time_bound(ring, ring.maximal_ideal())
+        result = generation_time_bound(RingContext(ring), ring.maximal_ideal())
         assert result.bound == 3
         assert result.dim_bound == 2
 

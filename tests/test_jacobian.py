@@ -150,7 +150,6 @@ def test_certificate_flags():
     cert = singular_locus_certificate(embedded_point_ring())
     assert cert.valid == JACOBIAN_CRITERION
     assert cert.equidimensional is True
-    assert cert.characteristic == 0
 
     cert_fail = singular_locus_certificate(fail_ring())
     assert cert_fail.valid == UNKNOWN
@@ -192,4 +191,3 @@ def test_characteristic_two_degeneration():
     assert jac.reduced_generators() == ()
     cert = singular_locus_certificate(R)
     assert cert.valid == JACOBIAN_CRITERION  # F2 is perfect; equidimensional
-    assert cert.characteristic == 2

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from singulant import report as rpt
-from singulant.cli import parse_ideal, parse_ring
+from singulant.cli import main, parse_ideal, parse_ring
 from singulant.errors import (
     Budget,
     BudgetExceededError,
@@ -16,6 +16,7 @@ from singulant.errors import (
     budget_scope,
     guarded,
 )
+from singulant.groebner import buchberger
 from singulant.homalg import (
     ca_witness,
     ca_witness_from_resolutions,
@@ -34,6 +35,7 @@ from singulant.ideal_ops import (
 from singulant.jacobian import jacobian_ideal, singular_locus_certificate
 from singulant.poly import GREVLEX, LEX, QQ, Polynomial, PrimeField
 from singulant.report import (
+    RingContext,
     annihilator_bounds,
     build_report,
     generation_time_bound,
@@ -64,15 +66,23 @@ def ring_b():
 
 
 @pytest.fixture(scope="module")
-def bounds_a(ring_a):
-    gens = jacobian_ideal(ring_a).reduced_generators()
-    return annihilator_bounds(ring_a, extra_elements=gens)
+def ctx_a(ring_a):
+    return RingContext(ring_a)
 
 
 @pytest.fixture(scope="module")
-def bounds_b(ring_b):
-    gens = jacobian_ideal(ring_b).reduced_generators()
-    return annihilator_bounds(ring_b, extra_elements=gens)
+def ctx_b(ring_b):
+    return RingContext(ring_b)
+
+
+@pytest.fixture(scope="module")
+def bounds_a(ctx_a):
+    return annihilator_bounds(ctx_a, jacobian_ideal(ctx_a.ring).reduced_generators())
+
+
+@pytest.fixture(scope="module")
+def bounds_b(ctx_b):
+    return annihilator_bounds(ctx_b, jacobian_ideal(ctx_b.ring).reduced_generators())
 
 
 # -- annihilator bounds -------------------------------------------------------
@@ -139,7 +149,7 @@ class TestAnnihilatorBounds:
 
     def test_rejects_foreign_candidates(self, ring_a, ring_b):
         with pytest.raises(StructuralError):
-            annihilator_bounds(ring_a, extra_elements=[ring_b.variable(0)])
+            annihilator_bounds(RingContext(ring_a), extra_elements=[ring_b.variable(0)])
 
     def test_payload_is_json_ready(self, bounds_b):
         doc = bounds_b.payload()
@@ -152,9 +162,8 @@ class TestAnnihilatorBounds:
 
 
 class TestGenerationTimeBound:
-    def test_maximal_ideal_golden(self, ring_a, bounds_a):
-        result = generation_time_bound(ring_a, ring_a.maximal_ideal(),
-                                       bounds=bounds_a)
+    def test_maximal_ideal_golden(self, ring_a, ctx_a):
+        result = generation_time_bound(ctx_a, ring_a.maximal_ideal())
         assert (result.nu, result.depth, result.loewy) == (2, 0, 1)
         assert result.bound == 3
         assert result.dim_bound == 2
@@ -162,76 +171,71 @@ class TestGenerationTimeBound:
 
     def test_artinian_hypersurface(self):
         ring = presentation(QQ, ("x",), lambda x: [x * x])
-        result = generation_time_bound(ring, ring.maximal_ideal())
+        result = generation_time_bound(RingContext(ring), ring.maximal_ideal())
         assert (result.nu, result.depth, result.loewy) == (1, 0, 1)
         assert (result.bound, result.dim_bound) == (2, 1)
 
-    def test_larger_m_primary_ideal(self, ring_a):
+    def test_larger_m_primary_ideal(self, ring_a, ctx_a):
         result = generation_time_bound(
-            ring_a, ideal(ring_a, lambda x, y: [x, y * y]))
+            ctx_a, ideal(ring_a, lambda x, y: [x, y * y]))
         assert (result.nu, result.loewy) == (2, 2)
         assert (result.bound, result.dim_bound) == (6, 5)
 
-    def test_bound_monotone_under_enlarging_ideal(self, ring_a, bounds_a):
+    def test_bound_monotone_under_enlarging_ideal(self, ring_a, ctx_a):
         small = generation_time_bound(
-            ring_a, ideal(ring_a, lambda x, y: [x, y * y]))
-        large = generation_time_bound(ring_a, ring_a.maximal_ideal(),
-                                      bounds=bounds_a)
+            ctx_a, ideal(ring_a, lambda x, y: [x, y * y]))
+        large = generation_time_bound(ctx_a, ring_a.maximal_ideal())
         assert large.loewy <= small.loewy
         assert large.bound == 3 and small.bound == 6
 
-    def test_rejects_non_m_primary(self, ring_a):
+    def test_rejects_non_m_primary(self, ring_a, ctx_a):
         with pytest.raises(PreconditionError) as err:
-            generation_time_bound(ring_a, ideal(ring_a, lambda x, y: [x]))
+            generation_time_bound(ctx_a, ideal(ring_a, lambda x, y: [x]))
         assert "m-primary" in str(err.value)
 
-    def test_uncertified_generator_named(self, ring_b, bounds_b):
+    def test_uncertified_generator_named(self, ring_b, ctx_b):
         with pytest.raises(PreconditionError) as err:
-            generation_time_bound(ring_b, ring_b.maximal_ideal(),
-                                  bounds=bounds_b)
+            generation_time_bound(ctx_b, ring_b.maximal_ideal())
         assert "carries no annihilation certificate" in str(err.value)
 
-    def test_assume_flag_recorded(self, ring_b):
-        result = generation_time_bound(ring_b, ring_b.maximal_ideal(),
+    def test_assume_flag_recorded(self, ring_b, ctx_b):
+        result = generation_time_bound(ctx_b, ring_b.maximal_ideal(),
                                        assume_annihilates=True)
         assert result.assumed is True
         assert (result.nu, result.depth, result.loewy) == (4, 1, 1)
         assert result.bound == 4
 
-    def test_rejects_foreign_ideal(self, ring_a, ring_b):
+    def test_rejects_foreign_ideal(self, ctx_a, ring_b):
         with pytest.raises(StructuralError):
-            generation_time_bound(ring_a, ring_b.maximal_ideal())
+            generation_time_bound(ctx_a, ring_b.maximal_ideal())
 
 
 # -- radical comparison -------------------------------------------------------
 
 
 class TestRadicalComparison:
-    def test_two_variable_ring_equal(self, ring_a, bounds_a):
-        comparison = radical_comparison_report(
-            singular_locus_certificate(ring_a), bounds=bounds_a)
+    def test_two_variable_ring_equal(self, ctx_a):
+        comparison = radical_comparison_report(ctx_a)
         assert comparison.verdict == "equal"
         assert comparison.jac_in_lower and comparison.lower_in_jac
         assert comparison.failures == []
         assert "corpus-evidence" in comparison.note
 
-    def test_fail_ring_strictly_smaller(self, ring_b, bounds_b):
-        comparison = radical_comparison_report(
-            singular_locus_certificate(ring_b), bounds=bounds_b)
+    def test_fail_ring_strictly_smaller(self, ctx_b):
+        comparison = radical_comparison_report(ctx_b)
         assert comparison.verdict == "lower-strictly-smaller"
         assert not comparison.jac_in_lower
         assert comparison.lower_in_jac
 
-    def test_fail_ring_failure_prime(self, ring_b, bounds_b):
-        comparison = radical_comparison_report(
-            singular_locus_certificate(ring_b), bounds=bounds_b)
+    def test_fail_ring_failure_prime(self, ctx_b):
+        comparison = radical_comparison_report(ctx_b)
         assert comparison.failures == [
             {"element": "y^2", "prime": ["x", "z", "w"]}
         ]
 
     def test_regular_ring_both_unit(self):
         ring = presentation(QQ, ("x", "y"))
-        comparison = radical_comparison_report(singular_locus_certificate(ring))
+        comparison = radical_comparison_report(RingContext(ring))
         assert comparison.verdict == "equal"
         assert comparison.jac.is_unit()
         assert comparison.bounds.lower.is_unit()
@@ -292,9 +296,12 @@ class TestBuildReport:
                    for h in doc["hypotheses"])
 
     def test_non_m_primary_bound_ideal_demoted_to_hypothesis(self, ring_a):
+        # loewy_length is the one m-primary gate, and names the variable
+        # outside the radical of (x): y, since y^n never lies in (x, x^2, x*y)
         doc = build_report(ring_a, bound_ideal=ideal(ring_a, lambda x, y: [x]))
         assert doc["bound"] is None
-        assert any("not m-primary" in h for h in doc["hypotheses"])
+        assert ("bound omitted: ideal is not m-primary: variable(s) y escape "
+                "the radical") in doc["hypotheses"]
 
     def test_regular_report(self):
         ring = presentation(QQ, ("x",))
@@ -371,7 +378,7 @@ def test_sweep_reuses_resolutions(monkeypatch, ring_a):
         corpus = default_corpus(ring, 0)
         gens = jacobian_ideal(ring).reduced_generators()
         calls = count_calls(monkeypatch, free_resolution)
-        annihilator_bounds(ring, extra_elements=gens)
+        annihilator_bounds(RingContext(ring), extra_elements=gens)
         monkeypatch.undo()
         assert calls == [(corpus[0], 1)] + [(M, 0) for M in corpus]
 
@@ -401,14 +408,15 @@ def test_ledger_shares_one_context_per_ring(monkeypatch):
     once, by its one context.  Derived by hand: ring A's context makes
     1 + 7 free_resolution calls (default_corpus's syzygy_module(k, 1), then
     each member once), the plane-line union's 1 + 9, the Betti family 3,
-    the Ext^2-kill family 3, Ext^2(k, k) 1, and ring_depth 2 (the
-    dim-depth entry and the bound): 27 (43 when the stable, ca^3 and
-    comparison entries each resolved the corpus again)."""
+    the Ext^2-kill family 3, Ext^2(k, k) 1, and ring_depth 1 (ring A's
+    context, read by the dim-depth entry and the bound): 26 (27 when both
+    entries took the depth, 43 when the stable, ca^3 and comparison
+    entries each resolved the corpus again)."""
     calls = count_calls(monkeypatch, free_resolution)
     entries = verify_paper_examples()
     monkeypatch.undo()
     assert all(e.status == "pass" for e in entries)
-    assert len(calls) <= 27
+    assert len(calls) <= 26
 
 
 @pytest.mark.parametrize("field, expected", [(QQ, 2), (PrimeField(2), 1)],
@@ -434,25 +442,55 @@ def test_report_computes_depth_once(monkeypatch, ring_a):
     assert len(calls) == 1
 
 
-def test_report_computes_ring_facts_once(monkeypatch, ring_a):
-    """The radical comparison reads the report's one singular-locus
-    certificate, which carries the isolated verdict, and the socle field
-    the one that the sweep's context holds (2 calls each when both
-    computed their own).  The isolated
-    verdict decides that jac is m-primary, the bound block checks it
-    again only through loewy_length's one pass over the variables:
-    radical memberships are 2 for the verdict, 2 for that gate and 4 in
-    the radical comparison (4 is_m_primary and 12 radical_membership
-    calls when each layer checked again)."""
+def test_report_computes_ring_facts_once(monkeypatch):
+    """Every piece of the report reads the singular-locus certificate,
+    which carries the isolated verdict, and the socle from the report's
+    one ring context (2 calls each when each piece computed its own).
+    The isolated verdict decides that jac is m-primary, the bound block
+    checks it again only through loewy_length's one pass over the
+    variables: radical memberships are 2 for the verdict, 2 for that gate
+    and 4 in the radical comparison (4 is_m_primary and 12
+    radical_membership calls when each layer checked again).  The ring is
+    fresh, and its defining generators go through Buchberger once, for
+    the one handle of its defining ideal (3 times when each
+    defining_ideal() call made a handle of its own)."""
+    ring = embedded_point_ring()
     certs = count_calls(monkeypatch, singular_locus_certificate)
     socles = count_calls(monkeypatch, socle)
     primary = count_calls(monkeypatch, is_m_primary)
     radical = count_calls(monkeypatch, radical_membership)
-    doc = build_report(ring_a)
+    bases = count_calls(monkeypatch, buchberger)
+    doc = build_report(ring)
     assert doc["socle"]["gens"] == ["x"]
     assert doc["bound"]["generation_time"] == 3
     assert (len(certs), len(socles)) == (1, 1)
     assert (len(primary), len(radical)) == (1, 8)
+    assert sum(list(args[0]) == list(ring.defining) for args in bases) == 1
+
+
+def test_regular_report_builds_no_corpus(monkeypatch):
+    """Q[x,y] is regular: the radical comparison short-circuits, so the
+    report sweeps nothing and its context never builds the corpus."""
+    corpora = count_calls(monkeypatch, default_corpus)
+    doc = build_report(parse_ring("Q[x,y]"))
+    assert doc["regular"] is True
+    assert corpora == []
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["report", "Q[x,y]/(x^2, x*y)", "--ideal", "(x, y^2)"],
+    ["bound", "Q[x,y]/(x^2, x*y)"],
+], ids=["build_report", "report-ideal", "bound"])
+def test_each_command_builds_one_ring_context(monkeypatch, capsys, argv):
+    """The report's comparison and bound block, and the bound command's
+    one sweep, all read one context."""
+    contexts = count_calls(monkeypatch, RingContext)
+    if argv is None:
+        build_report(embedded_point_ring())
+    else:
+        assert main(argv) == 0
+    assert len(contexts) == 1
 
 
 def test_a1_surface_certifies_the_jacobian():
@@ -562,7 +600,7 @@ def test_socle_certificates_match_the_monomial_oracle(key):
     expected = {m for m in oracles.monomial_socle(defining, ring.nvars)
                 if not oracles.monomial_member(m, defining)}
     certified = set()
-    for c in annihilator_bounds(ring).certificates:
+    for c in annihilator_bounds(RingContext(ring)).certificates:
         assert c.method == "socle-kills-syzygy"
         assert c.element.is_term() and c.element.lead_coeff() == 1
         certified.add(c.element.lead_monomial().exps)

@@ -99,24 +99,25 @@ SYZYGY_CALLERS = {"ideal_ops.RingPresentation.kernel_into", "resolve.check_exact
 # a corpus member's one resolution is the only source of its syzygy chain in
 # the report; the golden ledger's Betti and Ext^2 checks resolve their own
 # modules, once each
-REPORT_RESOLUTION_CALLERS = {"report._CorpusContext.resolution",
+REPORT_RESOLUTION_CALLERS = {"report.RingContext.resolution",
                              "report.verify_paper_examples.betti_residue_family",
                              "report.verify_paper_examples.ext2_kill_family"}
-GROW_CALLERS = {"resolve.free_resolution", "report._CorpusContext.resolution"}
+GROW_CALLERS = {"resolve.free_resolution", "report.RingContext.resolution"}
 # a corpus member is presented once, in the scope of its first resolution;
 # only the Ext^2 check presents its own targets
 REPORT_PRESENTATION_CALLERS = {"report.verify_paper_examples.ext2_kill_family"}
 
-# one corpus context per ring and command: the sweep makes one, and the golden
-# ledger one per golden ring, which every entry that sweeps that ring shares
-CONTEXT_CONSTRUCTORS = {"report.annihilator_bounds", "report.verify_paper_examples"}
+# one ring context per ring and command: the report and the bound command
+# make one each, and the golden ledger one per golden ring, which every entry
+# that reads that ring's facts or sweeps its corpus shares
+CONTEXT_CONSTRUCTORS = {"report.build_report", "report.verify_paper_examples", "cli._bound"}
 # the report tests its corpus through its contexts, never through homalg's own
 # corpus sweep or stable test, which resolve or present afresh
 REPORT_UNUSED_HOMALG = {"ca_witness", "stable_annihilation_test"}
 # one stable test: the span is built for one module by homalg's test, and once
 # per link by the sweep; the report builds no Ext group of its corpus, so the
 # golden ledger's Ext^2-kill check is its one reader of a resolution's Ext
-STABLE_SPAN_BUILDERS = {"homalg.stable_annihilation_test", "report._CorpusContext.certify"}
+STABLE_SPAN_BUILDERS = {"homalg.stable_annihilation_test", "report.RingContext.certify"}
 REPORT_EXT_CALLERS = {"report.verify_paper_examples.ext2_kill_family"}
 # socle generators are certified by the syzygy argument, with no corpus work;
 # the golden ledger's ca^3 claim is the report's one ca_witness sweep
@@ -208,7 +209,7 @@ def imported_names(source: str):
 
 def test_one_corpus_context_per_ring():
     source = (PACKAGE_DIR / "report.py").read_text(encoding="utf-8")
-    assert callers(source, "report", "_CorpusContext") == CONTEXT_CONSTRUCTORS
+    assert package_callers("RingContext") == CONTEXT_CONSTRUCTORS
     assert not imported_names(source) & REPORT_UNUSED_HOMALG
     assert callers(source, "report", "ca_witness_from_resolutions") == CA_WITNESS_CALLERS
 
