@@ -11,6 +11,19 @@ Free modules carry the position-over-term order with position 0 largest;
 elements whose leading term sits in a trailing block of "witness"
 coordinates therefore surface syzygies, which is how ``syzygies`` works.
 
+Two loops complete a basis, chosen by rank and order alone.  A rank-one
+input under grevlex, an ideal with or without adjoined defining
+generators, runs ``SignatureLoop``: F5's incremental signatures, whose
+criteria drop every S-pair with the signature of a known syzygy before it
+is reduced (the F5 criterion, Faugere 2002, ISSAC; the syzygy and rewrite
+criteria, Eder and Faugere 2017, J. Symb. Comput. 80).  On a regular
+sequence no S-pair reduces to zero (Faugere 2002).  Every other input runs
+``PairLoop``, Buchberger's loop with the coprime and chain criteria:
+modules, where no Koszul criterion applies and most signature reductions
+still go to zero, and lex or block orders, where on random ideals the two
+loops disagree on whether the default degree budget runs out.  The
+reduced basis is unique, so both loops give the same one.
+
 Bases are interreduced to the unique reduced form (monic leading
 coefficients, no leading term dividing another, tails fully reduced), so
 identical input always yields an identical basis regardless of internal
@@ -191,22 +204,29 @@ def _divisor_row(g: ModuleElement, packing) -> tuple:
 class _DivisorTable:
     """Nonzero elements as packed divisor rows, in the order they were added.
 
-    ``rows[i]`` is ``_divisor_row(elements[i])`` and ``by_pos`` groups the
-    rows by lead position, keeping that order.  ``top`` is the largest
-    degree of any term of the elements and ``reach`` the largest degree
+    ``rows[i]`` is ``_divisor_row(elements[i])``.  An element may carry a
+    signature, a (position, exponents) term of the free module over the
+    seeds (see ``SignatureLoop``); ``sigs[i]`` is it packed, or None.
+    ``by_pos`` groups the rows by lead position, keeping that order, each
+    extended by its packed signature.  ``top`` is the largest degree of any
+    term or signature of the elements and ``reach`` the largest degree
     limit of a meter that divided by them.  A reduction pops only terms of
     degree at most reach, and divides by one of the elements, so every term
-    it pushes, and every term of an S-pair, has degree at most top +
-    max(top, reach); ``fit`` re-packs every row when the packing cannot hold
+    it pushes, every term of an S-pair, and every signature multiplied by
+    the quotient of a step, has degree at most top + max(top, reach);
+    ``fit`` re-packs every row and signature when the packing cannot hold
     that bound, so no field ever carries into the next.
     """
 
-    __slots__ = ("ring", "elements", "rows", "by_pos", "top", "reach", "packing")
+    __slots__ = ("ring", "elements", "signatures", "rows", "sigs", "by_pos", "top",
+                 "reach", "packing")
 
     def __init__(self, ring: PolynomialRing, elements=(), reach: int = 0):
         self.ring = ring
         self.elements = []
+        self.signatures = []
         self.rows = []
+        self.sigs = []
         self.by_pos = {}
         self.top = 0
         self.reach = reach
@@ -214,16 +234,20 @@ class _DivisorTable:
         for g in elements:
             self.add(g)
 
-    def add(self, g: ModuleElement):
-        """Append the nonzero element g."""
+    def add(self, g: ModuleElement, signature=None):
+        """Append the nonzero element g, with its signature if it has one."""
         self.elements.append(g)
-        self.top = max(self.top, max(m.degree for _, m, _ in g.terms))
+        self.signatures.append(signature)
+        self.top = max(self.top, max(m.degree for _, m, _ in g.terms),
+                       sum(signature[1]) if signature else 0)
         if not self.fit(self.reach):
-            self._append(_divisor_row(g, self.packing))
+            self._append(_divisor_row(g, self.packing), signature)
 
-    def _append(self, row):
+    def _append(self, row, signature=None):
+        sig = None if signature is None else self.packing.pack(*signature)
         self.rows.append(row)
-        self.by_pos.setdefault(row[1] >> self.packing.pos_shift, []).append(row)
+        self.sigs.append(sig)
+        self.by_pos.setdefault(row[1] >> self.packing.pos_shift, []).append(row + (sig,))
 
     def fit(self, reach: int, low: int = 0) -> bool:
         """Raise ``reach``; re-pack if the bound, or ``low``, does not fit."""
@@ -233,19 +257,20 @@ class _DivisorTable:
         if self.packing is not None and bound <= self.packing.capacity:
             return False
         self.packing = self.ring.order.packing(self.ring.nvars, bound)
-        self.rows, self.by_pos = [], {}
-        for g in self.elements:
-            self._append(_divisor_row(g, self.packing))
+        self.rows, self.sigs, self.by_pos = [], [], {}
+        for g, signature in zip(self.elements, self.signatures):
+            self._append(_divisor_row(g, self.packing), signature)
         return True
 
     def keep(self, indices) -> "_DivisorTable":
         """A table of the elements at ``indices``, in that order, sharing
-        this table's rows and packing."""
+        this table's rows and packing, without signatures."""
         sub = _DivisorTable(self.ring, reach=self.reach)
         sub.top = self.top
         sub.packing = self.packing
         for i in indices:
             sub.elements.append(self.elements[i])
+            sub.signatures.append(None)
             sub._append(self.rows[i])
         return sub
 
@@ -263,12 +288,14 @@ def _reduce(el: ModuleElement, table: _DivisorTable, meter: Meter) -> ModuleElem
     return _divide(work, den, table, meter, el.rank)
 
 
-def _reduce_spair(table: _DivisorTable, i: int, j: int, meter: Meter) -> ModuleElement:
+def _reduce_spair(table: _DivisorTable, i: int, j: int, meter: Meter,
+                  bound: int | None = None) -> ModuleElement:
     """Full normal form of the S-pair of the elements i and j of ``table``,
     whose leads share a position, formed inside the kernel: the work starts
     as the two integral tails shifted onto the lcm of the leads, which
     cancel and are never added, each scaled onto the common denominator
-    lcm(fden, gden)."""
+    lcm(fden, gden).  With ``bound``, the packed signature of the pair in
+    the table's packing, the division is regular (see ``_divide``)."""
     table.fit(meter.max_degree)
     packing = table.packing
     fexps, _, fden, ftail = table.rows[i]
@@ -289,11 +316,11 @@ def _reduce_spair(table: _DivisorTable, i: int, j: int, meter: Meter) -> ModuleE
             work[t] = s
         else:
             del work[t]
-    return _divide(work, den, table, meter, table.elements[i].rank)
+    return _divide(work, den, table, meter, table.elements[i].rank, bound)
 
 
 def _divide(work: dict, den: int, table: _DivisorTable, meter: Meter,
-            rank: int) -> ModuleElement:
+            rank: int, bound: int | None = None) -> ModuleElement:
     """Full normal form of the packed terms ``work`` over ``den`` against
     ``table``.
 
@@ -303,6 +330,12 @@ def _divide(work: dict, den: int, table: _DivisorTable, meter: Meter,
     is divisible by no divisor's leading term.  The divisor chosen at each
     step is the first match in table order; the end result is independent
     of that choice once the divisors form a Groebner basis.
+
+    With ``bound``, a packed signature, the division is regular: a divisor
+    g qualifies for the term t only if the signature of (t / lead g) * g is
+    smaller than bound, that is when sig(g) shifted by t - lead(g) packs to
+    a larger int, and a term no divisor qualifies for goes to the
+    remainder.  The table's signatures then all share the bound's packing.
 
     Heap division (Monagan-Pearce) on packed terms: a min-heap of the keys
     of ``work`` pops the largest term first.  A cancelled term keeps its
@@ -339,8 +372,8 @@ def _divide(work: dict, den: int, table: _DivisorTable, meter: Meter,
         if t & cap > max_degree:
             meter.check_degree(t & cap)
         e = t | guards
-        for gexps, glead, gden, gtail in by_pos.get(t >> pos_shift, ()):
-            if (e - gexps) & guards == guards:
+        for gexps, glead, gden, gtail, gsig in by_pos.get(t >> pos_shift, ()):
+            if (e - gexps) & guards == guards and (bound is None or gsig + t - glead > bound):
                 break
         else:
             remainder.append((t, coeff, den))
@@ -489,6 +522,18 @@ class PairLoop:
         self.pending = set()
         self.keyed = None  # the packing the queued keys were made in
 
+    @classmethod
+    def from_seeds(cls, elements, ipart, ring, rank, meter) -> "PairLoop":
+        """The completed loop of the seeds, ``ipart`` flagging the defining
+        generators.  A flagged seed that the earlier seeds reduce is no
+        longer a defining generator and loses its flag."""
+        loop = cls(ring, rank, meter)
+        for el, flag in zip(elements, ipart):
+            nf = loop.reduce(el)
+            loop.add(nf, flag and nf == el)
+        loop.complete()
+        return loop
+
     def reduce(self, el: ModuleElement) -> ModuleElement:
         return _reduce(el, self.table, self.meter)
 
@@ -545,15 +590,155 @@ class PairLoop:
                 self.add(_reduce_spair(table, i, j, self.meter), False)
 
 
+class SignatureLoop:
+    """Signature-based completion of a rank-one input, seed by seed.
+
+    The seeds are the generators f_1..f_n and, as index 0, the adjoined
+    defining generators, a Groebner basis already, whose mutual pairs are
+    never formed.  A basis element g carries a signature t * e_k: g is a
+    combination of f_0..f_k whose f_k coefficient has leading monomial t.
+    Signatures are compared position over term with the later index larger,
+    F5's incremental order (Faugere 2002), and packed in the table's
+    packing at position n - k, so that a larger signature packs to a
+    smaller int, as a larger term does.
+
+    ``add_seed`` brings in index k: f_k is reduced by every element so far
+    and added with signature e_k, then the S-pairs of index k run in
+    increasing signature until the elements form a Groebner basis of
+    f_0..f_k.  Every reduction is regular, lead and tail alike
+    (``_divide`` with a bound): an element of a lower index always
+    qualifies, one of index k only when its multiplied signature is smaller
+    than the pair's.  A pair whose two multiplied signatures are equal is
+    never formed, and a pair is skipped when its signature t * e_k
+    (Eder and Faugere 2017, J. Symb. Comput. 80):
+
+    - F5: the lead of an element of a lower index divides t, so a
+      principal syzygy has that signature;
+    - syzygy: a recorded syzygy signature divides it.  Those come from pairs
+      of index k with coprime leads, whose Koszul syzygy has the pair's
+      signature, and from pairs whose regular reduction is zero;
+    - rewrite: an element of index k added after the pair's top element,
+      the one whose multiplied signature is the pair's, has a signature
+      dividing it.
+
+    These leave at most one S-pair per signature.  A nonzero result is
+    always added, even when an element's lead divides its lead at an equal
+    multiplied signature: with the rewrite rule above, dropping such an
+    element can lose a basis element.  A queued pair's key holds its
+    packed signature, so when the table re-packs the queue, and the
+    recorded syzygies, are packed again.
+    """
+
+    __slots__ = ("meter", "table", "start", "heap", "syzygies", "keyed")
+
+    def __init__(self, ring, meter):
+        self.meter = meter
+        self.table = _DivisorTable(ring, reach=meter.max_degree)
+        self.start = 0  # the first element of the current index
+        self.heap = []
+        self.syzygies = []  # the current index's syzygy signatures, packed alone
+        self.keyed = None  # the packing the keys and syzygies were made in
+
+    @classmethod
+    def from_seeds(cls, elements, ipart, ring, meter) -> "SignatureLoop":
+        """The completed loop of the seeds, ``ipart`` flagging the defining
+        generators, which form index 0.  The others follow by increasing
+        degree, F5's usual order, keeping seed order among equal degrees:
+        the index order does not change the ideal, and a low-degree seed
+        first keeps the intermediate bases of fewer seeds small."""
+        loop = cls(ring, meter)
+        seeds = sorted((el for el, flag in zip(elements, ipart) if not flag),
+                       key=lambda el: el.terms[0][1].degree if el.terms else 0)
+        one = (0,) * ring.nvars
+        for el, flag in zip(elements, ipart):
+            if flag:
+                loop.table.add(el, (len(seeds), one))
+        for k, el in enumerate(seeds, 1):
+            loop.add_seed(el, len(seeds) - k)
+        return loop
+
+    def add_seed(self, el: ModuleElement, pos: int):
+        """Bring in the seed el, whose signature packs at position ``pos``."""
+        table = self.table
+        self.start = len(table.elements)
+        self.syzygies = []
+        nf = _reduce(el, table, self.meter)
+        if not nf.is_zero():
+            self._add(nf, (pos, (0,) * table.ring.nvars))
+            self._complete()
+
+    def _signature(self, top: int, other: int) -> int:
+        """Packed signature of the top element's multiple in the pair."""
+        packing, rows = self.table.packing, self.table.rows
+        texps = rows[top][0]
+        return self.table.sigs[top] + packing.lift(packing.lcm(texps, rows[other][0]) - texps)
+
+    def _rekey(self):
+        packing = self.table.packing
+        if self.keyed is packing:
+            return
+        if self.keyed is not None:
+            unpack, mask = self.keyed.unpack, packing.exps_mask
+            self.syzygies = [packing.pack(0, unpack(s)[1]) & mask for s in self.syzygies]
+        self.heap[:] = [(-self._signature(top, other), top, other)
+                        for _, top, other in self.heap]
+        heapq.heapify(self.heap)
+        self.keyed = packing
+
+    def _add(self, el: ModuleElement, signature):
+        """Append the nonzero el of the current index and queue its pairs."""
+        table = self.table
+        table.add(el, signature)
+        self._rekey()
+        packing, rows, sigs = table.packing, table.rows, table.sigs
+        j = len(rows) - 1
+        jexps = rows[j][0]
+        for i in range(j):
+            iexps = rows[i][0]
+            both = packing.lcm(iexps, jexps)
+            top, sig = j, sigs[j] + packing.lift(both - jexps)
+            if i >= self.start:
+                other = sigs[i] + packing.lift(both - iexps)
+                if other == sig:
+                    continue
+                if other < sig:
+                    top, sig = i, other
+                if packing.coprime(iexps, jexps):
+                    self.syzygies.append(sig & packing.exps_mask)
+                    continue
+            heapq.heappush(self.heap, (-sig, top, i if top == j else j))
+
+    def _complete(self):
+        """Run the current index's pairs, smallest signature first."""
+        heap, table, meter = self.heap, self.table, self.meter
+        while heap:
+            table.fit(meter.max_degree)
+            self._rekey()
+            key, top, other = heapq.heappop(heap)
+            packing, rows, sigs = table.packing, table.rows, table.sigs
+            sig, guards, mask = -key, packing.guards, packing.exps_mask
+            e = (sig & mask) | guards
+            if (any((e - rows[k][0]) & guards == guards for k in range(self.start))
+                    or any((e - s) & guards == guards for s in self.syzygies)
+                    or any((e - (sigs[k] & mask)) & guards == guards
+                           for k in range(top + 1, len(sigs)))):
+                continue
+            r = _reduce_spair(table, top, other, meter, sig)
+            if r.is_zero():
+                self.syzygies.append(sig & mask)
+            else:
+                pos, exps, _ = packing.unpack(sig)
+                self._add(r, (pos, exps))
+
+
 def _core(elements, ipart, ring, rank, meter):
     """Reduced basis of the seeds ``elements``; ``ipart`` flags the adjoined
-    defining generators (see ``PairLoop``).  A flagged seed that the earlier
-    seeds reduce is no longer a defining generator and loses its flag."""
-    loop = PairLoop(ring, rank, meter)
-    for el, flag in zip(elements, ipart):
-        nf = loop.reduce(el)
-        loop.add(nf, flag and nf == el)
-    loop.complete()
+    defining generators.  A rank-one input under grevlex is completed by
+    ``SignatureLoop``, every other input by ``PairLoop``."""
+    if rank == 1 and ring.order.kind == "grevlex":
+        loop = SignatureLoop.from_seeds(elements, ipart, ring, meter)
+    else:
+        loop = PairLoop.from_seeds(elements, ipart, ring, rank, meter)
     return _interreduce(loop.table, meter)
 
 

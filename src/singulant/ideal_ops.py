@@ -204,13 +204,22 @@ class IdealHandle:
         self._display = None
 
     def groebner(self) -> GroebnerBasis:
-        """Reduced basis of the preimage (generators + defining) in P."""
+        """Reduced basis of the preimage (generators + defining) in P.
+
+        The defining ideal's basis is adjoined as ``defining=``, already a
+        Groebner basis, and is this basis itself when every generator
+        reduces to zero modulo it, as for a zero socle.
+        """
         if self._gb is None:
             # with no defining ideal, its basis is this method's own result
             # on the empty ideal: asking for it would recurse
-            defining = self.ring.defining_basis().polynomials() if self.ring.defining else ()
-            self._gb = buchberger(list(self.generators) + list(defining),
-                                  ring=self.ring.poly_ring)
+            defining = self.ring.defining_basis() if self.ring.defining else None
+            if defining is not None and all(
+                    normal_form(g, defining).is_zero() for g in self.generators):
+                self._gb = defining
+            else:
+                self._gb = buchberger(list(self.generators), defining=defining,
+                                      ring=self.ring.poly_ring)
         return self._gb
 
     def basis_polynomials(self):
@@ -417,13 +426,16 @@ def minimal_primes_monomial(ideal: IdealHandle):
     ]
 
 
-def is_equidimensional(ring: RingPresentation):
-    """True/False for monomial (or zero) defining ideals, None otherwise."""
+def is_equidimensional(ring: RingPresentation, primes=None):
+    """True/False for monomial (or zero) defining ideals, None otherwise.
+    ``primes``, when given, are the minimal primes of a monomial defining
+    ideal, already computed."""
     if not ring.defining:
         return True
     if not all(g.is_term() for g in ring.defining):
         return None
-    primes = minimal_primes_monomial(ring.defining_ideal())
+    if primes is None:
+        primes = minimal_primes_monomial(ring.defining_ideal())
     dims = {ring.nvars - len(p.generators) for p in primes}
     return len(dims) == 1
 

@@ -116,11 +116,15 @@ class SingularLocusCertificate:
     isolated: object  # True | False | None (unknown)
     regular: bool
     witness_primes: list  # minimal primes the Jacobian ideal misses
+    minimal_primes: list  # of a monomial defining ideal; empty otherwise
 
 
 def singular_locus_certificate(ring: RingPresentation) -> SingularLocusCertificate:
     """jac(R), a flag stating whether V(jac) provably equals Sing(R), and
-    the three-valued isolated-singularity verdict read from them.
+    the three-valued isolated-singularity verdict read from them.  For a
+    monomial defining ideal it also carries the ideal's minimal primes,
+    computed once here for the equidimensionality test, the witnesses and
+    the radical comparison.
 
     The fields accepted here (Q, F_p) are perfect, so the criterion's only
     extra hypothesis is equidimensionality; when that is false or
@@ -131,16 +135,18 @@ def singular_locus_certificate(ring: RingPresentation) -> SingularLocusCertifica
     primes the Jacobian ideal claims regularity the criterion cannot back.
     """
     jac = jacobian_ideal(ring)
-    equi = is_equidimensional(ring)
+    primes = []
+    if ring.defining and all(g.is_term() for g in ring.defining):
+        primes = minimal_primes_monomial(ring.defining_ideal())
+    equi = is_equidimensional(ring, primes)
     if equi is True:
         regular = jac.is_unit()
         isolated = False if regular else is_m_primary(jac)
         return SingularLocusCertificate(
-            jac, JACOBIAN_CRITERION, equi, isolated, regular, [])
+            jac, JACOBIAN_CRITERION, equi, isolated, regular, [], primes)
     witnesses = []
-    if ring.defining and all(g.is_term() for g in ring.defining):
-        for prime in minimal_primes_monomial(ring.defining_ideal()):
-            handle = prime.image_in(ring)
-            if not all(handle.contains(g) for g in jac.generators):
-                witnesses.append(handle)
-    return SingularLocusCertificate(jac, UNKNOWN, equi, None, False, witnesses)
+    for prime in primes:
+        handle = prime.image_in(ring)
+        if not all(handle.contains(g) for g in jac.generators):
+            witnesses.append(handle)
+    return SingularLocusCertificate(jac, UNKNOWN, equi, None, False, witnesses, primes)

@@ -22,7 +22,6 @@ from .errors import (
     BudgetExceededError,
     PreconditionError,
     StructuralError,
-    UnsupportedInputError,
     active_meter,
     guarded,
 )
@@ -508,15 +507,9 @@ def radical_comparison_report(ctx: RingContext) -> RadicalComparison:
         verdict = "incomparable-with-certificates"
     failures = []
     if outside:
-        primes = []
-        if ring.defining:
-            try:
-                primes = minimal_primes_monomial(ring.defining_ideal())
-            except UnsupportedInputError:
-                pass
         for g in outside:
             witness = None
-            for p in primes:
+            for p in cert.minimal_primes:
                 handle = p.image_in(ring)
                 if not handle.contains(g) and all(
                     handle.contains(l) for l in lower_gens

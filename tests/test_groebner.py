@@ -18,7 +18,9 @@ from singulant.groebner import (
     GroebnerBasis,
     ModuleElement,
     PairLoop,
+    SignatureLoop,
     _DivisorTable,
+    _interreduce,
     _reduce,
     _reduce_spair,
     buchberger,
@@ -783,6 +785,127 @@ def test_normal_forms_match_sympy_on_a_dense_ideal():
         nf = normal_form(f, gb)
         assert not nf.is_zero()
         assert nf == _from_sympy(P, r)
+
+
+# -- signature-based completion ---------------------------------------------------
+
+
+def _completed(loop_class, gens, defining=()):
+    """Reduced basis of gens plus the flagged defining basis through one
+    loop class, as ``_core`` runs it, or the BudgetExceededError text."""
+    ring = gens[0].ring
+    seeds = [ModuleElement.wrap(g) for g in gens + list(defining)]
+    ipart = [False] * len(gens) + [True] * len(defining)
+    meter = Meter()
+    try:
+        if loop_class is PairLoop:
+            loop = PairLoop.from_seeds(seeds, ipart, ring, 1, meter)
+        else:
+            loop = SignatureLoop.from_seeds(seeds, ipart, ring, meter)
+        return _interreduce(loop.table, meter)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+def _random_affine_ideal(rng, ring):
+    """Two to four sparse polynomials of degree at most 5, or a seeded
+    homogeneous ideal, which is never the unit ideal."""
+    if rng.random() < 0.5:
+        return _random_homogeneous_ideal(rng, ring, max_gens=4, max_degree=3)
+    gens = [rand_poly(rng, ring, rng.randint(2, 5), rng.randint(2, 5))
+            for _ in range(rng.randint(2, 4))]
+    return [g for g in gens if not g.is_zero()] or [ring.variable(0)]
+
+
+@pytest.mark.parametrize("with_defining", [False, True], ids=["plain", "defining"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(32003)],
+                         ids=["Q", "F7", "F32003"])
+def test_signature_loop_matches_pair_loop(field, with_defining):
+    """The reduced basis is unique, so the signature loop and the pair loop
+    give the same basis on every rank-one grevlex input, with and without
+    an adjoined defining basis, or run out of the default budget alike."""
+    rng = random.Random(7919 + field.characteristic + with_defining)
+    proper = 0
+    for _ in range(40):
+        ring = PolynomialRing(field, rng.randint(2, 4), GREVLEX)
+        gens = _random_affine_ideal(rng, ring)
+        defining = ()
+        if with_defining:
+            defining = buchberger(_random_homogeneous_ideal(
+                rng, ring, max_gens=3, max_degree=2)).polynomials()
+        got = _completed(SignatureLoop, gens, defining)
+        assert got == _completed(PairLoop, gens, defining)
+        if not isinstance(got, str):
+            assert buchberger(gens, defining=defining or None).elements == tuple(got)
+            proper += not (len(got) == 1 and got[0].terms[0][1].degree == 0)
+    assert proper >= 20
+
+
+def test_signature_loop_keeps_singular_top_reducible_results():
+    """Dropping a result whose lead an element divides at an equal
+    multiplied signature loses x1^7 + ... from this basis."""
+    P = qring(3)
+    x0, x1, x2 = P.variables()
+    gens = [6 * x0**3 * x1**3 * x2**3 + 6 * x0**2 * x1 * x2 + 4 * x0**3,
+            2 * x0**3 + 5 * x0 * x1 * x2 + 3 * x1**2,
+            4 * x0**3 * x1**3 * x2**3 + x0**3 * x1 * x2**2 + 2 * x1 * x2**3]
+    got = _completed(SignatureLoop, gens)
+    assert got == _completed(PairLoop, gens)
+    assert Monomial((0, 7, 0)) in [el.terms[0][1] for el in got]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_no_spair_of_a_dense_regular_sequence_reduces_to_zero(monkeypatch, field):
+    """Four dense quadrics in four variables with seeded coefficients: their
+    top-degree forms are a regular sequence, so every syzygy is a Koszul
+    one, whose signature the F5 criterion knows (Faugere 2002).  No
+    S-pair reduces to zero; the pair loop reduces many to zero."""
+    rng = random.Random(97)
+    P = PolynomialRing(field, 4, GREVLEX)
+    nonzero = [c for c in range(-9, 10) if c]
+    gens = [Polynomial(P, [(exps, rng.choice(nonzero)) for d in range(3)
+                           for exps in oracles.monomials_of_degree(4, d)])
+            for _ in range(4)]
+    zeros = []
+    kernel = groebner._reduce_spair
+
+    def counting(*args):
+        r = kernel(*args)
+        zeros.append(r.is_zero())
+        return r
+
+    monkeypatch.setattr(groebner, "_reduce_spair", counting)
+    got = _completed(SignatureLoop, gens)
+    assert zeros and not any(zeros)
+    zeros.clear()
+    assert _completed(PairLoop, gens) == got
+    assert sum(zeros) > len(zeros) // 2
+
+
+def test_only_rank_one_grevlex_input_takes_the_signature_loop(monkeypatch):
+    runs = []
+    for loop_class in (PairLoop, SignatureLoop):
+        def counting(*args, _original=loop_class.from_seeds, _name=loop_class.__name__):
+            runs.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(loop_class, "from_seeds", staticmethod(counting))
+
+    def loops(compute):
+        runs.clear()
+        compute()
+        return set(runs)
+
+    P = qring(3)
+    x, y, z = P.variables()
+    gens = [x * x - y * z, y * y - x * z]
+    assert loops(lambda: buchberger(gens)) == {"SignatureLoop"}
+    assert loops(lambda: buchberger([x], defining=buchberger(gens))) == {"SignatureLoop"}
+    for order in (LEX, elimination_order((0,), (1, 2))):
+        Q = PolynomialRing(QQ, 3, order)
+        u, v, w = Q.variables()
+        assert loops(lambda: buchberger([u * u - v * w, v * v - u * w])) == {"PairLoop"}
+    assert loops(lambda: buchberger([ModuleElement(P, [x, y])], rank=2)) == {"PairLoop"}
+    assert loops(lambda: syzygies(gens)) == {"PairLoop"}
 
 
 # -- syzygies --------------------------------------------------------------------

@@ -29,6 +29,7 @@ from singulant.ideal_ops import (
     IdealHandle,
     RingPresentation,
     is_m_primary,
+    minimal_primes_monomial,
     radical_membership,
     socle,
 )
@@ -466,6 +467,32 @@ def test_report_computes_ring_facts_once(monkeypatch):
     assert (len(certs), len(socles)) == (1, 1)
     assert (len(primary), len(radical)) == (1, 8)
     assert sum(list(args[0]) == list(ring.defining) for args in bases) == 1
+
+
+def test_zero_socle_reuses_the_defining_basis(monkeypatch):
+    """The cusp's socle is zero: its handle's generators all reduce to zero
+    modulo the defining basis, which is then its basis.  So the one
+    Buchberger run whose generators add nothing to the defining ideal is
+    the defining handle's own (2 when the socle's handle ran it again)."""
+    ring = parse_ring("Q[x,y]/(x^3 - y^2)")
+    bases = count_calls(monkeypatch, buchberger)
+    doc = build_report(ring)
+    assert doc["socle"]["gens"] == []
+    inside = [args for args in bases if args[0] and all(
+        isinstance(g, Polynomial) and g.ring == ring.poly_ring
+        and ring.normal_form(g).is_zero() for g in args[0])]
+    assert [list(args[0]) for args in inside] == [list(ring.defining)]
+
+
+def test_report_computes_minimal_primes_once(monkeypatch):
+    """B's singular-locus certificate carries the minimal primes of its
+    monomial defining ideal: the equidimensionality test, the witness
+    primes and the radical comparison's failure primes all read them (3
+    calls when each computed its own)."""
+    primes = count_calls(monkeypatch, minimal_primes_monomial)
+    doc = build_report(fail_ring())
+    assert doc["singular_locus"]["witness_primes"] == [["x", "z", "w"]]
+    assert len(primes) == 1
 
 
 def test_regular_report_builds_no_corpus(monkeypatch):
