@@ -281,11 +281,11 @@ def _reduce(el: ModuleElement, table: _DivisorTable, meter: Meter) -> ModuleElem
     The table is first fitted to the meter's degree limit and to el's
     degree (the width rule of ``_DivisorTable``); el's terms are then
     packed once, over Q as integers over the lcm of their denominators, and
-    divided by ``_divide``.
+    divided by ``_divide``, which returns el itself when no step divides.
     """
     table.fit(meter.max_degree, max((m.degree for _, m, _ in el.terms), default=0))
     den, work = _integral(el.terms, table.packing.pack, el.ring.field.characteristic)
-    return _divide(work, den, table, meter, el.rank)
+    return _divide(work, den, table, meter, el.rank, source=el)
 
 
 def _reduce_spair(table: _DivisorTable, i: int, j: int, meter: Meter,
@@ -320,7 +320,8 @@ def _reduce_spair(table: _DivisorTable, i: int, j: int, meter: Meter,
 
 
 def _divide(work: dict, den: int, table: _DivisorTable, meter: Meter,
-            rank: int, bound: int | None = None) -> ModuleElement:
+            rank: int, bound: int | None = None,
+            source: ModuleElement | None = None) -> ModuleElement:
     """Full normal form of the packed terms ``work`` over ``den`` against
     ``table``.
 
@@ -336,6 +337,10 @@ def _divide(work: dict, den: int, table: _DivisorTable, meter: Meter,
     smaller than bound, that is when sig(g) shifted by t - lead(g) packs to
     a larger int, and a term no divisor qualifies for goes to the
     remainder.  The table's signatures then all share the bound's packing.
+
+    ``source`` is the element ``work`` was packed from, if any.  When no
+    step divides, every term goes to the remainder unchanged, and source
+    is returned as it is rather than rebuilt term by term.
 
     Heap division (Monagan-Pearce) on packed terms: a min-heap of the keys
     of ``work`` pops the largest term first.  A cancelled term keeps its
@@ -363,6 +368,7 @@ def _divide(work: dict, den: int, table: _DivisorTable, meter: Meter,
     heap = list(work)
     heapq.heapify(heap)
     remainder = []  # popped largest first, so already in term order
+    divided = False
     while heap:
         t = heappop(heap)
         coeff = work.pop(t, None)
@@ -380,6 +386,7 @@ def _divide(work: dict, den: int, table: _DivisorTable, meter: Meter,
             continue
         # subtract coeff * shift * G/gden; its leading term cancels the
         # popped term and is not re-added
+        divided = True
         shift = t - glead
         if p:
             c = p - coeff
@@ -414,6 +421,8 @@ def _divide(work: dict, den: int, table: _DivisorTable, meter: Meter,
                     work[m] = s
                 else:
                     del work[m]
+    if source is not None and not divided:
+        return source
     unpack, trusted = packing.unpack, Monomial._trusted
     terms = []
     for t, coeff, d in remainder:
@@ -496,24 +505,44 @@ class PairLoop:
     normalized there once (``_divisor_row``), ``basis`` is its list of the
     elements as they were added, and ``flags`` marks the adjoined
     defining generators, whose mutual pairs are skipped (sound because the
-    defining list is itself a Groebner basis).  Pair selection is minimal
-    lcm degree first, then the smaller lcm; the coprime criterion applies
-    in rank one and the chain criterion is checked against pairs already
-    off the queue.  The lcm, coprime and chain tests work on the packed
-    leads, and each S-pair is formed inside the division kernel
-    (``_reduce_spair``).  A queued pair's key holds its packed lcm, so when
-    the table re-packs the queue is keyed again.  After ``complete`` the
-    basis is a Groebner basis of everything added, not interreduced, so a
-    normal form against it is zero exactly for the members; later ``add``
-    calls queue the new pairs for the next run.
+    defining list is itself a Groebner basis).  ``meter`` is charged for
+    every reduction; a caller that keeps the loop across budget scopes
+    points it at the scope of each query.
+
+    Position p carries the shift ``shifts[p]`` (0 by default), and a term
+    m * e_p has the shifted degree deg m + shifts[p].  Pairs are queued by
+    the shifted degree of their lcm, then the smaller lcm; the coprime
+    criterion applies in rank one and the chain criterion is checked
+    against pairs already off the queue.  The lcm, coprime and chain tests
+    work on the packed leads, and each S-pair is formed inside the
+    division kernel (``_reduce_spair``).  A queued pair's key holds its
+    packed lcm, so when the table re-packs the queue is keyed again.
+
+    ``complete(degree)`` runs the queued pairs of shifted degree at most
+    ``degree``.  While every element added is homogeneous, so is every
+    S-pair and every remainder, each of the degree of its pair, and a lead
+    of degree above d divides no term of degree d or less.  Once every
+    pair of degree at most d has reduced to zero, the elements form a
+    d-truncated Groebner basis: a homogeneous element of the span of
+    degree at most d reduces to zero against them, and no other element
+    does (the truncated Buchberger algorithm; Kreuzer and Robbiano,
+    Computational Commutative Algebra 2, 2005, Sect. 4.5).  ``graded``
+    records that every element added so far is homogeneous; once one is
+    not, every completion runs all pairs.  Completed without a degree the
+    basis is a Groebner basis of everything added, not interreduced; later
+    ``add`` calls queue the new pairs for the next run.  ``complete`` drops
+    each pair before reducing it, so a loop whose completion ran out of
+    budget has lost that pair and must not be asked again.
     """
 
-    __slots__ = ("rank", "meter", "basis", "table", "flags", "at", "heap", "pending",
-                 "keyed")
+    __slots__ = ("rank", "meter", "shifts", "graded", "basis", "table", "flags", "at",
+                 "heap", "pending", "keyed")
 
-    def __init__(self, ring, rank, meter):
+    def __init__(self, ring, rank, meter, shifts=None):
         self.rank = rank
         self.meter = meter
+        self.shifts = tuple(shifts) if shifts is not None else (0,) * rank
+        self.graded = True
         self.table = _DivisorTable(ring, reach=meter.max_degree)
         self.basis = self.table.elements
         self.flags = []
@@ -537,13 +566,27 @@ class PairLoop:
     def reduce(self, el: ModuleElement) -> ModuleElement:
         return _reduce(el, self.table, self.meter)
 
+    def degree(self, el: ModuleElement):
+        """The shifted degree of el's terms when they share one, else None."""
+        shifts = self.shifts
+        degrees = {m.degree + shifts[pos] for pos, m, _ in el.terms}
+        return degrees.pop() if len(degrees) == 1 else None
+
+    def normal_form(self, el: ModuleElement) -> ModuleElement:
+        """el reduced against the basis completed through el's degree, all
+        of it when el is not homogeneous: zero exactly when el lies in the
+        span."""
+        self.complete(self.degree(el))
+        return self.reduce(el)
+
     def _pair(self, i: int, j: int) -> tuple:
-        """Queue entry of the pair (i, j): lcm degree, then the larger lcm
-        last."""
+        """Queue entry of the pair (i, j): shifted lcm degree, then the
+        larger lcm last."""
         packing, rows = self.table.packing, self.table.rows
         iexps, ilead = rows[i][0], rows[i][1]
         both = ilead + packing.lift(packing.lcm(iexps, rows[j][0]) - iexps)
-        return (both & packing.capacity, -(both & packing.monomial_mask), i, j)
+        return ((both & packing.capacity) + self.shifts[both >> packing.pos_shift],
+                -(both & packing.monomial_mask), i, j)
 
     def _rekey(self):
         if self.keyed is not self.table.packing:
@@ -555,6 +598,8 @@ class PairLoop:
         """Append ``el``, already reduced against the basis, unless zero."""
         if el.is_zero():
             return
+        if self.graded and self.degree(el) is None:
+            self.graded = False
         self.table.add(el)
         self._rekey()
         self.flags.append(flag)
@@ -567,11 +612,16 @@ class PairLoop:
             self.pending.add((i, j))
         same.append(j)
 
-    def complete(self):
-        """Run the queued pairs until the basis is a Groebner basis."""
+    def complete(self, degree: int | None = None):
+        """Run the queued pairs of shifted degree at most ``degree``, every
+        pair when it is None or the loop is not graded."""
         heap, pending, table = self.heap, self.pending, self.table
+        if not self.graded:
+            degree = None
         while heap:
             self._rekey()
+            if degree is not None and heap[0][0] > degree:
+                return
             _, _, i, j = heapq.heappop(heap)
             if (i, j) not in pending:
                 continue
@@ -839,7 +889,9 @@ def normal_form(f, gb: GroebnerBasis):
             raise StructuralError("polynomial against a module basis")
         if f.ring != gb.ring:
             raise StructuralError("polynomial from another ring")
-        return _reduce(ModuleElement.wrap(f), gb._table, meter).coords[0]
+        el = ModuleElement.wrap(f)
+        nf = _reduce(el, gb._table, meter)
+        return f if nf is el else nf.coords[0]
     if not isinstance(f, ModuleElement):
         raise StructuralError(f"cannot reduce {type(f).__name__}")
     if f.ring != gb.ring or f.rank != gb.rank:

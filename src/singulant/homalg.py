@@ -24,12 +24,13 @@ from math import comb
 from .errors import Budget, PreconditionError, StructuralError, active_meter, guarded
 # buchberger and trim_generators are unused here but stay importable from
 # this module, where perfbench's tracer rebinds and checks every alias of them
-from .groebner import ModuleElement, buchberger, normal_form  # noqa: F401
+from .groebner import ModuleElement, PairLoop, buchberger, normal_form  # noqa: F401
 from .ideal_ops import IdealHandle, RingPresentation, radical_membership
 from .poly import Monomial, Polynomial
 from .resolve import (  # noqa: F401
     FinitelyPresentedModule,
     FreeResolution,
+    column_degree,
     free_resolution,
     minimal_kernel,
     minimal_presentation,
@@ -280,17 +281,39 @@ class StableSpan:
     products d E_ji d = d[:, j] (x) d[i, :], plus I * R^(b0*b1), flattened
     row by row: r * Ext^1(M, Omega^1 M) = 0 (Buchweitz 1986; Iyengar-
     Takahashi 2016).  On a cyclic M = R/J it reads r in J + (0 : J).
+
+    The span is one ``PairLoop``, seeded with I * R^(b0*b1) and the
+    products, and completed only as far as a query needs.  Position (a, b)
+    is shifted by s_a - c_b, s_a being row a's shift and c_b the degree of
+    column b.  When d is homogeneous under those degrees, d has shifted
+    degree 0, each product d E_ji d the degree c_j - s_i of the entry d_ij,
+    and r * d the degree of r; ``factors(r)`` then completes the loop
+    through deg r only.  A non-homogeneous r, column or defining ideal
+    makes r * d or the loop non-homogeneous, and the loop completes fully.
     """
 
     def __init__(self, module: FinitelyPresentedModule):
-        pring = module.ring.poly_ring
+        ring = module.ring
+        pring = ring.poly_ring
+        cols = module.relation_columns()
+        degrees = [column_degree(c, module.shifts) for c in cols]
         self.d = ModuleElement(pring, [e for row in module.rows for e in row])
-        rows = [ModuleElement(pring, row) for row in module.rows]
-        self.basis = module.ring.module_basis(_kron(module.relation_columns(), rows), self.d.rank)
+        rank = self.d.rank
+        self.loop = PairLoop(pring, rank, active_meter(),
+                             [s - c for s in module.shifts for c in degrees])
+        for g in ring.defining_basis().polynomials():
+            for pos in range(rank):
+                self.loop.add(ModuleElement.unit(pring, rank, pos, g), True)
+        for el in _kron(cols, [ModuleElement(pring, row) for row in module.rows]):
+            self.loop.add(self.loop.reduce(el), False)
 
     def factors(self, r: Polynomial) -> bool:
-        """Does r * d lie in the span, so r * id_M factor through F_0?"""
-        return normal_form(self.d.mul_poly(r), self.basis).is_zero()
+        """Does r * d lie in the span, so r * id_M factor through F_0?  The
+        loop's completion is charged to the active budget scope; once a
+        query runs out, the loop may have lost a pair, and the span must
+        not be asked again."""
+        self.loop.meter = active_meter()
+        return self.loop.normal_form(self.d.mul_poly(r)).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -111,9 +111,10 @@ class RingContext:
     needs no more: the ``StableSpan`` of that presentation.  Links and
     spans are memoised per (member, s), and each candidate's outcome per
     candidate, so a second sweep only certifies the candidates the first
-    did not.  Each heavy step, down to one resolution step or one span,
-    runs in its own ``cap`` scope and degrades to "inconclusive" when that
-    cap is hit; the corpus itself is built in the enclosing scope.
+    did not.  Each heavy step, down to one resolution step, the seeding of
+    one span or one query on it, runs in its own ``cap`` scope and
+    degrades to "inconclusive" when that cap is hit; the corpus itself is
+    built in the enclosing scope.
     """
 
     def __init__(self, ring: RingPresentation, seed: int = 0):
@@ -186,6 +187,10 @@ class RingContext:
         Omega^s passes outright when it is zero or free, and otherwise when
         its ``StableSpan``, built once per link in a cap scope, admits r:
         r * Ext^1(Omega^s M, Omega^(s+1) M) = 0, the "ext-vanishing" route.
+        Each query ``factors(r)`` completes the span as far as r needs in a
+        cap scope of its own.  A query that runs out counts as capped, and
+        its span, which has then lost a pair, is dropped, so every later
+        candidate is capped there too rather than wrongly failed.
         Returns (status, route, shift, failed_shifts) with status one of
         "certified" | "failed" | "inconclusive".
         """
@@ -199,9 +204,12 @@ class RingContext:
                 return "certified", "zero-or-free", s, fails
             span = self._cached(("span", idx, s), lambda: guarded(
                 self.cap, lambda: StableSpan(mod)))
-            if span is None:
+            passes = None if span is None else guarded(self.cap, lambda: span.factors(r))
+            if passes is None:
+                # a query that ran out may have dropped a pair: never ask it again
+                self._memo[("span", idx, s)] = None
                 capped = True
-            elif span.factors(r):
+            elif passes:
                 return "certified", "ext-vanishing", s, fails
             else:
                 fails.append(s)

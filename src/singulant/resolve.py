@@ -129,42 +129,47 @@ class FinitelyPresentedModule:
 # minimal generating sets, read through the grading
 
 
-def _column_degree(col: ModuleElement, shifts) -> int:
+def column_degree(col: ModuleElement, shifts) -> int:
+    """The largest shifted degree deg m + shifts[pos] of col's terms, the
+    degree of col when it is homogeneous; -1 for the zero column."""
     return max((m.degree + shifts[pos] for pos, m, _ in col.terms), default=-1)
 
 
 def trim_generators(ring: RingPresentation, cols, rank: int, shifts=None):
     """Greedy minimal generating subset, processed by ascending degree.
 
-    For graded input this is a genuinely minimal generating set: if a kept
+    Each candidate is tested against one ``PairLoop`` of the kept columns
+    plus defining * R^rank, graded by ``shifts``, which grows as columns
+    are kept.  The loop is completed just before each test, through the
+    candidate's degree when the candidate and everything added are
+    homogeneous, fully otherwise; either way the test is exact membership
+    in the span of the columns kept so far.
+
+    For graded input the result is a minimal generating set: if a kept
     element lay in the span of the other kept elements, the span witnesses
     would only involve elements of no larger degree, so the element would
     already have been rejected when it was tested.  For non-graded input
     the result still generates, but minimality is heuristic.  The first
-    column is always kept.
-
-    Each candidate is tested against one Groebner basis of the kept columns
-    plus defining * R^rank, which grows as columns are kept; its steps
-    count against the active budget scope.
+    column is always kept.  The loop's steps count against the active
+    budget scope.
     """
     if shifts is None:
         shifts = (0,) * rank
     cols = [c for c in cols if not c.is_zero()]
     order = sorted(range(len(cols)),
-                   key=lambda j: (_column_degree(cols[j], shifts), j))
+                   key=lambda j: (column_degree(cols[j], shifts), j))
     pring = ring.poly_ring
-    loop = PairLoop(pring, rank, active_meter())
+    loop = PairLoop(pring, rank, active_meter(), shifts)
     for g in ring.defining_basis().polynomials():
         for pos in range(rank):
             loop.add(ModuleElement.unit(pring, rank, pos, g), True)
     kept = []
     for j in order:
-        nf = loop.reduce(cols[j])
+        nf = loop.normal_form(cols[j])
         if kept and nf.is_zero():
             continue
         kept.append(cols[j])
         loop.add(nf, False)
-        loop.complete()
     return kept
 
 
@@ -319,7 +324,7 @@ class FreeResolution:
         """
         while self.length < length and self.pending:
             cols = self.pending
-            col_shifts = [_column_degree(c, self.shifts[-1]) for c in cols]
+            col_shifts = [column_degree(c, self.shifts[-1]) for c in cols]
             diff = columns_to_rows(self.ranks[-1], cols)
             period = next((p for p in (1, 2) if detect_periodicity
                            and len(self.differentials) >= p

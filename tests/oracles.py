@@ -145,6 +145,62 @@ def radical_membership_by_powers(f: Polynomial, gens, *, max_power: int = 8) -> 
 
 
 # ---------------------------------------------------------------------------
+# graded submodules of R^n = (P/I)^n, one degree slice at a time
+
+
+def vector_degree(vector, shifts):
+    """The shifted degree deg c + shifts[pos] shared by every term of the
+    coordinates ``vector`` (a tuple of polynomials), or None when they do
+    not share one; None for the zero vector too."""
+    degrees = {m.degree + shifts[pos]
+               for pos, c in enumerate(vector) for m, _ in c.terms}
+    return degrees.pop() if len(degrees) == 1 else None
+
+
+def _vector_row(vector) -> dict:
+    return {(pos, m.exps): k for pos, c in enumerate(vector) for m, k in c.terms}
+
+
+def module_slice_products(gens, defining, shifts, degree: int):
+    """Rows spanning the degree-d slice of span(gens) + I * P^n over the
+    field, as dicts keyed by (position, exponents): every monomial multiple
+    landing in degree d of a generator, and of f * e_pos for each
+    generator f of I.  Every one must be homogeneous under ``shifts``."""
+    rank = len(shifts)
+    units = [tuple(f if q == pos else f.ring.zero() for q in range(rank))
+             for f in defining if not f.is_zero() for pos in range(rank)]
+    rows = []
+    for vector in list(gens) + units:
+        nonzero = [c for c in vector if not c.is_zero()]
+        if not nonzero:
+            continue
+        d = vector_degree(vector, shifts)
+        if d is None:
+            raise ValueError("a generator is not homogeneous under the shifts")
+        ring = nonzero[0].ring
+        for exps in monomials_of_degree(ring.nvars, degree - d) if d <= degree else ():
+            mono = Monomial(exps)
+            rows.append(_vector_row(tuple(c.mul_term(mono, ring.field.one) for c in vector)))
+    return rows
+
+
+def graded_module_membership(vector, gens, defining, shifts) -> bool:
+    """Is the homogeneous ``vector`` (a tuple of polynomials) in span(gens)
+    + I * P^n, the preimage of a graded submodule of R^n = (P/I)^n?  One
+    Macaulay matrix in the vector's degree, row reduced."""
+    nonzero = [c for c in vector if not c.is_zero()]
+    if not nonzero:
+        return True
+    d = vector_degree(vector, shifts)
+    if d is None:
+        raise ValueError("the vector is not homogeneous under the shifts")
+    field = nonzero[0].ring.field
+    rows = module_slice_products(gens, defining, shifts, d)
+    base = len(_row_reduce(rows, field))
+    return len(_row_reduce(rows + [_vector_row(vector)], field)) == base
+
+
+# ---------------------------------------------------------------------------
 # syzygy checks (homogeneous input)
 
 

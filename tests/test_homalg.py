@@ -1,6 +1,9 @@
 """Ext modules, Koszul cohomology, and annihilation certificates."""
 from __future__ import annotations
 
+import random
+from itertools import combinations_with_replacement
+
 import pytest
 
 from singulant.errors import (
@@ -28,7 +31,7 @@ from singulant.homalg import (
     stable_annihilation_test,
 )
 from singulant.ideal_ops import IdealHandle, RingPresentation
-from singulant.poly import Monomial, Polynomial, QQ
+from singulant.poly import Monomial, Polynomial, PrimeField, QQ
 from singulant.resolve import (
     FinitelyPresentedModule,
     free_resolution,
@@ -36,6 +39,7 @@ from singulant.resolve import (
     syzygy_module,
 )
 
+import oracles
 from oracles import _row_reduce, monomials_of_degree
 from util import count_calls, fail_ring, presentation, embedded_point_ring
 
@@ -351,6 +355,21 @@ class TestAnnihilatesExt:
                         assert lhs == rhs, (M, N, str(r), n)
 
 
+STABLE_ORACLE_RINGS = {
+    "A": (QQ, ("x", "y"), lambda x, y: [x * x, x * y]),
+    "x2y2": (QQ, ("x", "y"), lambda x, y: [x * x, y * y]),
+    "xy_yz_xz": (QQ, ("x", "y", "z"), lambda x, y, z: [x * y, y * z, x * z]),
+    "F7_xy-z2": (PrimeField(7), ("x", "y", "z"), lambda x, y, z: [x * y - z * z]),
+}
+
+
+def _span_products(mod):
+    """The products d E_ji d = d[:, j] (x) d[i, :], flattened row by row."""
+    rows, b0, b1 = mod.rows, mod.rank, mod.n_relations
+    return [tuple(rows[a][j] * rows[i][b] for a in range(b0) for b in range(b1))
+            for j in range(b1) for i in range(b0)]
+
+
 class TestStableAnnihilation:
     def test_socle_and_second_variable_pass_on_k(self):
         R = embedded_point_ring()
@@ -366,13 +385,13 @@ class TestStableAnnihilation:
 
     def test_span_over_the_dual_numbers_is_zero(self):
         """Over Q[x]/(x^2), k = coker(x): the one product d E d = x^2 is zero,
-        so the span is I alone.  x * d = x^2 lies in it and 1 * d = x does
-        not: x passes and 1 fails."""
+        so the span is I alone, and its loop holds x^2 only.  x * d = x^2
+        lies in it and 1 * d = x does not: x passes and 1 fails."""
         R = presentation(QQ, ("x",), lambda x: [x * x])
         x = R.variable(0)
         k = FinitelyPresentedModule.residue_field(R)
         span = StableSpan(k)
-        assert [el.coords for el in span.basis.elements] == [(x * x,)]
+        assert [el.coords for el in span.loop.basis] == [(x * x,)]
         assert span.factors(x) and stable_annihilation_test(x, k)
         assert not span.factors(R.poly_ring.one())
         assert not stable_annihilation_test(R.poly_ring.one(), k)
@@ -399,6 +418,58 @@ class TestStableAnnihilation:
                   FinitelyPresentedModule.residue_field(R)):
             with pytest.raises(StructuralError):
                 stable_annihilation_test(z, M)
+
+    @pytest.mark.parametrize("key", sorted(STABLE_ORACLE_RINGS))
+    def test_span_matches_degree_slices(self, key):
+        """factors(r) on every corpus member and its first syzygy agrees
+        with one Macaulay matrix in deg r, for each variable, a seeded
+        linear form and each degree-2 monomial: r * d against the products
+        d E_ji d plus I * R^(b0*b1), position (a, b) graded by s_a - c_b."""
+        field, names, builder = STABLE_ORACLE_RINGS[key]
+        R = presentation(field, names, builder)
+        P = R.poly_ring
+        v = [R.variable(i) for i in range(R.nvars)]
+        rng = random.Random(sum(map(ord, key)))
+        linear = sum((g.scale(field.normalize(rng.randint(1, 5))) for g in v), P.zero())
+        cands = v + [linear] + [a * b for a, b in combinations_with_replacement(v, 2)]
+        verdicts = set()
+        for M in default_corpus(R, 0):
+            res = free_resolution(M, 1, detect_periodicity=False)
+            for s in range(res.length + 1):
+                mod = res.syzygy(s)
+                if mod.is_zero_presentation() or mod.is_free_presentation():
+                    continue
+                degrees = _column_degrees(mod.rows, mod.shifts)
+                shifts = [sa - c for sa in mod.shifts for c in degrees]
+                products, span = _span_products(mod), StableSpan(mod)
+                for r in cands:
+                    rd = tuple(r * e for row in mod.rows for e in row)
+                    got = span.factors(r)
+                    assert got == oracles.graded_module_membership(
+                        rd, products, list(R.defining), shifts), (str(M), s, str(r))
+                    verdicts.add((r.total_degree(), got))
+        assert verdicts >= {(1, True), (1, False), (2, True)}
+
+    def test_span_on_non_homogeneous_input_completes_fully(self):
+        """Over the affine cusp, and for x + y^2 over ring A, factors(r)
+        agrees with the normal form of r * d against the span's whole
+        reduced basis, on every corpus member and its first syzygy."""
+        cusp = presentation(QQ, ("x", "y"), lambda x, y: [x ** 3 - y * y])
+        for R in (cusp, embedded_point_ring()):
+            x, y = R.variable(0), R.variable(1)
+            one = R.poly_ring.one()
+            for M in default_corpus(R, 0):
+                res = free_resolution(M, 1, detect_periodicity=False)
+                for s in range(res.length + 1):
+                    mod = res.syzygy(s)
+                    if mod.is_zero_presentation() or mod.is_free_presentation():
+                        continue
+                    d = ModuleElement(R.poly_ring, [e for row in mod.rows for e in row])
+                    whole = R.module_basis([ModuleElement(R.poly_ring, p)
+                                            for p in _span_products(mod)], d.rank)
+                    span = StableSpan(mod)
+                    for r in (x + y * y, x, y, x * y + one):
+                        assert span.factors(r) == normal_form(d.mul_poly(r), whole).is_zero()
 
     def test_fail_ring_y_squared_is_excluded_by_r_mod_x(self):
         F = fail_ring()

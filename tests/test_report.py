@@ -46,6 +46,7 @@ from singulant.report import (
     verify_paper_examples,
 )
 from singulant.resolve import (
+    FinitelyPresentedModule,
     free_resolution,
     minimal_presentation,
     ring_depth,
@@ -325,27 +326,54 @@ class TestBuildReport:
 
 class TestSweepBudgets:
     def test_lowered_step_cap_degrades_to_inconclusive(self, monkeypatch):
-        """On ring A, y's dearest guarded steps are the stable spans of
-        syz1(k) (41 steps) and the seeded cokernel (74): a 200-step cap
-        decides everything, and a 30-step cap leaves y undecided on both."""
-        for cap, inconclusive in ((200, []), (30, [
-                {"element": "y", "modules": ["syz1(k)", "coker(2x3 seeded)"]}])):
+        """On ring A, y's dearest guarded steps are the seeding of the
+        seeded cokernel's stable span (21 steps), that module's
+        presentation (17), and R/m^2's second link and syz1(k)'s
+        presentation (12 each): a 200-step cap decides everything, and an
+        11-step cap leaves y undecided on all three modules."""
+        for cap, inconclusive in ((200, []), (11, [
+                {"element": "y", "modules": ["R/m^2", "syz1(k)", "coker(2x3 seeded)"]}])):
             monkeypatch.setattr(rpt, "_CERT_MAX_STEPS", cap)
             doc = build_report(parse_ring(SNAPSHOT_RINGS["A"]))
             assert doc["ann_bounds"]["inconclusive"] == inconclusive
 
     def test_each_resolution_step_runs_in_a_scope_of_its_own(self, monkeypatch):
-        """Under a 50-step cap, each guarded step that fits serves its link:
-        only the seeded cokernel, whose stable span takes 74 steps, stays
-        undecided, for y.  The span of syz1(k) takes 41 steps and its
-        presentation 12, so one scope for both would lose it too.  The
-        socle generator x is certified with no corpus work, so no cap
+        """Under a 20-step cap, each guarded step that fits serves its link:
+        only the seeded cokernel, whose stable span takes 21 steps to seed,
+        stays undecided, for y.  The span of syz1(k) takes 9 steps to seed,
+        y's query on it 3 and its presentation 12, so one scope for the
+        three would lose it too.  Under a 22-step cap the cokernel is
+        decided as well, though its presentation (17), its span (21) and
+        y's query on it (3) would overrun any scope two of them shared.
+        The socle generator x is certified with no corpus work, so no cap
         reaches it."""
-        monkeypatch.setattr(rpt, "_CERT_MAX_STEPS", 50)
-        doc = build_report(parse_ring(SNAPSHOT_RINGS["A"]))
-        assert doc["ann_bounds"]["inconclusive"] == [
-            {"element": "y", "modules": ["coker(2x3 seeded)"]},
-        ]
+        for cap, inconclusive in ((20, [{"element": "y", "modules": ["coker(2x3 seeded)"]}]),
+                                  (22, [])):
+            monkeypatch.setattr(rpt, "_CERT_MAX_STEPS", cap)
+            doc = build_report(parse_ring(SNAPSHOT_RINGS["A"]))
+            assert doc["ann_bounds"]["inconclusive"] == inconclusive
+
+    def test_a_span_whose_query_ran_out_is_not_asked_again(self, monkeypatch):
+        """Over Q[x,y], M = R/(x^2 - y^2, xy) at shift 0 alone: y^3 lies in
+        J = (x^2 - y^2, xy), so it passes, but only through the S-pair of
+        the products j_1 d and j_2 d, which reduces in 3 steps to -y^3 d.
+        A 2-step cap stops x^3's query inside that pair, which the loop has
+        already dropped: x^3 is inconclusive, and so is every later
+        candidate on the span, never failed.  Asking the interrupted loop
+        again would fail y^3 there."""
+        R = presentation(QQ, ("x", "y"))
+        x, y = R.variable(0), R.variable(1)
+        M = FinitelyPresentedModule.cyclic(R, [x * x - y * y, x * y])
+        monkeypatch.setattr(rpt, "default_corpus", lambda ring, seed: [M])
+        monkeypatch.setattr(rpt, "_MAX_SHIFT", 0)
+        assert RingContext(R).certify(0, y ** 3)[0] == "certified"
+        ctx = RingContext(R)
+        assert ctx.certify(0, x)[0] == "failed"  # the span is seeded, complete to degree 1
+        full, ctx.cap = ctx.cap, Budget(max_steps=2)
+        assert ctx.certify(0, x ** 3)[0] == "inconclusive"
+        ctx.cap = full
+        for r in (y ** 3, x, x * y):
+            assert ctx.certify(0, r)[0] == "inconclusive"
 
     def test_exhausted_command_budget_propagates_through_the_sweep(self):
         ring = parse_ring(SNAPSHOT_RINGS["A"])
@@ -358,6 +386,19 @@ class TestSweepBudgets:
         with budget_scope(Budget(max_steps=10)):
             with pytest.raises(BudgetExceededError):
                 verify_paper_examples()
+
+
+@pytest.mark.parametrize("text, steps", [
+    ("Q[x,y,z,w]/(x*y-z*w)", 5_000),
+    ("Q[x,y,z,w]/(x^2+y^2+z^2+w^2)", 8_000),
+])
+def test_stable_spans_complete_only_as_far_as_their_queries(text, steps):
+    """Every stable query on these hypersurfaces has degree 1, so each
+    span is completed through degree 1 only: the whole report fits
+    ``steps`` (it takes 3,516 and 6,054; 12,062 and 24,712 when every
+    span was completed whole up front)."""
+    with budget_scope(Budget(max_steps=steps)):
+        build_report(parse_ring(text))
 
 
 # -- resolution reuse in the sweep ---------------------------------------------------

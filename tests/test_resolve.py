@@ -15,7 +15,7 @@ from singulant.errors import (
 from singulant.groebner import buchberger, normal_form, ModuleElement
 from singulant.homalg import default_corpus
 from singulant.ideal_ops import RingPresentation
-from singulant.poly import QQ, PrimeField
+from singulant.poly import QQ, Polynomial, PrimeField
 from singulant import resolve as resolve_module
 from singulant.resolve import (
     INFINITE,
@@ -34,8 +34,9 @@ from singulant.resolve import (
     trim_generators,
 )
 
+import oracles
 from oracles import _row_reduce, monomials_of_degree
-from util import fail_ring, presentation, embedded_point_ring
+from util import embedded_point_ring, fail_ring, presentation, rand_coeff, rand_poly
 
 
 def rows_str(matrix):
@@ -306,6 +307,121 @@ class TestIncrementalTrim:
         kept = trim_generators(R, cols, 2, shifts)
         assert kept == cols[:3]
         assert kept == _trim_from_scratch(R, cols, 2, shifts)
+
+
+# ---------------------------------------------------------------------------
+# trim_generators against degree slices, an oracle that shares no code with
+# the Groebner engine
+
+
+TRIM_ORACLE_RINGS = {
+    "Q": (QQ, lambda x, y, z: []),
+    "Q/(xy,z^2)": (QQ, lambda x, y, z: [x * y, z * z]),
+    "F7/(x^2-yz)": (PrimeField(7), lambda x, y, z: [x * x - y * z]),
+    "F32003/(xz,yz)": (PrimeField(32003), lambda x, y, z: [x * z, y * z]),
+}
+
+
+def _graded_column(rng, R, shifts, degree):
+    """A random column of ``degree`` under ``shifts``, in normal form
+    modulo I: at position p up to two terms of degree ``degree - shifts[p]``,
+    or zero when that is below 1."""
+    P = R.poly_ring
+    coords = []
+    for s in shifts:
+        slots = monomials_of_degree(R.nvars, degree - s) if degree - s >= 1 else []
+        if not slots or rng.random() < 0.3:
+            coords.append(P.zero())
+            continue
+        terms = [(e, rand_coeff(rng, P.field)) for e in rng.sample(slots, min(2, len(slots)))]
+        coords.append(R.normal_form(Polynomial(P, terms)))
+    return ModuleElement(P, coords)
+
+
+def _spair(P, a, b):
+    """The S-pair of two columns whose leads share a position: their leads
+    cancel, so it is a member whose lead neither lead need divide."""
+    (_, ma, ka), (_, mb, kb) = a.lead(), b.lead()
+    both = ma.lcm(mb)
+    return ModuleElement.from_terms(P, a.rank, (
+        a.mul_poly(P.monomial(both.divide(ma).exps, kb)).terms
+        + b.mul_poly(P.monomial(both.divide(mb).exps, P.field.neg(ka))).terms))
+
+
+def _graded_trim_input(rng, R):
+    """(cols, rank, shifts): three to five random columns of mixed degrees
+    under nonzero shifts, then the S-pair of each two whose leads share a
+    position, all shuffled."""
+    P = R.poly_ring
+    rank = rng.randint(1, 3)
+    shifts = tuple(rng.randint(0, 2) for _ in range(rank))
+    base = [_graded_column(rng, R, shifts, rng.randint(min(shifts) + 1, max(shifts) + 2))
+            for _ in range(rng.randint(3, 5))]
+    base = [c for c in base if not c.is_zero()]
+    members = [R.normal_form_element(_spair(P, a, b))
+               for i, a in enumerate(base) for b in base[i + 1:] if a.lead()[0] == b.lead()[0]]
+    cols = base + [m for m in members if not m.is_zero()]
+    rng.shuffle(cols)
+    return cols, rank, shifts
+
+
+@pytest.mark.parametrize("key", sorted(TRIM_ORACLE_RINGS))
+def test_trim_is_exact_on_graded_input_by_degree_slices(key):
+    """Every column trim_generators keeps lies outside the span of the
+    other kept columns plus I * R^n, and every column it drops inside the
+    span of the kept ones, by a Macaulay matrix in the column's degree.
+    For homogeneous columns that makes the kept set minimal.  Some dropped
+    columns have a lead that no kept lead and no lead of I divides: they
+    are members only through S-pairs of the degree being tested."""
+    field, builder = TRIM_ORACLE_RINGS[key]
+    R = presentation(field, ("x", "y", "z"), builder)
+    defining = list(R.defining)
+    I_leads = [g.lead_monomial() for g in R.defining_basis().polynomials()]
+    rng = random.Random(sum(map(ord, key)))
+    through_pairs = 0
+    for _ in range(16):
+        cols, rank, shifts = _graded_trim_input(rng, R)
+        kept = trim_generators(R, cols, rank, shifts)
+        for c in kept:
+            others = [k.coords for k in kept if k is not c]
+            assert not oracles.graded_module_membership(c.coords, others, defining, shifts)
+        for c in cols:
+            if any(c is k for k in kept):
+                continue
+            assert oracles.graded_module_membership(
+                c.coords, [k.coords for k in kept], defining, shifts)
+            pos, lm, _ = c.lead()
+            through_pairs += not any(
+                k.lead()[0] == pos and k.lead()[1].divides(lm) for k in kept) and not any(
+                l.divides(lm) for l in I_leads)
+    assert through_pairs >= 3
+
+
+def test_trim_on_non_homogeneous_input_completes_fully():
+    """x - y^2 = y(x^2 - y) - x(xy - 1) has degree 2, but the pair that
+    shows it has degree 3: a completion cut at the candidate's degree would
+    keep it.  Seeded columns over the affine cusp and over Q[x,y,z], with
+    terms of mixed degrees and R-combinations of one another, are trimmed
+    as a fresh basis of the kept columns trims them."""
+    Rxy = presentation(QQ, ("x", "y"))
+    x, y = Rxy.variable(0), Rxy.variable(1)
+    one = Rxy.poly_ring.one()
+    cols = [ModuleElement.wrap(f) for f in (x * x - y, x * y - one, x - y * y)]
+    assert trim_generators(Rxy, cols, 1) == cols[:2]
+    cusp = presentation(QQ, ("x", "y"), lambda x, y: [x ** 3 - y * y])
+    rng = random.Random(53)
+    for R in (cusp, presentation(QQ, ("x", "y", "z")),
+              presentation(PrimeField(7), ("x", "y", "z"))):
+        P = R.poly_ring
+        for _ in range(6):
+            rank = rng.randint(1, 2)
+            shifts = tuple(rng.randint(0, 1) for _ in range(rank))
+            cols = [ModuleElement(P, [rand_poly(rng, P, 3, 2) for _ in range(rank)])
+                    for _ in range(3)]
+            cols += [ModuleElement.from_terms(P, rank, [
+                t for c in cols for t in c.mul_poly(rand_poly(rng, P, 1, 2)).terms])]
+            assert (trim_generators(R, cols, rank, shifts)
+                    == _trim_from_scratch(R, cols, rank, shifts))
 
 
 # ---------------------------------------------------------------------------
