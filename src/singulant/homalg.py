@@ -24,7 +24,7 @@ from math import comb
 from .errors import Budget, PreconditionError, StructuralError, active_meter, guarded
 # buchberger and trim_generators are unused here but stay importable from
 # this module, where perfbench's tracer rebinds and checks every alias of them
-from .groebner import ModuleElement, PairLoop, buchberger, normal_form  # noqa: F401
+from .groebner import ModuleElement, buchberger, normal_form  # noqa: F401
 from .ideal_ops import IdealHandle, RingPresentation, radical_membership
 from .poly import Monomial, Polynomial
 from .resolve import (  # noqa: F401
@@ -34,6 +34,7 @@ from .resolve import (  # noqa: F401
     free_resolution,
     minimal_kernel,
     minimal_presentation,
+    seeded_loop,
     syzygy_module,
     trim_generators,
 )
@@ -282,8 +283,8 @@ class StableSpan:
     row by row: r * Ext^1(M, Omega^1 M) = 0 (Buchweitz 1986; Iyengar-
     Takahashi 2016).  On a cyclic M = R/J it reads r in J + (0 : J).
 
-    The span is one ``PairLoop``, seeded with I * R^(b0*b1) and the
-    products, and completed only as far as a query needs.  Position (a, b)
+    The span is one ``PairLoop`` holding I * R^(b0*b1) (``seeded_loop``)
+    and the products, completed only as far as a query needs.  Position (a, b)
     is shifted by s_a - c_b, s_a being row a's shift and c_b the degree of
     column b.  When d is homogeneous under those degrees, d has shifted
     degree 0, each product d E_ji d the degree c_j - s_i of the entry d_ij,
@@ -298,12 +299,8 @@ class StableSpan:
         cols = module.relation_columns()
         degrees = [column_degree(c, module.shifts) for c in cols]
         self.d = ModuleElement(pring, [e for row in module.rows for e in row])
-        rank = self.d.rank
-        self.loop = PairLoop(pring, rank, active_meter(),
-                             [s - c for s in module.shifts for c in degrees])
-        for g in ring.defining_basis().polynomials():
-            for pos in range(rank):
-                self.loop.add(ModuleElement.unit(pring, rank, pos, g), True)
+        self.loop = seeded_loop(ring, self.d.rank,
+                                [s - c for s in module.shifts for c in degrees])
         for el in _kron(cols, [ModuleElement(pring, row) for row in module.rows]):
             self.loop.add(self.loop.reduce(el), False)
 

@@ -64,11 +64,10 @@ from .resolve import (
 )
 
 # each guarded step of a certification sweep runs in a budget scope of its own
-# capped at _CERT_MAX_STEPS steps, and a size cap bounds the syzygy chain, so
-# that a single oversized stable span or syzygy chain cannot stall the whole
-# report; blown caps surface as "inconclusive", never as wrong answers
+# capped at _CERT_MAX_STEPS steps, so that a single oversized stable span or
+# syzygy link cannot stall the whole report; blown caps surface as
+# "inconclusive", never as wrong answers
 _CERT_MAX_STEPS = 20_000
-_SYZ_SIZE_CAP = 48
 # a non-socle candidate may pass on any syzygy shift up to _MAX_SHIFT
 _MAX_SHIFT = 3
 
@@ -167,12 +166,9 @@ class RingContext:
         return res
 
     def omega(self, idx: int, s: int):
-        """Link s of member idx's syzygy chain; None once the chain breaks."""
+        """Link s of member idx's syzygy chain, read off its resolution;
+        None once a resolution step it needs ran out."""
         def link():
-            if s:
-                prev = self.omega(idx, s - 1)
-                if prev is None or prev.rank * max(1, prev.n_relations) > _SYZ_SIZE_CAP:
-                    return None
             res = self.resolution(idx, s)
             return None if res is None else res.syzygy(s)
         return self._cached(("omega", idx, s), link)

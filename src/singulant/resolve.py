@@ -135,6 +135,16 @@ def column_degree(col: ModuleElement, shifts) -> int:
     return max((m.degree + shifts[pos] for pos, m, _ in col.terms), default=-1)
 
 
+def seeded_loop(ring: RingPresentation, rank: int, shifts) -> PairLoop:
+    """A ``PairLoop`` graded by ``shifts`` holding defining * R^rank, each
+    g * e_pos flagged as defining; it charges the active budget scope."""
+    loop = PairLoop(ring.poly_ring, rank, active_meter(), shifts)
+    for g in ring.defining_basis().polynomials():
+        for pos in range(rank):
+            loop.add(ModuleElement.unit(ring.poly_ring, rank, pos, g), True)
+    return loop
+
+
 def trim_generators(ring: RingPresentation, cols, rank: int, shifts=None):
     """Greedy minimal generating subset, processed by ascending degree.
 
@@ -158,11 +168,7 @@ def trim_generators(ring: RingPresentation, cols, rank: int, shifts=None):
     cols = [c for c in cols if not c.is_zero()]
     order = sorted(range(len(cols)),
                    key=lambda j: (column_degree(cols[j], shifts), j))
-    pring = ring.poly_ring
-    loop = PairLoop(pring, rank, active_meter(), shifts)
-    for g in ring.defining_basis().polynomials():
-        for pos in range(rank):
-            loop.add(ModuleElement.unit(pring, rank, pos, g), True)
+    loop = seeded_loop(ring, rank, shifts)
     kept = []
     for j in order:
         nf = loop.normal_form(cols[j])

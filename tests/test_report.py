@@ -389,16 +389,44 @@ class TestSweepBudgets:
 
 
 @pytest.mark.parametrize("text, steps", [
-    ("Q[x,y,z,w]/(x*y-z*w)", 5_000),
-    ("Q[x,y,z,w]/(x^2+y^2+z^2+w^2)", 8_000),
+    ("Q[x,y,z]/(x*y-z^2)", 2_500),
+    ("Q[x,y,z]/(x^2+y^2+z^2)", 4_000),
 ])
 def test_stable_spans_complete_only_as_far_as_their_queries(text, steps):
-    """Every stable query on these hypersurfaces has degree 1, so each
+    """Every stable query on these quadric cones has degree 1, so each
     span is completed through degree 1 only: the whole report fits
-    ``steps`` (it takes 3,516 and 6,054; 12,062 and 24,712 when every
-    span was completed whole up front)."""
+    ``steps`` (it takes 1,749 and 2,727; 4,085 and 7,328 when every span
+    was completed whole up front)."""
     with budget_scope(Budget(max_steps=steps)):
         build_report(parse_ring(text))
+
+
+@pytest.mark.parametrize("text", [
+    "Q[x,y,z,w]/(x*y-z*w)",
+    "Q[x,y,z,w]/(x^2+y^2+z^2+w^2)",
+    "Q[x,y,z]/(x^2+y^2+z^5)",
+    "F5[x,y,z]/(x^2+y^2+z^3)",
+])
+def test_isolated_hypersurfaces_certify_their_whole_jacobian(text):
+    """R = S/(f) with jac = (d_i f) m-primary: (x, y, z, w) for x*y - z*w,
+    (2x, 2y, 2z, 2w) for the sum of squares, (2x, 2y, 5z^4) over Q and
+    (2x, 2y, 3z^2) over F5, where 2 and 3 are units.  R is CM of positive
+    dimension, so its socle is zero and the candidates are jac's
+    generators.
+
+    Each d_i f annihilates D_sg(R): an MCM module is coker A for a matrix
+    factorization AB = BA = f (Eisenbud 1980), and differentiating gives
+    (d_i A)B + A(d_i B) = d_i f, so d_i f is null-homotopic on the
+    periodic resolution.  So no corpus module can exclude a generator,
+    and on the link Omega^(dim R) M, which is MCM since R is CM, d_i f * id
+    factors through a free module: every generator certifies by shift
+    dim R <= 3, the last shift the sweep tries.  The lower bound is then
+    jac itself, whose radical is m, so the verdict is ``equal``, with
+    nothing excluded and nothing left inconclusive."""
+    doc = build_report(parse_ring(text))
+    assert doc["radical_comparison"]["verdict"] == "equal"
+    assert doc["ann_bounds"]["inconclusive"] == []
+    assert doc["ann_bounds"]["exclusions"] == []
 
 
 # -- resolution reuse in the sweep ---------------------------------------------------
@@ -576,7 +604,7 @@ def test_a1_surface_certifies_the_jacobian():
 # Each file in tests/data is report_json(build_report(parse_ring(text))) for
 # the ring below, written by the code it guards: a change meant to keep
 # behaviour must keep these bytes.  The cusp and cubic files are expected to
-# change when ROADMAP item 3 adds its equidimensionality certificates (their
+# change when ROADMAP item 1 adds its equidimensionality certificates (their
 # reports now lack the bound block).  A change that regenerates any file
 # explains the diff in CHANGES.md.
 SNAPSHOT_RINGS = {

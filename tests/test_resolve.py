@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from math import comb
 
 import pytest
 
@@ -484,6 +485,39 @@ class TestResidueFieldResolution:
             assert res.minimal, n
             assert check_complex(res), n
             assert check_exactness(res), n
+
+
+# ---------------------------------------------------------------------------
+# Betti numbers of k over complete intersections: Tate's series as an oracle
+
+
+def tate_betti(n: int, c: int, length: int):
+    """The first ``length`` coefficients of (1+t)^n / (1-t^2)^c, the Poincare
+    series of k over a complete intersection of c relations in m^2 in n
+    variables (Tate 1957), in plain integers: the binomial coefficients,
+    then c passes of the division by 1 - t^2, b_i += b_(i-2)."""
+    betti = [comb(n, i) for i in range(length)]
+    for _ in range(c):
+        for i in range(2, length):
+            betti[i] += betti[i - 2]
+    return betti
+
+
+@pytest.mark.parametrize("names, builder, expected", [
+    (("x", "y"), lambda x, y: [x * x, y * y], [1, 2, 3, 4, 5, 6]),
+    (("x", "y", "z"), lambda x, y, z: [x ** 3 + y ** 3 + z ** 3], [1, 3, 4, 4, 4, 4]),
+    (("x", "y"), lambda x, y: [x ** 3 - y * y], [1, 2, 2, 2, 2, 2]),
+    (("x", "y", "z"), lambda x, y, z: [x * x - y * z, x * y], [1, 3, 5, 7, 9, 11]),
+], ids=["x2_y2", "cubic", "cusp", "x2-yz_xy"])
+def test_residue_field_betti_numbers_follow_tate_series(names, builder, expected):
+    """Each defining ideal is generated by a regular sequence in m^2: one
+    nonzero element, or (x^2, y^2), or (x^2 - yz, xy), whose zero set
+    x = y = 0 or x = z = 0 has codimension 2.  So b_i(k) is the
+    coefficient of t^i in (1+t)^n / (1-t^2)^c."""
+    R = presentation(QQ, names, builder)
+    assert tate_betti(len(names), len(R.defining), 6) == expected
+    k = FinitelyPresentedModule.residue_field(R)
+    assert free_resolution(k, 5, detect_periodicity=False).betti() == expected
 
 
 # ---------------------------------------------------------------------------
