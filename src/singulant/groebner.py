@@ -11,18 +11,19 @@ Free modules carry the position-over-term order with position 0 largest;
 elements whose leading term sits in a trailing block of "witness"
 coordinates therefore surface syzygies, which is how ``syzygies`` works.
 
-Two loops complete a basis, chosen by rank and order alone.  A rank-one
-input under grevlex, an ideal with or without adjoined defining
-generators, runs ``SignatureLoop``: F5's incremental signatures, whose
-criteria drop every S-pair with the signature of a known syzygy before it
-is reduced (the F5 criterion, Faugere 2002, ISSAC; the syzygy and rewrite
-criteria, Eder and Faugere 2017, J. Symb. Comput. 80).  On a regular
-sequence no S-pair reduces to zero (Faugere 2002).  Every other input runs
-``PairLoop``, Buchberger's loop with the coprime and chain criteria:
-modules, where no Koszul criterion applies and most signature reductions
-still go to zero, and lex or block orders, where on random ideals the two
-loops disagree on whether the default degree budget runs out.  The
-reduced basis is unique, so both loops give the same one.
+Two loops complete a basis.  A rank-one input under grevlex with no
+adjoined defining generators runs ``SignatureLoop``: F5's incremental
+signatures, whose criteria drop every S-pair with the signature of a
+known syzygy before it is reduced (the F5 criterion, Faugere 2002, ISSAC;
+the syzygy and rewrite criteria, Eder and Faugere 2017, J. Symb. Comput.
+80).  On a regular sequence no S-pair reduces to zero (Faugere 2002).
+Every other input runs ``PairLoop``, Buchberger's loop with the coprime
+and chain criteria: modules, where no Koszul criterion applies and most
+signature reductions still go to zero; lex or block orders, where on
+random ideals the two loops disagree on whether the default degree budget
+runs out; and quotient rings, whose zero-divisor seeds have syzygies from
+colon ideals that the F5 criterion cannot see.  The reduced basis is
+unique, so both loops give the same one.
 
 Bases are interreduced to the unique reduced form (monic leading
 coefficients, no leading term dividing another, tails fully reduced), so
@@ -530,9 +531,9 @@ class PairLoop:
     records that every element added so far is homogeneous; once one is
     not, every completion runs all pairs.  Completed without a degree the
     basis is a Groebner basis of everything added, not interreduced; later
-    ``add`` calls queue the new pairs for the next run.  ``complete`` drops
-    each pair before reducing it, so a loop whose completion ran out of
-    budget has lost that pair and must not be asked again.
+    ``add`` calls queue the new pairs for the next run.  A pair leaves the
+    queue only once its reduction has returned, so a completion that runs
+    out of budget can be resumed, under a new meter, where it stopped.
     """
 
     __slots__ = ("rank", "meter", "shifts", "graded", "basis", "table", "flags", "at",
@@ -615,38 +616,45 @@ class PairLoop:
     def complete(self, degree: int | None = None):
         """Run the queued pairs of shifted degree at most ``degree``, every
         pair when it is None or the loop is not graded."""
-        heap, pending, table = self.heap, self.pending, self.table
+        heap, pending = self.heap, self.pending
         if not self.graded:
             degree = None
         while heap:
             self._rekey()
             if degree is not None and heap[0][0] > degree:
                 return
-            _, _, i, j = heapq.heappop(heap)
-            if (i, j) not in pending:
-                continue
+            _, _, i, j = heap[0]
+            # a reduction that runs out of budget leaves the pair queued; one
+            # that returns may have re-packed the table, never the queue
+            r = (_reduce_spair(self.table, i, j, self.meter)
+                 if (i, j) in pending and not self._redundant(i, j) else None)
             pending.discard((i, j))
-            packing, rows = table.packing, table.rows
-            iexps, jexps = rows[i][0], rows[j][0]
-            if self.rank == 1 and packing.coprime(iexps, jexps):
-                continue
-            both = packing.lcm(iexps, jexps)
-            for k in self.at[self.basis[i].terms[0][0]]:
-                if (k != i and k != j and packing.divides(rows[k][0], both)
-                        and ((i, k) if i < k else (k, i)) not in pending
-                        and ((j, k) if j < k else (k, j)) not in pending):
-                    break
-            else:
-                self.add(_reduce_spair(table, i, j, self.meter), False)
+            heapq.heappop(heap)
+            if r is not None:
+                self.add(r, False)
+
+    def _redundant(self, i: int, j: int) -> bool:
+        """The coprime criterion in rank one, then the chain criterion
+        against the pairs already off the queue."""
+        packing, rows = self.table.packing, self.table.rows
+        iexps, jexps = rows[i][0], rows[j][0]
+        if self.rank == 1 and packing.coprime(iexps, jexps):
+            return True
+        both, pending = packing.lcm(iexps, jexps), self.pending
+        for k in self.at[self.basis[i].terms[0][0]]:
+            if (k != i and k != j and packing.divides(rows[k][0], both)
+                    and ((i, k) if i < k else (k, i)) not in pending
+                    and ((j, k) if j < k else (k, j)) not in pending):
+                return True
+        return False
 
 
 class SignatureLoop:
     """Signature-based completion of a rank-one input, seed by seed.
 
-    The seeds are the generators f_1..f_n and, as index 0, the adjoined
-    defining generators, a Groebner basis already, whose mutual pairs are
-    never formed.  A basis element g carries a signature t * e_k: g is a
-    combination of f_0..f_k whose f_k coefficient has leading monomial t.
+    The seeds are the generators f_1..f_n, with no adjoined defining
+    generators.  A basis element g carries a signature t * e_k: g is a
+    combination of f_1..f_k whose f_k coefficient has leading monomial t.
     Signatures are compared position over term with the later index larger,
     F5's incremental order (Faugere 2002), and packed in the table's
     packing at position n - k, so that a larger signature packs to a
@@ -655,7 +663,7 @@ class SignatureLoop:
     ``add_seed`` brings in index k: f_k is reduced by every element so far
     and added with signature e_k, then the S-pairs of index k run in
     increasing signature until the elements form a Groebner basis of
-    f_0..f_k.  Every reduction is regular, lead and tail alike
+    f_1..f_k.  Every reduction is regular, lead and tail alike
     (``_divide`` with a bound): an element of a lower index always
     qualifies, one of index k only when its multiplied signature is smaller
     than the pair's.  A pair whose two multiplied signatures are equal is
@@ -690,19 +698,13 @@ class SignatureLoop:
         self.keyed = None  # the packing the keys and syzygies were made in
 
     @classmethod
-    def from_seeds(cls, elements, ipart, ring, meter) -> "SignatureLoop":
-        """The completed loop of the seeds, ``ipart`` flagging the defining
-        generators, which form index 0.  The others follow by increasing
-        degree, F5's usual order, keeping seed order among equal degrees:
-        the index order does not change the ideal, and a low-degree seed
-        first keeps the intermediate bases of fewer seeds small."""
+    def from_seeds(cls, elements, ring, meter) -> "SignatureLoop":
+        """The completed loop of the seeds, taken by increasing degree,
+        F5's usual order, keeping seed order among equal degrees: the index
+        order does not change the ideal, and a low-degree seed first keeps
+        the intermediate bases of fewer seeds small."""
         loop = cls(ring, meter)
-        seeds = sorted((el for el, flag in zip(elements, ipart) if not flag),
-                       key=lambda el: el.terms[0][1].degree if el.terms else 0)
-        one = (0,) * ring.nvars
-        for el, flag in zip(elements, ipart):
-            if flag:
-                loop.table.add(el, (len(seeds), one))
+        seeds = sorted(elements, key=lambda el: el.terms[0][1].degree if el.terms else 0)
         for k, el in enumerate(seeds, 1):
             loop.add_seed(el, len(seeds) - k)
         return loop
@@ -783,10 +785,10 @@ class SignatureLoop:
 
 def _core(elements, ipart, ring, rank, meter):
     """Reduced basis of the seeds ``elements``; ``ipart`` flags the adjoined
-    defining generators.  A rank-one input under grevlex is completed by
-    ``SignatureLoop``, every other input by ``PairLoop``."""
-    if rank == 1 and ring.order.kind == "grevlex":
-        loop = SignatureLoop.from_seeds(elements, ipart, ring, meter)
+    defining generators.  A rank-one input under grevlex with none flagged
+    is completed by ``SignatureLoop``, every other input by ``PairLoop``."""
+    if rank == 1 and ring.order.kind == "grevlex" and not any(ipart):
+        loop = SignatureLoop.from_seeds(elements, ring, meter)
     else:
         loop = PairLoop.from_seeds(elements, ipart, ring, rank, meter)
     return _interreduce(loop.table, meter)

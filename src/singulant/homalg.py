@@ -24,7 +24,7 @@ from math import comb
 from .errors import Budget, PreconditionError, StructuralError, active_meter, guarded
 # buchberger and trim_generators are unused here but stay importable from
 # this module, where perfbench's tracer rebinds and checks every alias of them
-from .groebner import ModuleElement, buchberger, normal_form  # noqa: F401
+from .groebner import ModuleElement, buchberger  # noqa: F401
 from .ideal_ops import IdealHandle, RingPresentation, radical_membership
 from .poly import Monomial, Polynomial
 from .resolve import (  # noqa: F401
@@ -57,22 +57,18 @@ class Subquotient:
         self.rank = rank
         self.cycles = list(cycles)
         self.boundaries = [b for b in boundaries if not b.is_zero()]
-        self._boundary_gb = None
-
-    def boundary_gb(self):
-        if self._boundary_gb is None and self.boundaries:
-            self._boundary_gb = self.ring.module_basis(self.boundaries, self.rank)
-        return self._boundary_gb
+        self._loop = None
 
     def is_boundary(self, el: ModuleElement) -> bool:
-        """Reduction against the boundaries' basis, which holds I * R^rank.
-        Until that basis is built, el is first reduced modulo I alone: an
-        element that is zero there needs no basis."""
-        if self._boundary_gb is None:
-            el = self.ring.normal_form_element(el)
-            if el.is_zero() or not self.boundaries:
-                return el.is_zero()
-        return normal_form(el, self.boundary_gb()).is_zero()
+        """Membership in the span of the boundaries and I * R^rank, one
+        ``seeded_loop`` built on the first test and charged to the active
+        budget scope.  An element its current elements already reduce to
+        zero needs no completion."""
+        if self._loop is None:
+            self._loop = seeded_loop(self.ring, self.rank, gens=self.boundaries)
+        self._loop.meter = active_meter()
+        nf = self._loop.reduce(el)
+        return nf.is_zero() or self._loop.normal_form(nf).is_zero()
 
     def is_zero(self) -> bool:
         return all(self.is_boundary(z) for z in self.cycles)
@@ -128,24 +124,22 @@ def _cohomology(ring: RingPresentation, into, out, rank: int, N: FinitelyPresent
 def module_k_dimension(module: FinitelyPresentedModule):
     """Total dimension over the base field, or None when not finite.
 
-    Counts standard module monomials against the combined leading-term
-    module of the relations and the defining ideal, slot by slot; a slot
-    whose count never reaches zero before the active budget scope's
-    max_degree makes the result None rather than a guess.  The count is
-    the same for every presentation of the module.
+    Counts standard module monomials, slot by slot, against the leads of a
+    Groebner basis of the relations and I * R^rank, one ``seeded_loop``
+    completed; a slot whose count never reaches zero before the active
+    budget scope's max_degree makes the result None rather than a guess.
+    The count is the same for every presentation of the module.
     """
     ring = module.ring
     if module.rank == 0:
         return 0
     max_degree = active_meter().max_degree
-    leads = {s: [g.lead_monomial() for g in ring.defining_basis().polynomials()]
-             for s in range(module.rank)}
-    cols = module.relation_columns()
-    if cols:
-        gb = ring.module_basis(cols, module.rank)
-        for el in gb.elements:
-            pos, mono, _ = el.lead()
-            leads[pos].append(mono)
+    loop = seeded_loop(ring, module.rank, gens=module.relation_columns())
+    loop.complete()
+    leads = {s: [] for s in range(module.rank)}
+    for el in loop.basis:
+        pos, mono, _ = el.lead()
+        leads[pos].append(mono)
     nvars = ring.nvars
     total = 0
     for s in range(module.rank):
@@ -300,15 +294,14 @@ class StableSpan:
         degrees = [column_degree(c, module.shifts) for c in cols]
         self.d = ModuleElement(pring, [e for row in module.rows for e in row])
         self.loop = seeded_loop(ring, self.d.rank,
-                                [s - c for s in module.shifts for c in degrees])
-        for el in _kron(cols, [ModuleElement(pring, row) for row in module.rows]):
-            self.loop.add(self.loop.reduce(el), False)
+                                [s - c for s in module.shifts for c in degrees],
+                                _kron(cols, [ModuleElement(pring, row) for row in module.rows]))
 
     def factors(self, r: Polynomial) -> bool:
         """Does r * d lie in the span, so r * id_M factor through F_0?  The
-        loop's completion is charged to the active budget scope; once a
-        query runs out, the loop may have lost a pair, and the span must
-        not be asked again."""
+        loop's completion is charged to the active budget scope; a query
+        that runs out leaves the loop where it stopped, and a later query
+        resumes it."""
         self.loop.meter = active_meter()
         return self.loop.normal_form(self.d.mul_poly(r)).is_zero()
 

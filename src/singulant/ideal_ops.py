@@ -94,11 +94,6 @@ class RingPresentation:
             return el
         return ModuleElement(self.poly_ring, [self.normal_form(c) for c in el.coords])
 
-    def module_basis(self, cols, rank: int) -> GroebnerBasis:
-        """Reduced basis of the preimage in P^rank of the span of ``cols``."""
-        return buchberger(cols, defining=self.defining_basis(),
-                          ring=self.poly_ring, rank=rank)
-
     def kernel_into(self, domain_rank: int, images, allowed):
         """Generators of {v in R^d : sum v_t * images[t] in <allowed>}.
 
@@ -202,6 +197,7 @@ class IdealHandle:
         self.generators = tuple(gens)
         self._gb = None
         self._display = None
+        self._radical = {}  # f -> is f in the radical, see radical_membership
 
     def groebner(self) -> GroebnerBasis:
         """Reduced basis of the preimage (generators + defining) in P.
@@ -288,13 +284,16 @@ def radical_membership(f: Polynomial, ideal: IdealHandle) -> bool:
 
     1 lies in the extended ideal (preimage, 1 - t*f) of P[t] iff f is in
     the radical; this holds over any coefficient field.  t is appended last,
-    under a block order eliminating it.
+    under a block order eliminating it.  The answer is kept on the handle,
+    so each f costs one elimination per handle.
     """
     ring = ideal.ring
     if f.ring != ring.poly_ring:
         raise StructuralError("element from another ring")
     if f.is_zero():
         return True
+    if f in ideal._radical:
+        return ideal._radical[f]
     n = ring.nvars
     ext = PolynomialRing(ring.field, n + 1, elimination_order((n,), tuple(range(n))))
 
@@ -304,7 +303,8 @@ def radical_membership(f: Polynomial, ideal: IdealHandle) -> bool:
     gens = [lift(g) for g in ideal.generators]
     gens += [lift(g) for g in ring.defining_basis().polynomials()]
     gens.append(ext.one() - ext.variable(n) * lift(f))
-    return buchberger(gens, ring=ext).is_unit_ideal()
+    ideal._radical[f] = buchberger(gens, ring=ext).is_unit_ideal()
+    return ideal._radical[f]
 
 
 # ---------------------------------------------------------------------------

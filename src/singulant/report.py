@@ -184,9 +184,9 @@ class RingContext:
         its ``StableSpan``, built once per link in a cap scope, admits r:
         r * Ext^1(Omega^s M, Omega^(s+1) M) = 0, the "ext-vanishing" route.
         Each query ``factors(r)`` completes the span as far as r needs in a
-        cap scope of its own.  A query that runs out counts as capped, and
-        its span, which has then lost a pair, is dropped, so every later
-        candidate is capped there too rather than wrongly failed.
+        cap scope of its own.  A query that runs out counts as capped; the
+        span keeps every pair it has not reduced, so a later candidate
+        resumes its completion under its own cap.
         Returns (status, route, shift, failed_shifts) with status one of
         "certified" | "failed" | "inconclusive".
         """
@@ -202,8 +202,6 @@ class RingContext:
                 self.cap, lambda: StableSpan(mod)))
             passes = None if span is None else guarded(self.cap, lambda: span.factors(r))
             if passes is None:
-                # a query that ran out may have dropped a pair: never ask it again
-                self._memo[("span", idx, s)] = None
                 capped = True
             elif passes:
                 return "certified", "ext-vanishing", s, fails

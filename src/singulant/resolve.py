@@ -16,9 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, PreconditionError, StructuralError, active_meter
-# buchberger is unused here but stays importable from this module, where
-# perfbench's tracer rebinds and checks every alias of it
-from .groebner import ModuleElement, PairLoop, buchberger, normal_form, syzygies  # noqa: F401
+from .groebner import ModuleElement, PairLoop, buchberger, normal_form, syzygies
 from .ideal_ops import RingPresentation
 from .poly import Polynomial
 
@@ -135,13 +133,16 @@ def column_degree(col: ModuleElement, shifts) -> int:
     return max((m.degree + shifts[pos] for pos, m, _ in col.terms), default=-1)
 
 
-def seeded_loop(ring: RingPresentation, rank: int, shifts) -> PairLoop:
+def seeded_loop(ring: RingPresentation, rank: int, shifts=None, gens=()) -> PairLoop:
     """A ``PairLoop`` graded by ``shifts`` holding defining * R^rank, each
-    g * e_pos flagged as defining; it charges the active budget scope."""
+    g * e_pos flagged as defining, then ``gens``, each reduced as it is
+    added; it charges the active budget scope."""
     loop = PairLoop(ring.poly_ring, rank, active_meter(), shifts)
     for g in ring.defining_basis().polynomials():
         for pos in range(rank):
             loop.add(ModuleElement.unit(ring.poly_ring, rank, pos, g), True)
+    for el in gens:
+        loop.add(loop.reduce(el), False)
     return loop
 
 
@@ -235,7 +236,8 @@ def minimal_presentation(module: FinitelyPresentedModule) -> FinitelyPresentedMo
         shifts = [s for i, s in enumerate(shifts) if i != a]
         rank -= 1
 
-    if rank == 0:
+    # over the zero ring every module is zero
+    if rank == 0 or (ring.defining and ring.defining_basis().is_unit_ideal()):
         return FinitelyPresentedModule(ring, 0)
     interim = FinitelyPresentedModule(ring, rank,
                                       tuple(tuple(r) for r in rows), shifts)
@@ -407,7 +409,8 @@ def check_exactness(res: FreeResolution) -> bool:
         nxt = matrix_columns(ring, res.differential(i + 1))
         if not nxt:
             return False
-        gb = ring.module_basis(nxt, len(cols))
+        gb = buchberger(nxt, defining=ring.defining_basis(), ring=ring.poly_ring,
+                        rank=len(cols))
         for el in kernel:
             if not normal_form(el, gb).is_zero():
                 return False

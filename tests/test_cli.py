@@ -425,6 +425,29 @@ class TestCommandOutput:
                             "--element", "x")
         assert out.strip() == "true"
 
+    # over the zero ring Q[x]/(x, 1) every module is zero
+    def test_depth_over_the_zero_ring_is_undefined(self, capsys):
+        code, out, err = run_cli(capsys, "depth", "Q[x]/(x,1)")
+        assert code == 1 and out == ""
+        assert "depth of the zero module is undefined" in err
+
+    def test_ext_over_the_zero_ring_is_zero(self, capsys):
+        _, out, _ = run_cli(capsys, "ext", "Q[x]/(x,1)", "k", "k", "--degree", "0")
+        assert out.strip() == "Ext^0: presentation rank 0, 0 relations, k-dimension 0"
+
+    def test_koszul_over_the_zero_ring_is_zero(self, capsys):
+        _, out, _ = run_cli(capsys, "koszul", "Q[x]/(x,1)", "R", "--sequence", "(x)")
+        assert out.strip() == "H^0: zero"
+
+    def test_stable_ann_over_the_zero_ring_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "stable-ann", "Q[x]/(x,1)", "k", "--element", "x")
+        assert code == 1 and out == ""
+        assert "the zero module has no stable identity" in err
+
+    def test_resolve_over_the_zero_ring_has_rank_zero(self, capsys):
+        _, out, _ = run_cli(capsys, "resolve", "Q[x]/(x,1)", "k")
+        assert "ranks: 0\n" in out
+
     def test_bound_golden(self, capsys):
         code, out, _ = run_cli(capsys, "bound", RING_A, "--ideal", "(x,y)")
         assert code == 0

@@ -791,17 +791,19 @@ def test_normal_forms_match_sympy_on_a_dense_ideal():
 
 
 def _completed(loop_class, gens, defining=()):
-    """Reduced basis of gens plus the flagged defining basis through one
-    loop class, as ``_core`` runs it, or the BudgetExceededError text."""
+    """Reduced basis of gens plus the defining basis through one loop
+    class, or the BudgetExceededError text.  ``PairLoop`` gets the defining
+    basis flagged, as ``_core`` runs it; ``SignatureLoop`` takes no flags,
+    so it gets the defining basis as plain seeds."""
     ring = gens[0].ring
     seeds = [ModuleElement.wrap(g) for g in gens + list(defining)]
-    ipart = [False] * len(gens) + [True] * len(defining)
     meter = Meter()
     try:
         if loop_class is PairLoop:
+            ipart = [False] * len(gens) + [True] * len(defining)
             loop = PairLoop.from_seeds(seeds, ipart, ring, 1, meter)
         else:
-            loop = SignatureLoop.from_seeds(seeds, ipart, ring, meter)
+            loop = SignatureLoop.from_seeds(seeds, ring, meter)
         return _interreduce(loop.table, meter)
     except BudgetExceededError as exc:
         return str(exc)
@@ -822,8 +824,10 @@ def _random_affine_ideal(rng, ring):
                          ids=["Q", "F7", "F32003"])
 def test_signature_loop_matches_pair_loop(field, with_defining):
     """The reduced basis is unique, so the signature loop and the pair loop
-    give the same basis on every rank-one grevlex input, with and without
-    an adjoined defining basis, or run out of the default budget alike."""
+    give the same basis on every rank-one grevlex input, or run out of the
+    default budget alike.  With a defining basis the signature loop takes
+    it as plain seeds, and both must match ``buchberger(gens,
+    defining=...)``, which runs the pair loop with it flagged."""
     rng = random.Random(7919 + field.characteristic + with_defining)
     proper = 0
     for _ in range(40):
@@ -899,7 +903,9 @@ def test_only_rank_one_grevlex_input_takes_the_signature_loop(monkeypatch):
     x, y, z = P.variables()
     gens = [x * x - y * z, y * y - x * z]
     assert loops(lambda: buchberger(gens)) == {"SignatureLoop"}
-    assert loops(lambda: buchberger([x], defining=buchberger(gens))) == {"SignatureLoop"}
+    # an ideal of a quotient ring has flagged defining generators
+    defining = buchberger(gens)
+    assert loops(lambda: buchberger([x], defining=defining)) == {"PairLoop"}
     for order in (LEX, elimination_order((0,), (1, 2))):
         Q = PolynomialRing(QQ, 3, order)
         u, v, w = Q.variables()
@@ -988,6 +994,48 @@ def test_defining_flag_matches_plain_seeds(build):
         want = [ModuleElement(ring, s.coords[:m]) for s in syzygies(gens + plain)]
         assert (buchberger(syzygies(gens, defining=defining), ring=ring, rank=m)
                 == buchberger(want, ring=ring, rank=m))
+
+
+@pytest.mark.parametrize("build", [lambda: qring(3), lambda: fring(7, 3)], ids=["Q", "F7"])
+def test_pair_loop_resumes_a_completion_that_ran_out(build):
+    """A pair leaves the queue only once its reduction returns, so a
+    completion stopped by a step cap and resumed under a fresh meter builds
+    the uninterrupted basis, element by element, whatever the cap.  Ideals
+    and modules of rank 2 over a quotient ring, with affine generators,
+    seeded as ``seeded_loop`` seeds them: the defining basis in every
+    position, flagged."""
+    ring = build()
+    rng = random.Random(15)
+    interrupted = {1: 0, 2: 0}  # by rank
+    for _ in range(8):
+        defining = buchberger(_random_homogeneous_ideal(rng, ring, max_gens=3, max_degree=2))
+        rank = rng.randint(1, 2)
+        gens = [ModuleElement(ring, [rand_poly(rng, ring, 4 - rank, 5 - rank)
+                                     for _ in range(rank)]) for _ in range(rng.randint(2, 3))]
+
+        def seeded():
+            loop = PairLoop(ring, rank, Meter())
+            for g in defining.polynomials():
+                for pos in range(rank):
+                    loop.add(ModuleElement.unit(ring, rank, pos, g), True)
+            for el in gens:
+                loop.add(loop.reduce(el), False)
+            loop.meter = Meter()
+            return loop
+
+        whole = seeded()
+        whole.complete()
+        for cap in range(1, whole.meter.steps):
+            loop = seeded()
+            loop.meter = Meter(Budget(max_steps=cap))
+            with pytest.raises(BudgetExceededError):
+                loop.complete()
+            interrupted[rank] += 1
+            loop.meter = Meter()
+            loop.complete()
+            assert loop.basis == whole.basis, cap
+            assert loop.flags == whole.flags and not loop.pending
+    assert interrupted[1] >= 40 and interrupted[2] >= 200
 
 
 @pytest.mark.parametrize("build", [lambda: qring(3), lambda: fring(7, 3)])

@@ -353,14 +353,15 @@ class TestSweepBudgets:
             doc = build_report(parse_ring(SNAPSHOT_RINGS["A"]))
             assert doc["ann_bounds"]["inconclusive"] == inconclusive
 
-    def test_a_span_whose_query_ran_out_is_not_asked_again(self, monkeypatch):
-        """Over Q[x,y], M = R/(x^2 - y^2, xy) at shift 0 alone: y^3 lies in
-        J = (x^2 - y^2, xy), so it passes, but only through the S-pair of
-        the products j_1 d and j_2 d, which reduces in 3 steps to -y^3 d.
-        A 2-step cap stops x^3's query inside that pair, which the loop has
-        already dropped: x^3 is inconclusive, and so is every later
-        candidate on the span, never failed.  Asking the interrupted loop
-        again would fail y^3 there."""
+    def test_a_span_whose_query_ran_out_is_resumed(self, monkeypatch):
+        """Over Q[x,y], M = R/(x^2 - y^2, xy) at shift 0 alone.  R is a
+        domain, so (0 : J) = 0 and r passes iff r lies in J = (x^2 - y^2,
+        xy): x^3 = x(x^2 - y^2) + y(xy), y^3 = x(xy) - y(x^2 - y^2) and xy
+        pass, x fails.  y^3 passes only through the S-pair of the products
+        j_1 d and j_2 d, which reduces in 3 steps to -y^3 d.  A 2-step cap
+        stops x^3's query inside that pair, so x^3 is inconclusive.  The
+        pair stays queued, and with the full cap restored the next queries
+        resume the span's completion and decide every candidate."""
         R = presentation(QQ, ("x", "y"))
         x, y = R.variable(0), R.variable(1)
         M = FinitelyPresentedModule.cyclic(R, [x * x - y * y, x * y])
@@ -372,8 +373,8 @@ class TestSweepBudgets:
         full, ctx.cap = ctx.cap, Budget(max_steps=2)
         assert ctx.certify(0, x ** 3)[0] == "inconclusive"
         ctx.cap = full
-        for r in (y ** 3, x, x * y):
-            assert ctx.certify(0, r)[0] == "inconclusive"
+        assert [ctx.certify(0, r)[0] for r in (x ** 3, y ** 3, x * y, x)] == [
+            "certified", "certified", "certified", "failed"]
 
     def test_exhausted_command_budget_propagates_through_the_sweep(self):
         ring = parse_ring(SNAPSHOT_RINGS["A"])
@@ -536,6 +537,23 @@ def test_report_computes_ring_facts_once(monkeypatch):
     assert (len(certs), len(socles)) == (1, 1)
     assert (len(primary), len(radical)) == (1, 8)
     assert sum(list(args[0]) == list(ring.defining) for args in bases) == 1
+
+
+def test_radical_memberships_are_kept_per_handle(monkeypatch):
+    """On ring A, is_m_primary(jac), loewy_length(jac), and the checks of
+    jac against sqrt(lower) and of lower against sqrt(jac), make the 8
+    radical_membership calls above, all asking whether x or y lies in the
+    radical of (x, y), on two handles.  Each handle keeps its answers, so
+    only the first question per handle and element runs an elimination:
+    4 Buchberger runs over Q[x, y, t] (8 when each call ran its own)."""
+    ring = embedded_point_ring()
+    radical = count_calls(monkeypatch, radical_membership)
+    bases = count_calls(monkeypatch, buchberger)
+    build_report(ring)
+    assert len(radical) == 8
+    assert len({(f, id(handle)) for f, handle in radical}) == 4
+    assert sum(bool(args[0]) and args[0][0].ring.nvars == ring.nvars + 1
+               for args in bases) == 4
 
 
 def test_zero_socle_reuses_the_defining_basis(monkeypatch):

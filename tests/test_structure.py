@@ -61,8 +61,9 @@ def test_package_imports_are_public_and_module_level(path):
 
 
 # perfbench's tracer rebinds and checks every alias of these functions, so
-# these modules keep importing them unused; __init__ only re-exports
-TRACER_ALIASES = {"homalg": {"buchberger", "trim_generators"}, "resolve": {"buchberger"}}
+# homalg keeps importing them unused (resolve's check_exactness calls its
+# buchberger); __init__ only re-exports
+TRACER_ALIASES = {"homalg": {"buchberger", "trim_generators"}}
 
 
 def unused_imports(source: str):
@@ -128,6 +129,12 @@ CA_WITNESS_CALLERS = {"report.verify_paper_examples.ca3_y_evidence"}
 # block layout would be a fourth caller
 MINIMAL_KERNEL_CALLERS = {"resolve.FreeResolution.grow", "homalg.Subquotient.to_module",
                           "homalg._cohomology"}
+
+# every membership test in a submodule over R = P/I runs on one span seeded
+# with I * R^rank: the trim, the stable test, an Ext or Koszul group's
+# boundaries and the k-dimension count; none builds a GroebnerBasis for it
+SEEDED_LOOP_CALLERS = {"resolve.trim_generators", "homalg.StableSpan.__init__",
+                       "homalg.Subquotient.is_boundary", "homalg.module_k_dimension"}
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -218,3 +225,8 @@ def test_one_stable_test():
     source = (PACKAGE_DIR / "report.py").read_text(encoding="utf-8")
     assert package_callers("StableSpan") == STABLE_SPAN_BUILDERS
     assert callers(source, "report", "ext_from_resolution") == REPORT_EXT_CALLERS
+
+
+def test_one_seeded_span_per_membership_job():
+    assert package_callers("seeded_loop") == SEEDED_LOOP_CALLERS
+    assert not hasattr(singulant.ideal_ops.RingPresentation, "module_basis")
