@@ -40,6 +40,14 @@ division can reach; a call that needs wider fields re-packs the table, so
 no field ever carries into the next.  Exponent tuples are decoded only for
 remainder terms.
 
+The adjoined defining generators g * e_pos are not packed at all: a
+``GroebnerBasis`` packs the rows of its elements once per packing, and
+``poly.MonomialOrder.packing`` shares one packing per width, so the row
+of g * e_pos is g's row shifted to position pos, one integer addition per
+term.  A pair loop seeds I * P^rank this way (``PairLoop.seed``), and a
+rank-one basis divides elements of any rank modulo I * P^rank against one
+table of such shifted rows that it keeps per rank (``normal_form``).
+
 Over Q the kernel divides integers: the work holds one integer per term
 under a single running denominator, each divisor is stored as its
 primitive integer vector, whose positive lead coefficient is the row's
@@ -172,6 +180,44 @@ def _integral(terms, pack, p: int) -> tuple:
                  for pos, m, k in terms}
 
 
+def _placed(g: ModuleElement, rank: int, pos: int) -> ModuleElement:
+    """g * e_pos in P^rank for the rank-one g; g itself at position 0 of
+    its own rank."""
+    if pos == 0 and rank == g.rank:
+        return g
+    return ModuleElement._trusted(g.ring, rank, tuple([(pos, m, k) for _, m, k in g.terms]))
+
+
+def _shifted(row: tuple, shift: int) -> tuple:
+    """The divisor row ``row`` with every packed term moved by ``shift``, a
+    position packed alone: the row of the same element at another
+    position, as ``_divisor_row`` would build it."""
+    if not shift:
+        return row
+    exps, lead, den, tail = row
+    return exps, lead + shift, den, tuple([(t + shift, k) for t, k in tail])
+
+
+class _Rows:
+    """The divisor rows of a fixed tuple of elements, packed on the first
+    call for each packing and kept.  A table that places the elements holds
+    this rather than their basis, so a basis and the tables it keeps form
+    no reference cycle and are freed as soon as they are dropped."""
+
+    __slots__ = ("elements", "by_packing")
+
+    def __init__(self, elements: tuple):
+        self.elements = elements
+        self.by_packing = {}
+
+    def __call__(self, packing) -> tuple:
+        rows = self.by_packing.get(packing)
+        if rows is None:
+            rows = self.by_packing[packing] = tuple(
+                _divisor_row(g, packing) for g in self.elements)
+        return rows
+
+
 def _divisor_row(g: ModuleElement, packing) -> tuple:
     """Divisor-table row of the nonzero element g, packed once.
 
@@ -205,12 +251,16 @@ def _divisor_row(g: ModuleElement, packing) -> tuple:
 class _DivisorTable:
     """Nonzero elements as packed divisor rows, in the order they were added.
 
-    ``rows[i]`` is ``_divisor_row(elements[i])``.  An element may carry a
-    signature, a (position, exponents) term of the free module over the
-    seeds (see ``SignatureLoop``); ``sigs[i]`` is it packed, or None.
-    ``by_pos`` groups the rows by lead position, keeping that order, each
-    extended by its packed signature.  ``top`` is the largest degree of any
-    term or signature of the elements and ``reach`` the largest degree
+    ``rows[i]`` is ``_divisor_row(elements[i])``.  An element may come with
+    an origin ``(rows, k, pos)``: it is then the element k of a basis placed
+    at position pos, and ``rows`` is that basis's ``_Rows``, whose entry k
+    in the table's packing, shifted to pos, is its row, so it is never
+    packed or normalized here; ``origins[i]`` is it, or None.  An element
+    may carry a signature, a (position, exponents) term of the free module
+    over the seeds (see ``SignatureLoop``); ``sigs[i]`` is it packed, or
+    None.  ``by_pos`` groups the rows by lead position, keeping that order,
+    each extended by its packed signature.  ``top`` is the largest degree of
+    any term or signature of the elements and ``reach`` the largest degree
     limit of a meter that divided by them.  A reduction pops only terms of
     degree at most reach, and divides by one of the elements, so every term
     it pushes, every term of an S-pair, and every signature multiplied by
@@ -219,12 +269,13 @@ class _DivisorTable:
     that bound, so no field ever carries into the next.
     """
 
-    __slots__ = ("ring", "elements", "signatures", "rows", "sigs", "by_pos", "top",
-                 "reach", "packing")
+    __slots__ = ("ring", "elements", "origins", "signatures", "rows", "sigs", "by_pos",
+                 "top", "reach", "packing")
 
     def __init__(self, ring: PolynomialRing, elements=(), reach: int = 0):
         self.ring = ring
         self.elements = []
+        self.origins = []
         self.signatures = []
         self.rows = []
         self.sigs = []
@@ -235,14 +286,23 @@ class _DivisorTable:
         for g in elements:
             self.add(g)
 
-    def add(self, g: ModuleElement, signature=None):
-        """Append the nonzero element g, with its signature if it has one."""
+    def add(self, g: ModuleElement, signature=None, origin=None):
+        """Append the nonzero element g, with its signature or its origin if
+        it has one."""
         self.elements.append(g)
+        self.origins.append(origin)
         self.signatures.append(signature)
         self.top = max(self.top, max(m.degree for _, m, _ in g.terms),
                        sum(signature[1]) if signature else 0)
         if not self.fit(self.reach):
-            self._append(_divisor_row(g, self.packing), signature)
+            self._append(self.row(g, origin), signature)
+
+    def row(self, g: ModuleElement, origin) -> tuple:
+        """g's divisor row in the table's packing; g has the given origin."""
+        if origin is None:
+            return _divisor_row(g, self.packing)
+        rows, k, pos = origin
+        return _shifted(rows(self.packing)[k], pos << self.packing.pos_shift)
 
     def _append(self, row, signature=None):
         sig = None if signature is None else self.packing.pack(*signature)
@@ -259,8 +319,8 @@ class _DivisorTable:
             return False
         self.packing = self.ring.order.packing(self.ring.nvars, bound)
         self.rows, self.sigs, self.by_pos = [], [], {}
-        for g, signature in zip(self.elements, self.signatures):
-            self._append(_divisor_row(g, self.packing), signature)
+        for g, origin, signature in zip(self.elements, self.origins, self.signatures):
+            self._append(self.row(g, origin), signature)
         return True
 
     def keep(self, indices) -> "_DivisorTable":
@@ -271,21 +331,31 @@ class _DivisorTable:
         sub.packing = self.packing
         for i in indices:
             sub.elements.append(self.elements[i])
+            sub.origins.append(self.origins[i])
             sub.signatures.append(None)
             sub._append(self.rows[i])
         return sub
 
 
-def _reduce(el: ModuleElement, table: _DivisorTable, meter: Meter) -> ModuleElement:
+def _reduce(el: ModuleElement, table: _DivisorTable, meter: Meter,
+            origin=None) -> ModuleElement:
     """Full normal form of el against the divisors of ``table``.
 
     The table is first fitted to the meter's degree limit and to el's
     degree (the width rule of ``_DivisorTable``); el's terms are then
     packed once, over Q as integers over the lcm of their denominators, and
     divided by ``_divide``, which returns el itself when no step divides.
+    An el with an origin (see ``_DivisorTable``) starts from its row
+    instead, the lead integer den and the tail, over den: el made monic,
+    which is el itself for an element of a reduced basis.
     """
     table.fit(meter.max_degree, max((m.degree for _, m, _ in el.terms), default=0))
-    den, work = _integral(el.terms, table.packing.pack, el.ring.field.characteristic)
+    if origin is None:
+        den, work = _integral(el.terms, table.packing.pack, el.ring.field.characteristic)
+    else:
+        _, lead, den, tail = table.row(el, origin)
+        work = dict(tail)
+        work[lead] = den
     return _divide(work, den, table, meter, el.rank, source=el)
 
 
@@ -437,17 +507,38 @@ class GroebnerBasis:
 
     For quotient-ring semantics the basis generates the preimage in P^rank,
     i.e. the input module together with defining * e_i for every coordinate.
-    The divisor table of the elements is built on the first ``normal_form``
-    and kept; equality and hashing ignore it.
+
+    The basis keeps the divisor rows of its elements for each packing they
+    were asked in (``rows``, a ``_Rows``), and the divisor tables that
+    ``normal_form`` divides by, one per rank (``table``).  A rank-one basis
+    of an ideal I has a table for every rank r asked, of I * P^r; its rows
+    are the kept rows shifted to each position.  Equality and hashing
+    ignore both.
     """
 
-    __slots__ = ("ring", "rank", "elements", "_table")
+    __slots__ = ("ring", "rank", "elements", "rows", "_tables")
 
     def __init__(self, ring, rank, elements):
         self.ring = ring
         self.rank = rank
         self.elements = tuple(elements)
-        self._table = None
+        self.rows = _Rows(self.elements)
+        self._tables = {}  # rank -> the table of normal_form at that rank
+
+    def table(self, rank: int, meter: Meter) -> _DivisorTable:
+        """The divisor table of the span in P^rank, built on the first call
+        for that rank and kept: the elements themselves at their own rank,
+        and for a rank-one basis at any rank each element placed at every
+        position in turn, so that each position holds the elements in basis
+        order, each with its row shifted there."""
+        table = self._tables.get(rank)
+        if table is None:
+            table = self._tables[rank] = _DivisorTable(self.ring, reach=meter.max_degree)
+            positions = range(rank) if self.rank == 1 else (0,)
+            for k, g in enumerate(self.elements):
+                for pos in positions:
+                    table.add(_placed(g, rank, pos), origin=(self.rows, k, pos))
+        return table
 
     def polynomials(self):
         if self.rank != 1:
@@ -503,12 +594,14 @@ class PairLoop:
     """Buchberger's pair loop as a state that can keep growing.
 
     ``table`` holds the elements added so far as packed divisor rows, each
-    normalized there once (``_divisor_row``), ``basis`` is its list of the
-    elements as they were added, and ``flags`` marks the adjoined
-    defining generators, whose mutual pairs are skipped (sound because the
-    defining list is itself a Groebner basis).  ``meter`` is charged for
-    every reduction; a caller that keeps the loop across budget scopes
-    points it at the scope of each query.
+    normalized there once (``_divisor_row``), and ``basis`` is its list of
+    the elements as they were added.  The adjoined defining generators
+    g * e_pos enter only through ``seed``, as shifted copies of the defining
+    basis's rows; the table's ``origins`` mark them, and their mutual pairs
+    are skipped (sound because the defining list is itself a Groebner
+    basis).  Every other element enters through ``add``.  ``meter`` is
+    charged for every reduction; a caller that keeps the loop across budget
+    scopes points it at the scope of each query.
 
     Position p carries the shift ``shifts[p]`` (0 by default), and a term
     m * e_p has the shifted degree deg m + shifts[p].  Pairs are queued by
@@ -536,8 +629,8 @@ class PairLoop:
     out of budget can be resumed, under a new meter, where it stopped.
     """
 
-    __slots__ = ("rank", "meter", "shifts", "graded", "basis", "table", "flags", "at",
-                 "heap", "pending", "keyed")
+    __slots__ = ("rank", "meter", "shifts", "graded", "basis", "table", "at", "heap",
+                 "pending", "keyed")
 
     def __init__(self, ring, rank, meter, shifts=None):
         self.rank = rank
@@ -546,7 +639,6 @@ class PairLoop:
         self.graded = True
         self.table = _DivisorTable(ring, reach=meter.max_degree)
         self.basis = self.table.elements
-        self.flags = []
         self.at = {}  # lead position -> indices of the elements with it
         self.heap = []
         self.pending = set()
@@ -554,15 +646,42 @@ class PairLoop:
 
     @classmethod
     def from_seeds(cls, elements, ipart, ring, rank, meter) -> "PairLoop":
-        """The completed loop of the seeds, ``ipart`` flagging the defining
-        generators.  A flagged seed that the earlier seeds reduce is no
-        longer a defining generator and loses its flag."""
+        """The completed loop of the seeds ``elements``, each reduced as it
+        is added, then of the defining seeds that ``ipart`` names (see
+        ``_core``), through ``seed``."""
         loop = cls(ring, rank, meter)
-        for el, flag in zip(elements, ipart):
-            nf = loop.reduce(el)
-            loop.add(nf, flag and nf == el)
+        for el in elements:
+            loop.add(loop.reduce(el))
+        defining, slots = ipart
+        if defining is not None:
+            loop.seed(defining, range(slots))
         loop.complete()
         return loop
+
+    def seed(self, defining: GroebnerBasis, positions):
+        """Add g * e_pos for each element g of the rank-one reduced basis
+        ``defining`` and each pos in ``positions``, each g in every
+        position in turn, as defining generators.
+
+        Each one's row is g's row in the table's packing shifted to pos
+        (``_DivisorTable.row``), so none is packed or normalized.  Once the
+        loop holds an element that is not a defining generator, each one is
+        first reduced, by a division that starts from that row; one that a
+        step divides is no longer a defining generator and is added as its
+        remainder.  Before that nothing can divide one: the basis is
+        reduced, so no lead of it divides a term of another element.
+        """
+        rank, table = self.rank, self.table
+        divide = None in table.origins
+        for k, g in enumerate(defining.elements):
+            for pos in positions:
+                el, origin = _placed(g, rank, pos), (defining.rows, k, pos)
+                if divide:
+                    nf = _reduce(el, table, self.meter, origin)
+                    if nf is not el:
+                        self.add(nf)
+                        continue
+                self._insert(el, origin)
 
     def reduce(self, el: ModuleElement) -> ModuleElement:
         return _reduce(el, self.table, self.meter)
@@ -595,19 +714,22 @@ class PairLoop:
             heapq.heapify(self.heap)
             self.keyed = self.table.packing
 
-    def add(self, el: ModuleElement, flag: bool):
+    def add(self, el: ModuleElement):
         """Append ``el``, already reduced against the basis, unless zero."""
-        if el.is_zero():
-            return
+        if not el.is_zero():
+            self._insert(el, None)
+
+    def _insert(self, el: ModuleElement, origin):
+        """Append the nonzero el with its origin and queue its pairs."""
         if self.graded and self.degree(el) is None:
             self.graded = False
-        self.table.add(el)
+        self.table.add(el, origin=origin)
         self._rekey()
-        self.flags.append(flag)
+        origins = self.table.origins
         j = len(self.basis) - 1
         same = self.at.setdefault(el.terms[0][0], [])
         for i in same:
-            if flag and self.flags[i]:
+            if origin is not None and origins[i] is not None:
                 continue
             heapq.heappush(self.heap, self._pair(i, j))
             self.pending.add((i, j))
@@ -631,7 +753,7 @@ class PairLoop:
             pending.discard((i, j))
             heapq.heappop(heap)
             if r is not None:
-                self.add(r, False)
+                self.add(r)
 
     def _redundant(self, i: int, j: int) -> bool:
         """The coprime criterion in rank one, then the chain criterion
@@ -784,10 +906,14 @@ class SignatureLoop:
 
 
 def _core(elements, ipart, ring, rank, meter):
-    """Reduced basis of the seeds ``elements``; ``ipart`` flags the adjoined
-    defining generators.  A rank-one input under grevlex with none flagged
-    is completed by ``SignatureLoop``, every other input by ``PairLoop``."""
-    if rank == 1 and ring.order.kind == "grevlex" and not any(ipart):
+    """Reduced basis of the seeds ``elements`` and the adjoined defining
+    generators.  ``ipart`` is ``(defining, slots)``: the rank-one reduced
+    basis of the defining ideal, or None for none, and the number of
+    leading positions it is adjoined in; g * e_pos for every g of it and
+    pos < slots follow the seeds (``PairLoop.seed``).  A rank-one input
+    under grevlex with nothing adjoined is completed by ``SignatureLoop``,
+    every other input by ``PairLoop``."""
+    if rank == 1 and ring.order.kind == "grevlex" and ipart[0] is None:
         loop = SignatureLoop.from_seeds(elements, ring, meter)
     else:
         loop = PairLoop.from_seeds(elements, ipart, ring, rank, meter)
@@ -831,24 +957,25 @@ def _interreduce(table: _DivisorTable, meter: Meter) -> list:
     return final
 
 
-def _defining_list(defining):
+def _defining_basis(defining) -> GroebnerBasis | None:
+    """The ``defining=`` argument as a rank-one ``GroebnerBasis``, None when
+    it is empty.  A list of polynomials, a reduced basis, is wrapped."""
     if isinstance(defining, GroebnerBasis):
-        return list(defining.polynomials())
-    return list(defining) if defining else []
+        if defining.rank != 1:
+            raise StructuralError("not an ideal basis")
+        return defining if defining.elements else None
+    nonzero = [g for g in defining or () if not g.is_zero()]
+    if not nonzero:
+        return None
+    els, ring, _ = _as_elements(nonzero)
+    return GroebnerBasis(ring, 1, els)
 
 
 def _seeded_core(seeds, defining, ring, rank, slots):
     """``_core`` on the seeds plus defining * e_pos for pos < slots."""
-    ipart = [False] * len(seeds)
-    for g in defining:
-        if g.is_zero():
-            continue
-        if g.ring != ring:
-            raise StructuralError("defining ideal from another ring")
-        for pos in range(slots):
-            seeds.append(ModuleElement.unit(ring, rank, pos, g))
-            ipart.append(True)
-    return _core(seeds, ipart, ring, rank, active_meter())
+    if defining is not None and defining.ring != ring:
+        raise StructuralError("defining ideal from another ring")
+    return _core(seeds, (defining, slots), ring, rank, active_meter())
 
 
 def buchberger(
@@ -867,10 +994,10 @@ def buchberger(
     basis (``ring`` is then required to fix the ambient).
     """
     gens = list(gens)
-    defining = _defining_list(defining)
+    defining = _defining_basis(defining)
     if not gens:
-        if defining:
-            ring = defining[0].ring
+        if defining is not None:
+            ring = defining.ring
         if ring is None:
             raise StructuralError("cannot infer the ambient from an empty list")
         els = []
@@ -882,23 +1009,29 @@ def buchberger(
 
 
 def normal_form(f, gb: GroebnerBasis):
-    """Canonical remainder of f modulo the basis (same type in, same out)."""
+    """Canonical remainder of f modulo the basis (same type in, same out),
+    f itself when no step divides.
+
+    A module element f is reduced modulo the span of the basis in its own
+    rank, or, against a rank-one basis of an ideal I, modulo I * P^r for f
+    of any rank r: one division against the table of I * P^r that the basis
+    keeps (``GroebnerBasis.table``), whose divisors at each position are
+    the basis elements in order, as a coordinate-wise reduction has them.
+    """
     meter = active_meter()
-    if gb._table is None:
-        gb._table = _DivisorTable(gb.ring, gb.elements, meter.max_degree)
     if isinstance(f, Polynomial):
         if gb.rank != 1:
             raise StructuralError("polynomial against a module basis")
         if f.ring != gb.ring:
             raise StructuralError("polynomial from another ring")
         el = ModuleElement.wrap(f)
-        nf = _reduce(el, gb._table, meter)
+        nf = _reduce(el, gb.table(1, meter), meter)
         return f if nf is el else nf.coords[0]
     if not isinstance(f, ModuleElement):
         raise StructuralError(f"cannot reduce {type(f).__name__}")
-    if f.ring != gb.ring or f.rank != gb.rank:
+    if f.ring != gb.ring or (f.rank != gb.rank and gb.rank != 1):
         raise StructuralError("element from another ambient")
-    return _reduce(f, gb._table, meter)
+    return _reduce(f, gb.table(f.rank, meter), meter)
 
 
 def syzygies(gens, *, defining=None):
@@ -917,7 +1050,7 @@ def syzygies(gens, *, defining=None):
     one = ring.one().terms[0]
     seeds = [ModuleElement._trusted(ring, rank + m, el.terms + ((rank + j,) + one,))
              for j, el in enumerate(els)]
-    basis = _seeded_core(seeds, _defining_list(defining), ring, rank + m, rank)
+    basis = _seeded_core(seeds, _defining_basis(defining), ring, rank + m, rank)
     # position over term: an element whose lead lies past the original
     # coordinates has no original part left
     return [ModuleElement._trusted(ring, m, tuple((p - rank, mono, k) for p, mono, k in el.terms))

@@ -89,10 +89,12 @@ class RingPresentation:
         return normal_form(p, self.defining_basis())
 
     def normal_form_element(self, el: ModuleElement) -> ModuleElement:
-        """el with every coordinate in normal form modulo the defining ideal."""
-        if not self.defining:
+        """el with every coordinate in normal form modulo the defining
+        ideal: one division modulo I * P^rank against the defining basis
+        (``groebner.normal_form``), el itself when no step divides."""
+        if not self.defining or el.is_zero():
             return el
-        return ModuleElement(self.poly_ring, [self.normal_form(c) for c in el.coords])
+        return normal_form(el, self.defining_basis())
 
     def kernel_into(self, domain_rank: int, images, allowed):
         """Generators of {v in R^d : sum v_t * images[t] in <allowed>}.

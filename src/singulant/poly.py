@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from operator import add, mul
 
 from .errors import StructuralError
@@ -236,14 +237,20 @@ class MonomialOrder:
     def packing(self, nvars: int, bound: int) -> "Packing":
         """The ``Packing`` of this order for terms of degree at most
         ``bound``, with one spare bit per field so that a bound which less
-        than doubles later still fits."""
+        than doubles later still fits.  Bounds of one width share one
+        instance, so a term or divisor row packed once is valid in every
+        table of that width."""
+        return self._packing(nvars, max(bound, 1).bit_length() + 1)
+
+    @cache
+    def _packing(self, nvars: int, width: int) -> "Packing":
         if self.kind == "grevlex":
             blocks = (tuple(range(nvars)),)
         elif self.kind == "lex":
             blocks = tuple((i,) for i in range(nvars))
         else:
             blocks = self.blocks
-        return Packing(blocks, nvars, max(bound, 1).bit_length() + 1)
+        return Packing(blocks, nvars, width)
 
     def name(self) -> str:
         if self.kind == "block":

@@ -134,15 +134,14 @@ def column_degree(col: ModuleElement, shifts) -> int:
 
 
 def seeded_loop(ring: RingPresentation, rank: int, shifts=None, gens=()) -> PairLoop:
-    """A ``PairLoop`` graded by ``shifts`` holding defining * R^rank, each
-    g * e_pos flagged as defining, then ``gens``, each reduced as it is
-    added; it charges the active budget scope."""
+    """A ``PairLoop`` graded by ``shifts`` holding defining * R^rank, seeded
+    from the rows of the ring's one defining basis (``PairLoop.seed``),
+    then ``gens``, each reduced as it is added; it charges the active
+    budget scope."""
     loop = PairLoop(ring.poly_ring, rank, active_meter(), shifts)
-    for g in ring.defining_basis().polynomials():
-        for pos in range(rank):
-            loop.add(ModuleElement.unit(ring.poly_ring, rank, pos, g), True)
+    loop.seed(ring.defining_basis(), range(rank))
     for el in gens:
-        loop.add(loop.reduce(el), False)
+        loop.add(loop.reduce(el))
     return loop
 
 
@@ -176,7 +175,7 @@ def trim_generators(ring: RingPresentation, cols, rank: int, shifts=None):
         if kept and nf.is_zero():
             continue
         kept.append(cols[j])
-        loop.add(nf, False)
+        loop.add(nf)
     return kept
 
 

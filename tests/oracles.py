@@ -201,6 +201,78 @@ def graded_module_membership(vector, gens, defining, shifts) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# exactness of graded complexes of free R-modules, one degree slice at a time
+
+
+def _rank(rows, field) -> int:
+    return len(_row_reduce(rows, field))
+
+
+def _matrix_columns(matrix):
+    """The columns of a row-major matrix, each a tuple of polynomials."""
+    return [tuple(row[j] for row in matrix) for j in range(len(matrix[0]))] if matrix else []
+
+
+def slice_kernel_dim(ring: PolynomialRing, matrix, defining, source_shifts, target_shifts,
+                     degree: int) -> int:
+    """dim_k of the degree-d slice of the kernel of the map R^n -> R^m, R =
+    P/I with I generated by ``defining``, that the homogeneous row-major
+    ``matrix`` defines, F_i having generators of degrees ``source_shifts``
+    and F_(i-1) of degrees ``target_shifts``.  Lifted to P: the number of
+    monomial multiples of the unit vectors of P^n in degree d, less the
+    rank of their images modulo the slice of I * P^m, less the slice of I
+    * P^n, which lies in the kernel of that map and is zero in R^n."""
+    field = ring.field
+    images = []
+    for j, s in enumerate(source_shifts):
+        for exps in monomials_of_degree(ring.nvars, degree - s) if s <= degree else ():
+            mono = Monomial(exps)
+            images.append(_vector_row(tuple(row[j].mul_term(mono, field.one) for row in matrix)))
+    target = module_slice_products((), defining, target_shifts, degree)
+    image = _rank(images + target, field) - _rank(target, field)
+    return len(images) - image - _rank(module_slice_products((), defining, source_shifts,
+                                                              degree), field)
+
+
+def slice_image_dim(ring: PolynomialRing, matrix, defining, target_shifts, degree: int) -> int:
+    """dim_k of the degree-d slice of the image of the homogeneous
+    row-major ``matrix`` in R^m = (P/I)^m: the rank of its columns' slice
+    together with that of I * P^m, less the latter's."""
+    target = module_slice_products((), defining, target_shifts, degree)
+    spanned = module_slice_products(_matrix_columns(matrix), defining, target_shifts, degree)
+    return _rank(spanned, ring.field) - _rank(target, ring.field)
+
+
+def exactness_defects(ring: PolynomialRing, differentials, shifts, defining,
+                      max_degree: int):
+    """Where the graded complex F_0 <- F_1 <- ... <- F_n over R = P/I fails
+    to be exact at an interior F_i, 0 < i < n, in a degree d <= max_degree.
+
+    ``differentials`` lists d_1..d_n as row-major matrices over P,
+    ``shifts`` the generator degrees of F_0..F_n.  Each entry of d_i d_(i+1)
+    must lie in I (``homogeneous_membership``), so that im d_(i+1) lies in
+    ker d_i, and then dim ker(d_i)_d = dim im(d_(i+1))_d says they are equal
+    in degree d.  Returns ("complex", i, entry) or ("exact", i, d, kernel
+    dim, image dim) for every failure, so [] for an exact complex."""
+    defects = []
+    for i in range(1, len(differentials)):
+        first, second = differentials[i - 1], differentials[i]
+        for r, row in enumerate(first):
+            for c in range(len(second[0]) if second else 0):
+                entry = ring.zero()
+                for k, a in enumerate(row):
+                    entry = entry + a * second[k][c]
+                if not homogeneous_membership(entry, defining):
+                    defects.append(("complex", i, (r, c)))
+        for d in range(max_degree + 1):
+            kernel = slice_kernel_dim(ring, first, defining, shifts[i], shifts[i - 1], d)
+            image = slice_image_dim(ring, second, defining, shifts[i], d)
+            if kernel != image:
+                defects.append(("exact", i, d, kernel, image))
+    return defects
+
+
+# ---------------------------------------------------------------------------
 # syzygy checks (homogeneous input)
 
 

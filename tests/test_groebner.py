@@ -27,6 +27,7 @@ from singulant.groebner import (
     normal_form,
     syzygies,
 )
+from singulant.ideal_ops import RingPresentation
 from singulant.poly import (
     GREVLEX,
     LEX,
@@ -37,6 +38,7 @@ from singulant.poly import (
     QQ,
     elimination_order,
 )
+from singulant.resolve import seeded_loop
 
 import oracles
 from util import fring, qring, rand_coeff, rand_monomial, rand_poly
@@ -625,11 +627,11 @@ def test_pair_loop_keys_its_queue_again_when_the_table_repacks(seed):
         if wide:
             loop.table.fit(meter.max_degree, 64)
         for g in gens[:2]:
-            loop.add(loop.reduce(g), False)
+            loop.add(loop.reduce(g))
         first = loop.table.packing
-        loop.add(ModuleElement.wrap(P.variable(3) ** 20), False)
+        loop.add(ModuleElement.wrap(P.variable(3) ** 20))
         for g in gens[2:]:
-            loop.add(loop.reduce(g), False)
+            loop.add(loop.reduce(g))
         loop.complete()
         runs.append((loop.basis, meter.steps, loop.table.packing is first))
     (narrow, steps, kept), (wide, wide_steps, wide_kept) = runs
@@ -653,7 +655,7 @@ def test_pair_loop_divides_by_every_element_added(field):
         nf = loop.reduce(col)
         if nf.is_zero():
             continue
-        loop.add(nf, False)
+        loop.add(nf)
         added += 1
         # a divisor as soon as it is added, before its pairs run
         assert loop.reduce(nf).is_zero()
@@ -787,22 +789,173 @@ def test_normal_forms_match_sympy_on_a_dense_ideal():
         assert nf == _from_sympy(P, r)
 
 
+# -- the defining basis packed once, placed by shifted rows ---------------------
+
+
+def _random_defining(rng, ring):
+    """Reduced basis of two or three homogeneous quadrics with seeded
+    coefficients, so that over Q its rows have denominators and content."""
+    slots = oracles.monomials_of_degree(ring.nvars, 2)
+    gens = [Polynomial(ring, [(exps, rand_coeff(rng, ring.field))
+                              for exps in rng.sample(slots, rng.randint(1, 3))])
+            for _ in range(rng.randint(2, 3))]
+    return buchberger(gens)
+
+
+def _assert_rows_are_packed_rows(table):
+    for g, row in zip(table.elements, table.rows):
+        assert row == groebner._divisor_row(g, table.packing)
+    assert [r[:4] for rows in table.by_pos.values() for r in rows] == sorted(
+        table.rows, key=lambda r: r[1] >> table.packing.pos_shift)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(32003)],
+                         ids=["Q", "F7", "F32003"])
+def test_seeded_rows_are_the_rows_of_their_elements(field):
+    """Defining generators enter a loop as g's row shifted to its position,
+    never packed themselves.  Every row must still be ``_divisor_row`` of
+    its element in the loop's packing: in a ``seeded_loop``-style loop of
+    ranks 1 to 4 with nonzero shifts, after its pairs run and after an
+    element of degree 40 re-packs the table; and in ``from_seeds``, where
+    the defining generators follow plain seeds and are divided first."""
+    rng = random.Random(4099 + field.characteristic)
+    ring = PolynomialRing(field, 3, GREVLEX)
+    z = ring.variable(2)
+    repacked = 0
+    for rank in (1, 2, 3, 4):
+        defining = _random_defining(rng, ring)
+        shifts = [rng.randint(1, 3) for _ in range(rank)]
+        gens = [ModuleElement(ring, [rand_poly(rng, ring, 2, 2) for _ in range(rank)])
+                for _ in range(2)]
+        loop = PairLoop(ring, rank, Meter(), shifts)
+        loop.seed(defining, range(rank))
+        assert all(origin is not None for origin in loop.table.origins)
+        for el in gens:
+            loop.add(loop.reduce(el))
+        loop.complete()
+        _assert_rows_are_packed_rows(loop.table)
+        first = loop.table.packing
+        loop.add(ModuleElement.unit(ring, rank, rank - 1, z ** 40))
+        repacked += loop.table.packing is not first
+        _assert_rows_are_packed_rows(loop.table)
+
+        seeded = PairLoop.from_seeds(gens, (defining, rank), ring, rank, Meter())
+        _assert_rows_are_packed_rows(seeded.table)
+        assert _interreduce(seeded.table, Meter()) == list(buchberger(gens, defining=defining))
+    assert repacked == 4
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(32003)],
+                         ids=["Q", "F7", "F32003"])
+def test_normal_form_element_is_the_coordinatewise_normal_form(field):
+    """One division modulo I * P^rank against the defining basis's table
+    of that rank gives each coordinate's normal form, and the element
+    itself when no step divides; the zero ring Q[x]/(x, 1) sends every
+    element to zero."""
+    rng = random.Random(613 + field.characteristic)
+    P = PolynomialRing(field, 3, GREVLEX)
+    rings = [RingPresentation(field, ("x", "y", "z"), _random_defining(rng, P).polynomials())
+             for _ in range(4)]
+    if field is QQ:
+        x = qring(1).variable(0)
+        rings.append(RingPresentation(QQ, ("x",), [x, x ** 0]))
+    for R in rings:
+        P = R.poly_ring
+        for rank in (1, 2, 3, 4):
+            for _ in range(6):
+                el = ModuleElement(P, [rand_poly(rng, P, 3, rng.randint(0, 3))
+                                       for _ in range(rank)])
+                got = R.normal_form_element(el)
+                want = ModuleElement(P, [R.normal_form(c) for c in el.coords])
+                assert got == want
+                assert (got is el) == (want == el)
+        if R.defining_basis().is_unit_ideal():
+            assert R.normal_form_element(ModuleElement(P, [P.one(), P.one()])).is_zero()
+
+
+def test_seeding_packs_each_defining_row_once_per_packing(monkeypatch):
+    """Seeding I * R^rank again, at any rank, packs no defining generator
+    again: each row is packed once per packing, and no placed copy
+    g * e_pos ever reaches ``_divisor_row`` or ``_integral``, even where
+    ``from_seeds`` divides the copies that follow plain seeds."""
+    x, y, z = qring(3).variables()
+    R = RingPresentation(QQ, ("x", "y", "z"),
+                         [x * x - (y * z).scale(Fraction(1, 3)), y * y - 2 * x * z])
+    basis = R.defining_basis()
+    packed, integral = [], []
+    row, whole = groebner._divisor_row, groebner._integral
+
+    def counting_row(g, packing):
+        packed.append((g, packing))
+        return row(g, packing)
+
+    def counting_integral(terms, pack, p):
+        integral.append(terms)
+        return whole(terms, pack, p)
+
+    monkeypatch.setattr(groebner, "_divisor_row", counting_row)
+    monkeypatch.setattr(groebner, "_integral", counting_integral)
+    loops = [seeded_loop(R, rank) for rank in (3, 3, 5, 2)]
+    assert all(any(g is e for e in basis.elements) for g, _ in packed)
+    packings = {id(p) for _, p in packed}
+    assert len(packed) == len(basis) * len(packings)
+    assert len({(id(g), id(p)) for g, p in packed}) == len(packed)
+    # over Q a row's integers come from the element's own terms
+    assert integral == [g.terms for g, _ in packed]
+    assert all(origin is not None for loop in loops for origin in loop.table.origins)
+
+    P = R.poly_ring
+    gens = [ModuleElement(P, [x, y * z]), ModuleElement(P, [y, x * x])]
+    packed.clear()
+    loop = PairLoop.from_seeds(gens, (basis, 2), P, 2, Meter())
+    copies = [g for g, origin in zip(loop.basis, loop.table.origins) if origin is not None]
+    assert copies
+    assert not any(g is c for g, _ in packed for c in copies)
+    assert not any(terms is c.terms for terms in integral for c in copies)
+
+
+def test_syzygies_over_a_quotient_complete_at_the_witness_rank(monkeypatch):
+    """``syzygies(gens, defining=...)`` still runs ``_core`` once, at rank
+    + len(gens), with the defining basis adjoined in the first rank
+    positions; recorded through a wrapper, as the benchmark's tracer
+    records ``groebner.rank_in.max``."""
+    recorded = []
+    core = groebner._core
+
+    def counted_core(elements, ipart, ring, rank, meter):
+        basis = core(elements, ipart, ring, rank, meter)
+        recorded.append((len(elements), ipart, rank, len(basis)))
+        return basis
+
+    P = qring(3)
+    x, y, z = P.variables()
+    defining = buchberger([x * x, y * y])
+    monkeypatch.setattr(groebner, "_core", counted_core)
+    gens = [ModuleElement(P, [x, y]), ModuleElement(P, [y, z]), ModuleElement(P, [z, x])]
+    syz = syzygies(gens, defining=defining)
+    assert [r[:3] for r in recorded] == [(3, (defining, 2), 5)]
+    assert recorded[0][3] >= len(syz) > 0
+
+
 # -- signature-based completion ---------------------------------------------------
 
 
 def _completed(loop_class, gens, defining=()):
     """Reduced basis of gens plus the defining basis through one loop
     class, or the BudgetExceededError text.  ``PairLoop`` gets the defining
-    basis flagged, as ``_core`` runs it; ``SignatureLoop`` takes no flags,
-    so it gets the defining basis as plain seeds."""
+    basis adjoined, as ``_core`` runs it, seeded after gens from the rows
+    of one ``GroebnerBasis``; ``SignatureLoop`` takes nothing adjoined, so
+    it gets the defining basis as plain seeds."""
     ring = gens[0].ring
-    seeds = [ModuleElement.wrap(g) for g in gens + list(defining)]
+    seeds = [ModuleElement.wrap(g) for g in gens]
     meter = Meter()
     try:
         if loop_class is PairLoop:
-            ipart = [False] * len(gens) + [True] * len(defining)
-            loop = PairLoop.from_seeds(seeds, ipart, ring, 1, meter)
+            basis = (GroebnerBasis(ring, 1, [ModuleElement.wrap(g) for g in defining])
+                     if defining else None)
+            loop = PairLoop.from_seeds(seeds, (basis, 1), ring, 1, meter)
         else:
+            seeds += [ModuleElement.wrap(g) for g in defining]
             loop = SignatureLoop.from_seeds(seeds, ring, meter)
         return _interreduce(loop.table, meter)
     except BudgetExceededError as exc:
@@ -1003,7 +1156,7 @@ def test_pair_loop_resumes_a_completion_that_ran_out(build):
     the uninterrupted basis, element by element, whatever the cap.  Ideals
     and modules of rank 2 over a quotient ring, with affine generators,
     seeded as ``seeded_loop`` seeds them: the defining basis in every
-    position, flagged."""
+    position, from its rows (``PairLoop.seed``)."""
     ring = build()
     rng = random.Random(15)
     interrupted = {1: 0, 2: 0}  # by rank
@@ -1015,11 +1168,9 @@ def test_pair_loop_resumes_a_completion_that_ran_out(build):
 
         def seeded():
             loop = PairLoop(ring, rank, Meter())
-            for g in defining.polynomials():
-                for pos in range(rank):
-                    loop.add(ModuleElement.unit(ring, rank, pos, g), True)
+            loop.seed(defining, range(rank))
             for el in gens:
-                loop.add(loop.reduce(el), False)
+                loop.add(loop.reduce(el))
             loop.meter = Meter()
             return loop
 
@@ -1034,7 +1185,7 @@ def test_pair_loop_resumes_a_completion_that_ran_out(build):
             loop.meter = Meter()
             loop.complete()
             assert loop.basis == whole.basis, cap
-            assert loop.flags == whole.flags and not loop.pending
+            assert loop.table.origins == whole.table.origins and not loop.pending
     assert interrupted[1] >= 40 and interrupted[2] >= 200
 
 

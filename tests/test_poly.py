@@ -172,6 +172,20 @@ def test_packing_follows_the_order_and_monomial_arithmetic(order):
             assert at + packing.lift(be) == packing.pack(ap, a.mul(b).exps)
 
 
+@pytest.mark.parametrize("order", [GREVLEX, LEX, elimination_order((3, 1), (0, 2))],
+                         ids=["grevlex", "lex", "block"])
+def test_bounds_of_one_width_share_one_packing(order):
+    """A row packed once is valid in every table of its width: two degree
+    bounds give the same instance exactly when their field widths agree,
+    for an equal order built anew too."""
+    packings = [order.packing(4, b) for b in range(130)]
+    for a in packings:
+        for b in packings:
+            assert (a is b) == (a.width == b.width)
+    assert len({p.width for p in packings}) == 8
+    assert MonomialOrder(order.kind, order.blocks).packing(4, 9) is order.packing(4, 15)
+
+
 # -- polynomial arithmetic ----------------------------------------------------
 
 
