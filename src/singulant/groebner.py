@@ -40,7 +40,7 @@ division can reach; a call that needs wider fields re-packs the table, so
 no field ever carries into the next.  Exponent tuples are decoded only for
 remainder terms.
 
-The adjoined defining generators g * e_pos are not packed at all: a
+No table packs the adjoined defining generators g * e_pos: a
 ``GroebnerBasis`` packs the rows of its elements once per packing, and
 ``poly.MonomialOrder.packing`` shares one packing per width, so the row
 of g * e_pos is g's row shifted to position pos, one integer addition per
@@ -337,25 +337,16 @@ class _DivisorTable:
         return sub
 
 
-def _reduce(el: ModuleElement, table: _DivisorTable, meter: Meter,
-            origin=None) -> ModuleElement:
+def _reduce(el: ModuleElement, table: _DivisorTable, meter: Meter) -> ModuleElement:
     """Full normal form of el against the divisors of ``table``.
 
     The table is first fitted to the meter's degree limit and to el's
     degree (the width rule of ``_DivisorTable``); el's terms are then
     packed once, over Q as integers over the lcm of their denominators, and
     divided by ``_divide``, which returns el itself when no step divides.
-    An el with an origin (see ``_DivisorTable``) starts from its row
-    instead, the lead integer den and the tail, over den: el made monic,
-    which is el itself for an element of a reduced basis.
     """
     table.fit(meter.max_degree, max((m.degree for _, m, _ in el.terms), default=0))
-    if origin is None:
-        den, work = _integral(el.terms, table.packing.pack, el.ring.field.characteristic)
-    else:
-        _, lead, den, tail = table.row(el, origin)
-        work = dict(tail)
-        work[lead] = den
+    den, work = _integral(el.terms, table.packing.pack, el.ring.field.characteristic)
     return _divide(work, den, table, meter, el.rank, source=el)
 
 
@@ -664,10 +655,10 @@ class PairLoop:
         position in turn, as defining generators.
 
         Each one's row is g's row in the table's packing shifted to pos
-        (``_DivisorTable.row``), so none is packed or normalized.  Once the
-        loop holds an element that is not a defining generator, each one is
-        first reduced, by a division that starts from that row; one that a
-        step divides is no longer a defining generator and is added as its
+        (``_DivisorTable.row``), so none is packed or normalized for the
+        table.  Once the loop holds an element that is not a defining
+        generator, each one is first reduced (``reduce``); one that a step
+        divides is no longer a defining generator and is added as its
         remainder.  Before that nothing can divide one: the basis is
         reduced, so no lead of it divides a term of another element.
         """
@@ -677,7 +668,7 @@ class PairLoop:
             for pos in positions:
                 el, origin = _placed(g, rank, pos), (defining.rows, k, pos)
                 if divide:
-                    nf = _reduce(el, table, self.meter, origin)
+                    nf = self.reduce(el)
                     if nf is not el:
                         self.add(nf)
                         continue

@@ -249,12 +249,22 @@ def exactness_defects(ring: PolynomialRing, differentials, shifts, defining,
     to be exact at an interior F_i, 0 < i < n, in a degree d <= max_degree.
 
     ``differentials`` lists d_1..d_n as row-major matrices over P,
-    ``shifts`` the generator degrees of F_0..F_n.  Each entry of d_i d_(i+1)
-    must lie in I (``homogeneous_membership``), so that im d_(i+1) lies in
-    ker d_i, and then dim ker(d_i)_d = dim im(d_(i+1))_d says they are equal
-    in degree d.  Returns ("complex", i, entry) or ("exact", i, d, kernel
-    dim, image dim) for every failure, so [] for an exact complex."""
+    ``shifts`` the generator degrees of F_0..F_n.  Every d_i, the last
+    included, must be graded of degree 0: each nonzero column j is
+    homogeneous of degree ``shifts[i][j]`` under ``shifts[i-1]``
+    (``vector_degree``).  Each entry of d_i d_(i+1) must lie in I
+    (``homogeneous_membership``), so that im d_(i+1) lies in ker d_i, and
+    then dim ker(d_i)_d = dim im(d_(i+1))_d says they are equal in degree
+    d.  Returns ("graded", i, column, its degree or None), ("complex", i,
+    entry) or ("exact", i, d, kernel dim, image dim) for every failure, so
+    [] for an exact complex."""
     defects = []
+    for i, matrix in enumerate(differentials, 1):
+        for j, column in enumerate(_matrix_columns(matrix)):
+            if any(not c.is_zero() for c in column):
+                degree = vector_degree(column, shifts[i - 1])
+                if degree != shifts[i][j]:
+                    defects.append(("graded", i, j, degree))
     for i in range(1, len(differentials)):
         first, second = differentials[i - 1], differentials[i]
         for r, row in enumerate(first):

@@ -876,8 +876,10 @@ def test_normal_form_element_is_the_coordinatewise_normal_form(field):
 def test_seeding_packs_each_defining_row_once_per_packing(monkeypatch):
     """Seeding I * R^rank again, at any rank, packs no defining generator
     again: each row is packed once per packing, and no placed copy
-    g * e_pos ever reaches ``_divisor_row`` or ``_integral``, even where
-    ``from_seeds`` divides the copies that follow plain seeds."""
+    g * e_pos ever reaches ``_divisor_row``.  ``seeded_loop`` packs no copy
+    at all; ``from_seeds`` reduces each copy that follows plain seeds, which
+    packs its terms once for that division (``_integral``) and never for
+    the table."""
     x, y, z = qring(3).variables()
     R = RingPresentation(QQ, ("x", "y", "z"),
                          [x * x - (y * z).scale(Fraction(1, 3)), y * y - 2 * x * z])
@@ -911,7 +913,7 @@ def test_seeding_packs_each_defining_row_once_per_packing(monkeypatch):
     copies = [g for g, origin in zip(loop.basis, loop.table.origins) if origin is not None]
     assert copies
     assert not any(g is c for g, _ in packed for c in copies)
-    assert not any(terms is c.terms for terms in integral for c in copies)
+    assert all(sum(terms is c.terms for terms in integral) == 1 for c in copies)
 
 
 def test_syzygies_over_a_quotient_complete_at_the_witness_rank(monkeypatch):

@@ -49,8 +49,9 @@ def rows_str(matrix):
 
 
 def assert_exact_by_slices(res: FreeResolution, max_degree: int):
-    """Exact at every interior step in each degree up to max_degree, read
-    off Macaulay matrices over P with no Groebner basis or syzygy
+    """Every differential graded of degree 0 against ``res.shifts``, and
+    exact at every interior step in each degree up to max_degree, read off
+    Macaulay matrices over P with no Groebner basis or syzygy
     (``oracles.exactness_defects``); a complete resolution also has no
     kernel at its last step."""
     ring = res.ring
@@ -489,6 +490,29 @@ def test_resolutions_are_exact_slice_by_slice(names, builder, length):
         res = free_resolution(M, length, detect_periodicity=False)
         assert res.length == length or res.complete
         assert_exact_by_slices(res, max(res.shifts[-1]) + 1)
+
+
+def test_exactness_oracle_reports_a_shift_its_differential_disagrees_with():
+    """``oracles.exactness_defects`` checks the grading of every
+    differential against the recorded shifts, the last one included: one
+    generator degree raised by one, at each module in turn, is reported
+    for the columns it gives and for those it receives."""
+    R = presentation(QQ, ("x", "y"), lambda x, y: [x * x, x * y])
+    res = free_resolution(FinitelyPresentedModule.residue_field(R), 3,
+                          detect_periodicity=False)
+    P = R.poly_ring
+    diffs = [res.differential(i) for i in range(1, res.length + 1)]
+    assert oracles.exactness_defects(P, diffs, res.shifts, R.defining, 3) == []
+    for i in range(len(res.shifts)):
+        shifts = list(res.shifts)
+        shifts[i] = (shifts[i][0] + 1,) + tuple(shifts[i][1:])
+        graded = [defect[:3] for defect in
+                  oracles.exactness_defects(P, diffs, shifts, R.defining, 3)
+                  if defect[0] == "graded"]
+        if i > 0:
+            assert ("graded", i, 0) in graded
+        if i < res.length:
+            assert any(defect[1] == i + 1 for defect in graded)
 
 
 # ---------------------------------------------------------------------------
