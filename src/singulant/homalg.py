@@ -36,6 +36,7 @@ from .resolve import (  # noqa: F401
     minimal_presentation,
     seeded_loop,
     syzygy_module,
+    transpose,
     trim_generators,
 )
 
@@ -113,7 +114,7 @@ def _cohomology(ring: RingPresentation, into, out, rank: int, N: FinitelyPresent
     homs of the next term, the boundaries the zero homs of C and then the
     image of into (x) id_n0.
     """
-    one, n0, b_cols = ring.poly_ring.one(), N.rank, N.relation_columns()
+    one, n0, b_cols = ring.poly_ring.one(), N.rank, N.columns
     out_rank = out[0].rank if out else 0
     cycles = minimal_kernel(ring, rank * n0, _kron(out, _units(one, n0)),
                             _kron(_units(one, out_rank), b_cols))
@@ -134,7 +135,7 @@ def module_k_dimension(module: FinitelyPresentedModule):
     if module.rank == 0:
         return 0
     max_degree = active_meter().max_degree
-    loop = seeded_loop(ring, module.rank, gens=module.relation_columns())
+    loop = seeded_loop(ring, module.rank, gens=module.columns)
     loop.complete()
     leads = {s: [] for s in range(module.rank)}
     for el in loop.basis:
@@ -175,7 +176,7 @@ def module_annihilator(module: FinitelyPresentedModule) -> IdealHandle:
         return IdealHandle(ring, [pring.one()])
     diagonal = ModuleElement(pring, [pring.one() if t % (n + 1) == 0 else pring.zero()
                                      for t in range(n * n)])
-    allowed = _kron(_units(pring.one(), n), module.relation_columns())
+    allowed = _kron(_units(pring.one(), n), module.columns)
     return IdealHandle(ring, [v.coords[0] for v in ring.kernel_into(1, [diagonal], allowed)])
 
 
@@ -220,7 +221,7 @@ def ext_from_resolution(res: FreeResolution, N: FinitelyPresentedModule,
         raise PreconditionError("Ext degree must be nonnegative")
     if res.ring != N.ring:
         raise StructuralError("Ext arguments must share one ring presentation")
-    d_out = res.differential(i + 1)
+    d_out = res.columns_of(i + 1)
     ring = res.ring
     n0 = N.rank
     if res.length < i or n0 == 0:
@@ -228,8 +229,8 @@ def ext_from_resolution(res: FreeResolution, N: FinitelyPresentedModule,
     beta = res.ranks[i]
     # the columns of a dual map are the rows of d; a d with no columns ends
     # a complete resolution, and then every vector is a cycle
-    into, out = ([ModuleElement(ring.poly_ring, row) for row in d if row]
-                 for d in (res.differential(i) if i else (), d_out))
+    into = transpose(ring, res.ranks[i - 1], res.columns_of(i)) if i else []
+    out = transpose(ring, beta, d_out) if d_out else []
     cycles, boundaries = _cohomology(ring, into, out, beta, N)
     return ExtModule(ring, cycles, boundaries, degree=i, beta=beta, target_rank=n0)
 
@@ -290,12 +291,13 @@ class StableSpan:
     def __init__(self, module: FinitelyPresentedModule):
         ring = module.ring
         pring = ring.poly_ring
-        cols = module.relation_columns()
+        cols = module.columns
         degrees = [column_degree(c, module.shifts) for c in cols]
-        self.d = ModuleElement(pring, [e for row in module.rows for e in row])
+        rows = transpose(ring, module.rank, cols)
+        self.d = ModuleElement(pring, [e for row in rows for e in row.coords])
         self.loop = seeded_loop(ring, self.d.rank,
                                 [s - c for s in module.shifts for c in degrees],
-                                _kron(cols, [ModuleElement(pring, row) for row in module.rows]))
+                                _kron(cols, rows))
 
     def factors(self, r: Polynomial) -> bool:
         """Does r * d lie in the span, so r * id_M factor through F_0?  The

@@ -8,8 +8,9 @@ maximal ideal).  Depth comes from the Auslander-Buchsbaum identity
 depth = nvars - pd_P applied to the restriction along P -> R, which is
 always a finite computation.
 
-Matrices are stored as tuples of rows; the columns of a differential
-F_i -> F_{i-1} are the relation vectors, read as elements of R^(rank F_{i-1}).
+A matrix, a module's relations or a resolution's differential, is stored
+as its columns, elements of R^n in normal form modulo the defining ideal,
+reduced once where they enter; its rows are a view (``transpose``).
 """
 from __future__ import annotations
 
@@ -24,28 +25,23 @@ INFINITE = "infinite"
 
 
 # ---------------------------------------------------------------------------
-# matrices as row tuples
+# matrices as columns
 
 
-def matrix_columns(ring: RingPresentation, rows):
-    """Columns of a row-major matrix, as module elements of rank len(rows)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    return [
-        ModuleElement(ring.poly_ring, [row[j] for row in rows])
-        for j in range(ncols)
-    ]
-
-
-def columns_to_rows(rank: int, cols):
-    """Row-major matrix of the given rank whose columns are ``cols``."""
-    coords = [col.coords for col in cols]
-    return tuple(tuple(c[i] for c in coords) for i in range(rank))
+def transpose(ring: RingPresentation, rank: int, cols):
+    """The rows of the matrix whose columns are ``cols``, elements of R^rank:
+    row a is the element of R^len(cols) whose coordinate b is coordinate a
+    of cols[b]."""
+    terms = [[] for _ in range(rank)]
+    for b, col in enumerate(cols):
+        for a, m, k in col.terms:
+            terms[a].append((b, m, k))
+    return [ModuleElement.from_terms(ring.poly_ring, len(cols), t) for t in terms]
 
 
 class FinitelyPresentedModule:
-    """coker(matrix): R^rank divided by the span of the matrix columns."""
+    """coker(d): R^rank divided by the span of ``columns``, the nonzero
+    relations in normal form; ``rows`` is d row by row, () with no relations."""
 
     def __init__(self, ring: RingPresentation, rank: int, rows=(), shifts=None):
         if rank < 0:
@@ -61,18 +57,9 @@ class FinitelyPresentedModule:
                     raise StructuralError("matrix entry from another ring")
         self.ring = ring
         self.rank = rank
-        if ring.defining and rows:
-            rows = tuple(tuple(ring.normal_form(e) for e in row) for row in rows)
-        # drop relation columns that are identically zero
-        if rows:
-            keep = [
-                j for j in range(len(rows[0]))
-                if any(not row[j].is_zero() for row in rows)
-            ]
-            rows = tuple(tuple(row[j] for j in keep) for row in rows)
-            if rows and not rows[0]:
-                rows = ()
-        self.rows = rows
+        cols = (ring.normal_form_element(ModuleElement(ring.poly_ring, [row[j] for row in rows]))
+                for j in range(len(rows[0]) if rows else 0))
+        self.columns = tuple(c for c in cols if not c.is_zero())
         self.shifts = tuple(shifts) if shifts is not None else (0,) * rank
 
     # -- constructors -------------------------------------------------------
@@ -93,16 +80,24 @@ class FinitelyPresentedModule:
 
     @classmethod
     def from_columns(cls, ring: RingPresentation, rank: int, cols, shifts=None):
-        return cls(ring, rank, columns_to_rows(rank, cols), shifts)
+        """coker of the columns ``cols``, elements of R^rank that are already
+        in normal form modulo the defining ideal, as trim, ``kernel_into``,
+        a pivot step and a resolution's pending kernel leave them; zero
+        columns are dropped and nothing is reduced again."""
+        module = cls(ring, rank, (), shifts)
+        module.columns = tuple(c for c in cols if not c.is_zero())
+        return module
 
     # -- views ----------------------------------------------------------------
 
     @property
-    def n_relations(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+    def rows(self):
+        rows = tuple(row.coords for row in transpose(self.ring, self.rank, self.columns))
+        return rows if self.columns else ()
 
-    def relation_columns(self):
-        return matrix_columns(self.ring, self.rows)
+    @property
+    def n_relations(self) -> int:
+        return len(self.columns)
 
     def is_free_presentation(self) -> bool:
         return self.n_relations == 0
@@ -115,7 +110,7 @@ class FinitelyPresentedModule:
             isinstance(other, FinitelyPresentedModule)
             and self.ring == other.ring
             and self.rank == other.rank
-            and self.rows == other.rows
+            and self.columns == other.columns
         )
 
     def __repr__(self):
@@ -187,61 +182,60 @@ def minimal_kernel(ring: RingPresentation, domain_rank: int, images, allowed,
     return ring.sort_columns(trim_generators(ring, cols, domain_rank, shifts))
 
 
-def minimal_presentation(module: FinitelyPresentedModule) -> FinitelyPresentedModule:
-    """Isomorphic presentation with no unit entries and no redundant columns.
+def _has_constant_term(cols) -> bool:
+    return any(m.degree == 0 for col in cols for _, m, _ in col.terms)
 
-    A relation entry that reduces to a nonzero constant lets one generator
-    be rewritten in terms of the others; row/column reduction deletes that
-    generator together with the relation.  Surviving columns are then
-    trimmed to a minimal generating set of the relation module.
+
+def minimal_presentation(module: FinitelyPresentedModule) -> FinitelyPresentedModule:
+    """Isomorphic presentation with no constant pivots and no redundant
+    columns, or the zero module.
+
+    A column whose coordinate a is a nonzero constant, the first in
+    row-major order, lets generator a be written in terms of the others:
+    column operations clear row a, the generator and the column are
+    deleted, and only the changed columns are put back in normal form.
+    A unit that is not constant survives this (x + 1 over Q[x,y]/(x^2)),
+    so while a column or defining generator has a constant term the
+    module is zero exactly when its columns and I * R^rank span R^rank,
+    one ``seeded_loop`` membership test per unit vector.  Otherwise every
+    entry vanishes at the origin, a point of V(I), so M/mM = k^rank and M
+    is not zero.  A unit that kills only some generators stays.  The
+    remaining columns are trimmed to a minimal generating set.
     """
     ring = module.ring
-    rows = [list(r) for r in module.rows]
-    rank = module.rank
-    shifts = list(module.shifts)
-    field = ring.poly_ring.field
-
-    while rows and rows[0]:
-        rows = [[ring.normal_form(e) for e in r] for r in rows]
-        pivot = None
-        for a in range(rank):
-            for b in range(len(rows[a])):
-                e = rows[a][b]
-                if not e.is_zero() and e.is_constant():
-                    pivot = (a, b)
-                    break
-            if pivot:
-                break
+    pring, field = ring.poly_ring, ring.poly_ring.field
+    cols, rank, shifts = list(module.columns), module.rank, list(module.shifts)
+    while True:
+        # a degree-0 term is the last at its position, so the only one there
+        # when the term before it lies at another position
+        pivot = min(((a, b, k) for b, col in enumerate(cols)
+                     for i, (a, m, k) in enumerate(col.terms)
+                     if m.degree == 0 and (i == 0 or col.terms[i - 1][0] != a)), default=None)
         if pivot is None:
             break
-        a, b = pivot
-        inv = field.invert(rows[a][b].constant_term())
-        ncols = len(rows[0])
-        # column operations clear row a outside the pivot
-        for j in range(ncols):
-            if j != b and not rows[a][j].is_zero():
-                factor = rows[a][j].scale(inv)
-                for i in range(rank):
-                    rows[i][j] = rows[i][j] - rows[i][b] * factor
-        # row a is now zero off the pivot, so the row operations that clear
-        # column b touch no other column; apply them by erasure
-        for i in range(rank):
-            if i != a:
-                rows[i][b] = ring.poly_ring.zero()
-        rows = [
-            [e for j, e in enumerate(r) if j != b]
-            for i, r in enumerate(rows) if i != a
-        ]
-        shifts = [s for i, s in enumerate(shifts) if i != a]
+        a, b, k = pivot
+        pcol, scale = cols.pop(b), field.neg(field.invert(k))
         rank -= 1
+        shifts.pop(a)
+        cleared = []
+        for col in cols:
+            # col - (col_a / k) * pcol vanishes at a, which is deleted
+            entry = [(m, c) for p, m, c in col.terms if p == a]
+            col = ModuleElement.from_terms(pring, rank, [
+                (p - (p > a), m, c) for p, m, c in col.terms + tuple(
+                    (p, m.mul(em), field.mul(c, field.mul(ec, scale)))
+                    for p, m, c in pcol.terms for em, ec in entry) if p != a])
+            cleared.append(ring.normal_form_element(col) if entry else col)
+        cols = [col for col in cleared if not col.is_zero()]
 
-    # over the zero ring every module is zero
-    if rank == 0 or (ring.defining and ring.defining_basis().is_unit_ideal()):
+    if rank and (_has_constant_term(cols) or _has_constant_term(ring.defining_basis().elements)):
+        loop = seeded_loop(ring, rank, shifts, cols)
+        if all(loop.normal_form(ModuleElement.unit(pring, rank, t)).is_zero()
+               for t in range(rank)):
+            rank = 0
+    if rank == 0:
         return FinitelyPresentedModule(ring, 0)
-    interim = FinitelyPresentedModule(ring, rank,
-                                      tuple(tuple(r) for r in rows), shifts)
-    cols = trim_generators(ring, interim.relation_columns(), rank, interim.shifts)
-    cols = ring.sort_columns(cols)
+    cols = ring.sort_columns(trim_generators(ring, cols, rank, shifts))
     return FinitelyPresentedModule.from_columns(ring, rank, cols, shifts)
 
 
@@ -253,8 +247,9 @@ def minimal_presentation(module: FinitelyPresentedModule) -> FinitelyPresentedMo
 class FreeResolution:
     """Chain of free modules F_0 <- F_1 <- ... <- F_L covering a module.
 
-    ``ranks`` lists beta_0..beta_L; ``differentials`` lists d_1..d_L in
-    row-major form, d_i having ranks[i-1] rows and ranks[i] columns.
+    ``ranks`` lists beta_0..beta_L; ``columns`` lists the columns of
+    d_1..d_L, those of d_i elements of R^ranks[i-1] in normal form, one per
+    basis vector of F_i; ``differentials`` is their row-major view.
     ``pending`` holds the columns of d_(L+1): the minimal generators of
     ker d_L, or at L = 0 the relations of the presentation; ``grow``
     appends them next.  ``complete`` records that they were computed and
@@ -264,12 +259,12 @@ class FreeResolution:
 
     So a resolution of length L determines d_1..d_(L+1), hence Omega^0 to
     Omega^L and Ext^0 to Ext^L, and every later step once it is complete,
-    but only d_1..d_L when ``pending`` is None.  ``differential`` applies this.
+    but only d_1..d_L when ``pending`` is None.  ``columns_of`` applies this.
     """
 
     ring: RingPresentation
     ranks: list
-    differentials: list
+    columns: list
     shifts: list
     minimal: bool
     complete: bool
@@ -280,16 +275,27 @@ class FreeResolution:
     def length(self) -> int:
         return len(self.ranks) - 1
 
-    def differential(self, i: int):
-        """d_i as a row-major matrix (1-indexed, matching the subscripts);
-        zero past the end of a complete resolution, refused past its reach."""
+    def columns_of(self, i: int):
+        """The columns of d_i (1-indexed, matching the subscripts); none
+        past the end of a complete resolution, refused past its reach."""
         if i < 1:
             raise PreconditionError("resolution steps are numbered from 1")
         if i <= self.length:
-            return self.differentials[i - 1]
+            return self.columns[i - 1]
         if self.pending is None or (i > self.length + 1 and not self.complete):
             raise PreconditionError(f"resolution stops before step {i}")
-        return columns_to_rows(self.ranks[-1], self.pending) if i == self.length + 1 else ()
+        return self.pending if i == self.length + 1 else []
+
+    def differential(self, i: int):
+        """d_i as a row-major matrix of ranks[i-1] rows, () past the end
+        of a complete resolution (``columns_of``)."""
+        cols = self.columns_of(i)
+        rank = self.ranks[i - 1] if i <= self.length + 1 else 0
+        return tuple(row.coords for row in transpose(self.ring, rank, cols))
+
+    @property
+    def differentials(self):
+        return [self.differential(i) for i in range(1, self.length + 1)]
 
     def betti(self):
         return list(self.ranks)
@@ -303,19 +309,17 @@ class FreeResolution:
         return None
 
     def is_minimal_certified(self) -> bool:
-        zero = self.ring.poly_ring.field.zero
-        return all(
-            e.is_zero() or e.constant_term() == zero
-            for m in self.differentials for row in m for e in row
-        )
+        """No column of d_1..d_L has a term of degree 0."""
+        return not any(_has_constant_term(cols) for cols in self.columns)
 
     def syzygy(self, n: int) -> FinitelyPresentedModule:
         """Omega^n of the resolved module: coker of d_(n+1) on F_n, so any
         n up to the length, and zero past the end of a complete resolution."""
-        rows = self.differential(n + 1)
+        cols = self.columns_of(n + 1)
         if n > self.length:
             return FinitelyPresentedModule(self.ring, 0)
-        return FinitelyPresentedModule(self.ring, self.ranks[n], rows, self.shifts[n])
+        return FinitelyPresentedModule.from_columns(self.ring, self.ranks[n], cols,
+                                                    self.shifts[n])
 
     def grow(self, length: int, *, detect_periodicity: bool = False) -> FreeResolution:
         """Carry the resolution on, in place, out to step ``length``.
@@ -332,13 +336,11 @@ class FreeResolution:
         while self.length < length and self.pending:
             cols = self.pending
             col_shifts = [column_degree(c, self.shifts[-1]) for c in cols]
-            diff = columns_to_rows(self.ranks[-1], cols)
             period = next((p for p in (1, 2) if detect_periodicity
-                           and len(self.differentials) >= p
-                           and self.differentials[-p] == diff), None)
+                           and len(self.columns) >= p and self.columns[-p] == cols), None)
             kernel = None if period else minimal_kernel(self.ring, len(cols), cols, (),
                                                          col_shifts)
-            self.differentials.append(diff)
+            self.columns.append(cols)
             self.ranks.append(len(cols))
             self.shifts.append(col_shifts)
             self.pending = kernel
@@ -358,25 +360,22 @@ def free_resolution(module: FinitelyPresentedModule, length: int, *,
         raise PreconditionError("resolution length must be nonnegative")
     mod = minimal_presentation(module)
     res = FreeResolution(mod.ring, [mod.rank], [], [list(mod.shifts)], True, False,
-                         pending=mod.ring.sort_columns(mod.relation_columns()))
+                         pending=list(mod.columns))
     return res.grow(length, detect_periodicity=detect_periodicity)
 
 
 def check_complex(res: FreeResolution) -> bool:
-    """d_i o d_(i+1) = 0 over R, verified entry by entry."""
+    """d_i o d_(i+1) = 0 over R, verified column by column."""
     ring = res.ring
+    field = ring.poly_ring.field
     for i in range(1, res.length):
-        a = res.differential(i)
-        b = res.differential(i + 1)
-        if not a or not b:
-            continue
-        for r in range(len(a)):
-            for c in range(len(b[0])):
-                acc = ring.poly_ring.zero()
-                for k in range(len(b)):
-                    acc = acc + a[r][k] * b[k][c]
-                if not ring.normal_form(acc).is_zero():
-                    return False
+        a = res.columns_of(i)
+        for col in res.columns_of(i + 1):
+            image = ModuleElement.from_terms(ring.poly_ring, res.ranks[i - 1], [
+                (p, m.mul(mk), field.mul(c, ck))
+                for k, mk, ck in col.terms for p, m, c in a[k].terms])
+            if not ring.normal_form_element(image).is_zero():
+                return False
     return True
 
 
@@ -395,7 +394,7 @@ def check_exactness(res: FreeResolution) -> bool:
     for i in range(1, res.length + 1):
         if i == res.length and not res.complete:
             break
-        cols = matrix_columns(ring, res.differential(i))
+        cols = res.columns_of(i)
         if not cols:
             continue
         kernel = syzygies(cols, defining=ring.defining_basis())
@@ -405,7 +404,7 @@ def check_exactness(res: FreeResolution) -> bool:
             continue
         if i == res.length:
             return False
-        nxt = matrix_columns(ring, res.differential(i + 1))
+        nxt = res.columns_of(i + 1)
         if not nxt:
             return False
         gb = buchberger(nxt, defining=ring.defining_basis(), ring=ring.poly_ring,
@@ -442,15 +441,11 @@ def restrict_to_ambient(module: FinitelyPresentedModule) -> FinitelyPresentedMod
     """
     ring = module.ring
     amb = ring.ambient()
-    if not ring.defining:
-        return FinitelyPresentedModule(amb, module.rank, module.rows,
-                                       module.shifts)
-    cols = module.relation_columns()
-    for g in ring.defining_basis().polynomials():
-        for a in range(module.rank):
-            cols.append(ModuleElement.unit(amb.poly_ring, module.rank, a, g))
-    return FinitelyPresentedModule.from_columns(amb, module.rank, cols,
-                                                module.shifts)
+    cols = list(module.columns)
+    if ring.defining:
+        cols += [ModuleElement.unit(amb.poly_ring, module.rank, a, g)
+                 for g in ring.defining_basis().polynomials() for a in range(module.rank)]
+    return FinitelyPresentedModule.from_columns(amb, module.rank, cols, module.shifts)
 
 
 def projective_dimension_over_ambient(module: FinitelyPresentedModule) -> int:

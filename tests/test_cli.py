@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -588,3 +589,44 @@ def test_subcommands_match_the_declaration_table():
         assert [a.dest for a in actions if not a.option_strings] == positionals, name
         got = [(a.option_strings[-1], a.default) for a in actions if a.option_strings]
         assert got == list({**COMMON_FLAGS, **flags}.items()), name
+
+
+# -- byte-identical resolve snapshots -------------------------------------------
+
+# Each file in tests/data is `singulant resolve RING MODULE --length 4 --json`,
+# written by the code it guards.  A resolution stores its differentials as
+# columns; the row-major matrices printed here are a view of them, so a
+# change meant to keep behaviour must keep these bytes.
+RESOLVE_SNAPSHOT_RINGS = {
+    "A": "Q[x,y]/(x^2, x*y)",
+    "x2y2": "Q[x,y]/(x^2, y^2)",
+    "cubic": "Q[x,y,z]/(x^3 + y^3 + z^3)",
+    "cusp": "Q[x,y]/(x^3 - y^2)",
+}
+RESOLVE_SNAPSHOT_MODULES = {"k": "k", "matrix": "[[2*x,3*y,0],[0,5*x,7*y]]"}
+
+
+@pytest.mark.parametrize("module", sorted(RESOLVE_SNAPSHOT_MODULES))
+@pytest.mark.parametrize("ring", sorted(RESOLVE_SNAPSHOT_RINGS))
+def test_resolve_matches_snapshot(capsys, ring, module):
+    path = Path(__file__).parent / "data" / f"resolve_{ring}_{module}.json"
+    code, out, _ = run_cli(capsys, "resolve", RESOLVE_SNAPSHOT_RINGS[ring],
+                           RESOLVE_SNAPSHOT_MODULES[module], "--length", "4", "--json")
+    assert code == 0
+    assert out.encode("utf-8") == path.read_bytes()
+
+
+# x + 1 is a unit wherever x is nilpotent, so R/(x+1) is the zero module
+@pytest.mark.parametrize("ring", ["Q[x,y]/(x^2)", RING_A, RING_B, "Q[x,y]/(x^2, y^2)"])
+def test_a_module_killed_by_a_unit_that_is_not_constant_is_zero(capsys, ring):
+    assert run_cli(capsys, "resolve", ring, "R/(x+1)") == (
+        0, "ranks: 0\nminimal: true\nprojective dimension: 0\n", "")
+    assert run_cli(capsys, "stable-ann", ring, "R/(x+1)", "--element", "x") == (
+        1, "", "error: the zero module has no stable identity\n")
+
+
+def test_a_unit_of_the_ring_kills_only_where_it_is_a_unit(capsys):
+    """Over Q[x,y]/(x*y - 1), x is a unit but x - 1 is not."""
+    ring = "Q[x,y]/(x*y - 1)"
+    assert run_cli(capsys, "resolve", ring, "R/(x)")[1].startswith("ranks: 0\n")
+    assert run_cli(capsys, "resolve", ring, "R/(x-1)")[1].startswith("ranks: 1 1\n")

@@ -327,27 +327,27 @@ class TestBuildReport:
 class TestSweepBudgets:
     def test_lowered_step_cap_degrades_to_inconclusive(self, monkeypatch):
         """On ring A, y's dearest guarded steps are the seeding of the
-        seeded cokernel's stable span (21 steps), that module's
-        presentation (17), and R/m^2's second link and syz1(k)'s
-        presentation (12 each): a 200-step cap decides everything, and an
-        11-step cap leaves y undecided on all three modules."""
-        for cap, inconclusive in ((200, []), (11, [
+        seeded cokernel's stable span (21 steps), R/m^2's second link (12)
+        and the seeding of syz1(k)'s span (9): a 200-step cap decides
+        everything, and an 8-step cap leaves y undecided on all three
+        modules."""
+        for cap, inconclusive in ((200, []), (8, [
                 {"element": "y", "modules": ["R/m^2", "syz1(k)", "coker(2x3 seeded)"]}])):
             monkeypatch.setattr(rpt, "_CERT_MAX_STEPS", cap)
             doc = build_report(parse_ring(SNAPSHOT_RINGS["A"]))
             assert doc["ann_bounds"]["inconclusive"] == inconclusive
 
     def test_each_resolution_step_runs_in_a_scope_of_its_own(self, monkeypatch):
-        """Under a 20-step cap, each guarded step that fits serves its link:
+        """Under a 14-step cap, each guarded step that fits serves its link:
         only the seeded cokernel, whose stable span takes 21 steps to seed,
         stays undecided, for y.  The span of syz1(k) takes 9 steps to seed,
-        y's query on it 3 and its presentation 12, so one scope for the
-        three would lose it too.  Under a 22-step cap the cokernel is
-        decided as well, though its presentation (17), its span (21) and
-        y's query on it (3) would overrun any scope two of them shared.
-        The socle generator x is certified with no corpus work, so no cap
-        reaches it."""
-        for cap, inconclusive in ((20, [{"element": "y", "modules": ["coker(2x3 seeded)"]}]),
+        y's query on it 3 and its presentation 3, so one scope for the
+        three would lose it too; R/m^2's second link takes 12.  Under a
+        22-step cap the cokernel is decided as well, though its span (21)
+        would overrun a scope it shared with its presentation (5) or with
+        y's query on it (3).  The socle generator x is certified with no
+        corpus work, so no cap reaches it."""
+        for cap, inconclusive in ((14, [{"element": "y", "modules": ["coker(2x3 seeded)"]}]),
                                   (22, [])):
             monkeypatch.setattr(rpt, "_CERT_MAX_STEPS", cap)
             doc = build_report(parse_ring(SNAPSHOT_RINGS["A"]))

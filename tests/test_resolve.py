@@ -14,7 +14,7 @@ from singulant.errors import (
     budget_scope,
 )
 from singulant.groebner import buchberger, normal_form, ModuleElement
-from singulant.homalg import default_corpus
+from singulant.homalg import default_corpus, ext_from_resolution
 from singulant.ideal_ops import RingPresentation
 from singulant.poly import QQ, Polynomial, PrimeField
 from singulant import resolve as resolve_module
@@ -26,7 +26,6 @@ from singulant.resolve import (
     check_exactness,
     depth,
     free_resolution,
-    matrix_columns,
     minimal_presentation,
     projective_dimension_over_ambient,
     restrict_to_ambient,
@@ -104,7 +103,7 @@ class TestModuleContainer:
         x, y = R.variable(0), R.variable(1)
         rows = ((x, y), (y, x))
         M = FinitelyPresentedModule(R, 2, rows)
-        again = FinitelyPresentedModule.from_columns(R, 2, M.relation_columns())
+        again = FinitelyPresentedModule.from_columns(R, 2, M.columns)
         assert again.rows == M.rows
 
 
@@ -148,6 +147,33 @@ class TestMinimalPresentation:
         M = FinitelyPresentedModule(R, 1, ((x * x,),))
         assert minimal_presentation(M).is_zero_presentation()
 
+    @pytest.mark.parametrize("builder", [
+        lambda x, y: [x * x],
+        lambda x, y: [x * x, x * y],
+        lambda x, y: [x * x, y * y],
+    ], ids=["x2", "A", "x2_y2"])
+    def test_unit_that_is_not_constant_kills_the_module(self, builder):
+        """x + 1 is a unit wherever x is nilpotent, (x + 1)(1 - x) = 1 - x^2,
+        though no entry of coker [x + 1] is a constant."""
+        R = presentation(QQ, ("x", "y"), builder)
+        M = FinitelyPresentedModule.cyclic(R, [R.variable(0) + R.poly_ring.one()])
+        assert minimal_presentation(M).is_zero_presentation()
+        assert free_resolution(M, 3).betti() == [0]
+        with pytest.raises(PreconditionError):
+            depth(M)
+
+    def test_unit_of_the_ring_kills_where_no_entry_is_constant(self):
+        """Over Q[x,y]/(xy - 1), x is a unit and x - 1 is not; over the zero
+        ring every module is zero."""
+        R = presentation(QQ, ("x", "y"), lambda x, y: [x * y - x.ring.one()])
+        x, one = R.variable(0), R.poly_ring.one()
+        assert minimal_presentation(FinitelyPresentedModule.cyclic(R, [x])).is_zero_presentation()
+        M = FinitelyPresentedModule.cyclic(R, [x - one])
+        assert minimal_presentation(M) == M
+        zero_ring = presentation(QQ, ("x",), lambda x: [x, x.ring.one()])
+        free = FinitelyPresentedModule.free(zero_ring, 2)
+        assert minimal_presentation(free).is_zero_presentation()
+
     def test_redundant_generator_trimmed(self):
         P = RingPresentation(QQ, ("x", "y"))
         x, y = P.variable(0), P.variable(1)
@@ -162,6 +188,53 @@ class TestMinimalPresentation:
         M = FinitelyPresentedModule.cyclic(R, [y * y, y * y * y, x])
         N = minimal_presentation(M)
         assert sorted(rows_str(N.rows)[0]) == ["x0", "x1^2"]
+
+
+# ---------------------------------------------------------------------------
+# every module keeps its relations as nonzero columns in normal form
+
+
+COLUMN_RINGS = {
+    "A": (("x", "y"), lambda x, y: [x * x, x * y]),
+    "cubic": (("x", "y", "z"), lambda x, y, z: [x ** 3 + y ** 3 + z ** 3]),
+    "cusp": (("x", "y"), lambda x, y: [x ** 3 - y * y]),
+    "x2_y2": (("x", "y"), lambda x, y: [x * x, y * y]),
+}
+
+
+def assert_normal_columns(m: FinitelyPresentedModule):
+    """Every column of m is a nonzero element of R^rank in normal form, and
+    the rows constructor builds m again from its row view."""
+    for col in m.columns:
+        assert col.rank == m.rank and not col.is_zero()
+        assert m.ring.normal_form_element(col) == col
+    again = FinitelyPresentedModule(m.ring, m.rank, m.rows, m.shifts)
+    assert again == m and again.shifts == m.shifts
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("key", sorted(COLUMN_RINGS))
+def test_every_module_keeps_nonzero_normal_columns(key, field):
+    """Seeded 2x3 matrices with entries of degree up to 3, not reduced
+    modulo I and at times constant, through the rows constructor,
+    ``minimal_presentation``, ``FreeResolution.syzygy`` and
+    ``Subquotient.to_module`` (an Ext group's presentation)."""
+    names, builder = COLUMN_RINGS[key]
+    R = presentation(field, names, builder)
+    P = R.poly_ring
+    rng = random.Random(sorted(COLUMN_RINGS).index(key) * 10 + field.characteristic)
+    k = minimal_presentation(FinitelyPresentedModule.residue_field(R))
+    for _ in range(3):
+        rows = [[rand_poly(rng, P, 3, 2) if rng.random() < 0.7 else P.zero()
+                 for _ in range(3)] for _ in range(2)]
+        M = FinitelyPresentedModule(R, 2, rows)
+        res = free_resolution(M, 2, detect_periodicity=False)
+        modules = [M, minimal_presentation(M)]
+        modules += [res.syzygy(n) for n in range(res.length + 1)]
+        modules += [ext_from_resolution(res, k, i).to_module()
+                    for i in range(min(res.length, 1) + 1)]
+        for m in modules:
+            assert_normal_columns(m)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +305,7 @@ class TestIncrementalTrim:
         self.assert_same_kept(calls)
         # the columns followed by R-combinations of them: the combinations
         # are members only through S-pairs of the kept columns
-        cols = M.relation_columns()
+        cols = list(M.columns)
         combos = []
         for _ in range(3):
             combos.append(ModuleElement.from_terms(P, 2, [
@@ -607,7 +680,7 @@ class TestSyzygyModules:
             omega = syzygy_module(M, 1)
             if omega.is_zero_presentation():
                 continue
-            cols = omega.relation_columns()
+            cols = list(omega.columns)
             gb = buchberger(cols, defining=R.defining_basis(),
                             ring=R.poly_ring, rank=omega.rank)
             for pos in range(omega.rank):
@@ -734,8 +807,11 @@ class TestChecksAndBudgets:
         R = embedded_point_ring()
         k = FinitelyPresentedModule.residue_field(R)
         res = free_resolution(k, 3)
-        bad = [list(list(row) for row in m) for m in res.differentials]
-        bad[1][0][2] = R.variable(1)  # y where x belongs breaks d1 d2 = 0
+        bad = [list(cols) for cols in res.columns]
+        # y where 0 belongs, at row 0 of the third column of d2, breaks d1 d2 = 0
+        col = bad[1][2]
+        assert col.coords[0].is_zero()
+        bad[1][2] = ModuleElement(R.poly_ring, (R.variable(1),) + col.coords[1:])
         broken = FreeResolution(R, res.ranks, bad, res.shifts, False,
                                 res.complete, res.periodic)
         assert not check_complex(broken)
@@ -745,11 +821,11 @@ class TestChecksAndBudgets:
         R = embedded_point_ring()
         k = FinitelyPresentedModule.residue_field(R)
         res = free_resolution(k, 3)
-        d2 = [row[:-1] for row in res.differential(2)]
+        d2 = res.columns_of(2)[:-1]
         ranks = [1, 2, 2, 5]
-        # chop d3 rows to match: keep the complex property trivially broken
-        d3 = [row for row in res.differential(3)][:-1]
-        broken = FreeResolution(R, ranks, [res.differential(1), d2, d3],
+        # chop the last row of d3 to match: keep the complex property trivially broken
+        d3 = [ModuleElement(R.poly_ring, col.coords[:-1]) for col in res.columns_of(3)]
+        broken = FreeResolution(R, ranks, [res.columns_of(1), d2, d3],
                                 res.shifts, False, False, None)
         assert not check_exactness(broken)
 

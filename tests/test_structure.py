@@ -131,10 +131,12 @@ MINIMAL_KERNEL_CALLERS = {"resolve.FreeResolution.grow", "homalg.Subquotient.to_
                           "homalg._cohomology"}
 
 # every membership test in a submodule over R = P/I runs on one span seeded
-# with I * R^rank: the trim, the stable test, an Ext or Koszul group's
-# boundaries and the k-dimension count; none builds a GroebnerBasis for it
-SEEDED_LOOP_CALLERS = {"resolve.trim_generators", "homalg.StableSpan.__init__",
-                       "homalg.Subquotient.is_boundary", "homalg.module_k_dimension"}
+# with I * R^rank: the trim, the zero test of a presentation with a constant
+# term left, the stable test, an Ext or Koszul group's boundaries and the
+# k-dimension count; none builds a GroebnerBasis for it
+SEEDED_LOOP_CALLERS = {"resolve.trim_generators", "resolve.minimal_presentation",
+                       "homalg.StableSpan.__init__", "homalg.Subquotient.is_boundary",
+                       "homalg.module_k_dimension"}
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -230,3 +232,57 @@ def test_one_stable_test():
 def test_one_seeded_span_per_membership_job():
     assert package_callers("seeded_loop") == SEEDED_LOOP_CALLERS
     assert not hasattr(singulant.ideal_ops.RingPresentation, "module_basis")
+
+
+# a module's relations and a resolution's differentials are stored as
+# columns; their row-major views are read only where they are built
+# (resolve), printed (cli) and matched against the golden Koszul entry
+# (report.verify_paper_examples).  Only a module that imports resolve holds
+# those objects; a class reading its own attributes through self, as the
+# Koszul complex its own differential, reads no view.
+ROW_VIEWS = {"rows", "differentials", "differential"}
+ROW_VIEW_READERS = {"resolve", "cli", "report.verify_paper_examples"}
+
+
+def attribute_readers(source: str, module: str, attrs):
+    """Qualified names of the scopes in source that read one of ``attrs``
+    from anything but ``self``; a module-level read counts for the module."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr in attrs
+                    and getattr(child.value, "id", None) != "self"):
+                found.add(prefix)
+            visit(child, f"{prefix}.{child.name}" if isinstance(child, _SCOPES) else prefix)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_attribute_reader_check_sees_scopes_and_skips_self():
+    source = (
+        "top = m.rows\n"
+        "def f(res):\n"
+        "    return res.differential(1)\n"
+        "class A:\n"
+        "    def g(self):\n"
+        "        return self.rows, self.differential(2)\n"
+        "def outer(mod):\n"
+        "    def inner():\n"
+        "        return mod.differentials\n"
+        "    return inner\n"
+    )
+    assert attribute_readers(source, "m", ROW_VIEWS) == {"m", "m.f", "m.outer.inner"}
+
+
+def test_the_matrix_format_lives_in_resolve():
+    readers = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        if path.stem == "resolve" or "resolve" in {
+                node.module for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.level == 1}:
+            readers |= attribute_readers(source, path.stem, ROW_VIEWS)
+    assert readers and all(
+        any(r == a or r.startswith(a + ".") for a in ROW_VIEW_READERS) for r in readers), readers
